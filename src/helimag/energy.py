@@ -25,7 +25,15 @@ from typing import Optional
 import numpy as np
 
 from .chirality import transform
-from .lattice import Domain, ModelParams, ScalarGrid, SpinField, det_sum, index_mask
+from .lattice import (
+    Domain,
+    ModelParams,
+    ScalarGrid,
+    SpinField,
+    chain_keep,
+    det_sum,
+    index_mask,
+)
 
 CSV_HEADER = "lambda,delta,epsilon,H_total,H_hor,H_ver,potential,gradient"
 
@@ -80,11 +88,8 @@ class EnergyReport:
 
 
 def _cell_mask(u: SpinField, domain: Domain) -> np.ndarray:
-    mask = np.empty((u.ny, u.nx), dtype=bool)
-    for j in range(u.ny):
-        for i in range(u.nx):
-            mask[j, i] = domain.cell_inside(i, j, u.spacing)
-    return mask
+    cols, rows = domain.axes_inside(np.arange(u.nx), np.arange(u.ny), u.spacing)
+    return np.outer(rows, cols)
 
 
 def energy_E(u: SpinField, domain: Domain, alpha: float) -> float:
@@ -113,6 +118,26 @@ def energy_E(u: SpinField, domain: Domain, alpha: float) -> float:
     return -alpha * lam * lam * nn + lam * lam * third
 
 
+def prefactor(params: ModelParams, lam: float, one_d: bool = False) -> float:
+    """Prefactor of H: 1/(sqrt(2)*lam*delta^(3/2)) times lam^2/2 on a plane
+    or lam/2 on a chain."""
+    scale = 0.5 * lam * (1.0 if one_d else lam)
+    return scale / (math.sqrt(2.0) * lam * params.delta ** 1.5)
+
+
+def three_point(a: np.ndarray, half_alpha: float) -> np.ndarray:
+    """Three-point stencil a[k+2] - (alpha/2) a[k+1] + a[k] along the last
+    axis; the vertical stencil of a grid is the stencil of its transpose."""
+    return a[..., 2:] - half_alpha * a[..., 1:-1] + a[..., :-2]
+
+
+def squared_stencil(ux: np.ndarray, uy: np.ndarray, half_alpha: float) -> np.ndarray:
+    """|u[k+2] - (alpha/2) u[k+1] + u[k]|^2 along the last axis."""
+    hx = three_point(ux, half_alpha)
+    hy = three_point(uy, half_alpha)
+    return hx * hx + hy * hy
+
+
 def _stencil_sums(u: SpinField, domain: Domain, params: ModelParams):
     """Horizontal/vertical renormalized summands restricted to the interior
     index set, plus the masks used (shared with the decomposition)."""
@@ -123,13 +148,9 @@ def _stencil_sums(u: SpinField, domain: Domain, params: ModelParams):
     s_hor = np.zeros((u.ny, max(u.nx - 2, 0)))
     s_ver = np.zeros((max(u.ny - 2, 0), u.nx))
     if u.nx >= 3:
-        hx = ux[:, 2:] - half_alpha * ux[:, 1:-1] + ux[:, :-2]
-        hy = uy[:, 2:] - half_alpha * uy[:, 1:-1] + uy[:, :-2]
-        s_hor = hx * hx + hy * hy
+        s_hor = squared_stencil(ux, uy, half_alpha)
     if u.ny >= 3:
-        vx = ux[2:, :] - half_alpha * ux[1:-1, :] + ux[:-2, :]
-        vy = uy[2:, :] - half_alpha * uy[1:-1, :] + uy[:-2, :]
-        s_ver = vx * vx + vy * vy
+        s_ver = squared_stencil(ux.T, uy.T, half_alpha).T
     mask_hor = mask[:, : u.nx - 2] if u.nx >= 3 else np.zeros_like(s_hor, dtype=bool)
     mask_ver = mask[: u.ny - 2, :] if u.ny >= 3 else np.zeros_like(s_ver, dtype=bool)
     return s_hor, mask_hor, s_ver, mask_ver
@@ -138,8 +159,7 @@ def _stencil_sums(u: SpinField, domain: Domain, params: ModelParams):
 def energy_H(u: SpinField, domain: Domain, params: ModelParams) -> EnergyReport:
     """Renormalized energy over the interior index set; zero exactly on the
     four helical ground states."""
-    lam = u.spacing
-    pf = 0.5 * lam * lam / (math.sqrt(2.0) * lam * params.delta ** 1.5)
+    pf = prefactor(params, u.spacing)
     s_hor, mask_hor, s_ver, mask_ver = _stencil_sums(u, domain, params)
     hor = pf * det_sum(s_hor * mask_hor)
     ver = pf * det_sum(s_ver * mask_ver)
@@ -154,26 +174,14 @@ def energy_H_1d(
     interval, with the 1D prefactor 1/(sqrt(2)*lam*delta^(3/2)) * lam/2."""
     if chain.ny != 1:
         raise ValueError("energy_H_1d expects a single-row spin field")
-    lam = chain.spacing
     a, b = interval
     if not b > a:
         raise ValueError("empty interval")
     ux, uy = chain.vectors()
-    ux, uy = ux[0], uy[0]
-    half_alpha = params.alpha / 2.0
-    tol = 1e-12 * max(1.0, abs(a), abs(b))
-    total = 0.0
-    terms = []
-    for i in range(chain.nx - 2):
-        # both cells [lam i, lam(i+1)] and [lam(i+1), lam(i+2)] inside [a, b]
-        if lam * i >= a - tol and lam * (i + 2) <= b + tol:
-            hx = ux[i + 2] - half_alpha * ux[i + 1] + ux[i]
-            hy = uy[i + 2] - half_alpha * uy[i + 1] + uy[i]
-            terms.append(hx * hx + hy * hy)
-    if terms:
-        total = det_sum(np.array(terms))
-    pf = 0.5 * lam / (math.sqrt(2.0) * lam * params.delta ** 1.5)
-    return pf * total
+    terms = squared_stencil(ux[0], uy[0], params.alpha / 2.0)
+    # sum only the kept terms: zero padding would regroup the pairwise sum
+    keep = chain_keep(chain.nx, interval, chain.spacing)
+    return prefactor(params, chain.spacing, one_d=True) * det_sum(terms[keep])
 
 
 _RHO_METHODS = ("definition", "closed_form")
@@ -201,15 +209,19 @@ def rho(theta1, theta2, method: str = "closed_form"):
         raise ValueError("rho expects angles in [-pi, pi]")
     if method == "definition":
         # numerator -(1-cos(t1+t2)) + sin^2 t1 + sin^2 t2 and denominator
-        # 2 (sin(t2/2) - sin(t1/2))^2 in factored trigonometric form, which
-        # is the same expression without the catastrophic cancellation near
-        # the diagonal t1 = t2
-        num = 2.0 * np.cos(t1 + t2) * np.sin((t2 - t1) / 2.0) ** 2
-        den = 8.0 * np.cos((t1 + t2) / 4.0) ** 2 * np.sin((t2 - t1) / 4.0) ** 2
-        # den underflows to 0 only when t2 - t1 is below float resolution;
-        # fall back to the diagonal convention there
-        diag = (t1 == t2) | (den == 0.0)
-        out = np.where(diag, 1.0, num / np.where(diag, 1.0, den))
+        # 2 (sin(t2/2) - sin(t1/2))^2 in factored trigonometric form,
+        # 2 cos(t1+t2) sin^2((t2-t1)/2) over 8 cos^2((t1+t2)/4) sin^2((t2-t1)/4),
+        # which avoids the catastrophic cancellation near the diagonal t1 = t2.
+        # The sines of t2-t1 are divided before squaring: for differences
+        # near 1e-160 their squares are subnormal and keep few digits.
+        half = np.sin((t2 - t1) / 2.0)
+        quarter = np.sin((t2 - t1) / 4.0)
+        # quarter underflows to 0 only when t2 - t1 is below float
+        # resolution; fall back to the diagonal convention there
+        diag = (t1 == t2) | (quarter == 0.0)
+        ratio = half / np.where(diag, 1.0, quarter)
+        den = 4.0 * np.cos((t1 + t2) / 4.0) ** 2
+        out = np.where(diag, 1.0, np.cos(t1 + t2) * ratio * ratio / den)
         return out if out.ndim else float(out)
     den = np.cos((t1 + t2) / 4.0) ** 2
     if np.any(den < _RHO_SINGULAR_TOL):

@@ -13,8 +13,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,36 +26,47 @@ def det_sum(a: np.ndarray) -> float:
     return float(np.add.reduce(np.asarray(a, dtype=float).ravel()))
 
 
+def span_inside(k, lo: float, hi: float, lam: float, tol: float) -> np.ndarray:
+    """True where [lam*k, lam*(k+1)] lies in [lo - tol, hi + tol].
+
+    The one cell-inclusion predicate: a cell of a rectangle is inside when
+    its column and its row both pass it.  Accepts integer scalars or arrays.
+    """
+    k = np.asarray(k, dtype=float)
+    return (lam * k >= lo - tol) & (lam * (k + 1.0) <= hi + tol)
+
+
 @dataclass(frozen=True)
 class Domain:
     """Axis-aligned rectangle [x0, x0+width] x [y0, y0+height].
 
-    General polygons can be emulated by supplying ``cell_test(i, j, lam)``,
-    a predicate deciding whether the closed cell Q(i, j) lies in the domain;
-    when present it overrides the rectangle test.
+    A closed cell Q(i, j) lies in the domain when column i fits in
+    [x0, x0+width] and row j fits in [y0, y0+height], each up to a slack of
+    GEOM_TOL scaled by the coordinate magnitude.
     """
 
     x0: float = 0.0
     y0: float = 0.0
     width: float = 1.0
     height: float = 1.0
-    cell_test: Optional[Callable[[int, int, float], bool]] = None
 
     def __post_init__(self) -> None:
         if not (self.width > 0.0 and self.height > 0.0):
             raise ValueError("domain width and height must be positive")
 
-    def cell_inside(self, i: int, j: int, lam: float) -> bool:
-        """True when the closed cell Q(i, j) is contained in the closed domain."""
-        if self.cell_test is not None:
-            return bool(self.cell_test(i, j, lam))
+    def axes_inside(self, i, j, lam: float) -> tuple[np.ndarray, np.ndarray]:
+        """Column and row factors of the cell test for column indices ``i``
+        and row indices ``j``; Q(i, j) is inside exactly when both hold."""
         tol = GEOM_TOL * max(1.0, abs(self.x0) + self.width, abs(self.y0) + self.height)
         return (
-            lam * i >= self.x0 - tol
-            and lam * (i + 1) <= self.x0 + self.width + tol
-            and lam * j >= self.y0 - tol
-            and lam * (j + 1) <= self.y0 + self.height + tol
+            span_inside(i, self.x0, self.x0 + self.width, lam, tol),
+            span_inside(j, self.y0, self.y0 + self.height, lam, tol),
         )
+
+    def cell_inside(self, i: int, j: int, lam: float) -> bool:
+        """True when the closed cell Q(i, j) is contained in the closed domain."""
+        cols, rows = self.axes_inside(i, j, lam)
+        return bool(cols & rows)
 
     def corners(self) -> tuple[float, float, float, float]:
         return (self.x0, self.y0, self.x0 + self.width, self.y0 + self.height)
@@ -99,6 +109,18 @@ class ModelParams:
         return math.acos(1.0 - self.delta)
 
 
+def _interior(domain: Domain, lam: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """(len(j), len(i)) mask of the indices whose three closed cells Q(i,j),
+    Q(i+1,j), Q(i,j+1) all lie inside the domain.
+
+    The test factors into a column predicate X(i) & X(i+1) times a row
+    predicate Y(j) & Y(j+1).
+    """
+    cols, rows = domain.axes_inside(i, j, lam)
+    cols_next, rows_next = domain.axes_inside(i + 1, j + 1, lam)
+    return np.outer(rows & rows_next, cols & cols_next)
+
+
 def index_set(domain: Domain, lam: float) -> list[tuple[int, int]]:
     """Indices (i, j) whose three closed cells Q(i,j), Q(i+1,j), Q(i,j+1)
     all lie inside the domain, in row-major (j outer, i inner) order.
@@ -110,29 +132,26 @@ def index_set(domain: Domain, lam: float) -> list[tuple[int, int]]:
         raise ValueError("lam must be positive")
     x0, y0, x1, y1 = domain.corners()
     # bounding index ranges; the predicate does the exact work
-    i_lo = math.floor(x0 / lam) - 1
-    i_hi = math.ceil(x1 / lam) + 1
-    j_lo = math.floor(y0 / lam) - 1
-    j_hi = math.ceil(y1 / lam) + 1
-    out: list[tuple[int, int]] = []
-    for j in range(j_lo, j_hi):
-        for i in range(i_lo, i_hi):
-            if (
-                domain.cell_inside(i, j, lam)
-                and domain.cell_inside(i + 1, j, lam)
-                and domain.cell_inside(i, j + 1, lam)
-            ):
-                out.append((i, j))
-    return out
+    i = np.arange(math.floor(x0 / lam) - 1, math.ceil(x1 / lam) + 1)
+    j = np.arange(math.floor(y0 / lam) - 1, math.ceil(y1 / lam) + 1)
+    jj, ii = np.nonzero(_interior(domain, lam, i, j))
+    return list(zip(i[ii].tolist(), j[jj].tolist()))
 
 
 def index_mask(domain: Domain, lam: float, nx: int, ny: int) -> np.ndarray:
     """Boolean (ny, nx) mask of index_set entries with 0 <= i < nx, 0 <= j < ny."""
-    mask = np.zeros((ny, nx), dtype=bool)
-    for i, j in index_set(domain, lam):
-        if 0 <= i < nx and 0 <= j < ny:
-            mask[j, i] = True
-    return mask
+    if not lam > 0.0:
+        raise ValueError("lam must be positive")
+    return _interior(domain, lam, np.arange(nx), np.arange(ny))
+
+
+def chain_keep(n: int, interval: tuple[float, float], lam: float) -> np.ndarray:
+    """1-D index set: mask of the stencils i of an n-site chain whose cells
+    [lam i, lam(i+1)] and [lam(i+1), lam(i+2)] both lie inside the interval."""
+    a, b = interval
+    tol = GEOM_TOL * max(1.0, abs(a), abs(b))
+    i = np.arange(max(n - 2, 0))
+    return span_inside(i, a, b, lam, tol) & span_inside(i + 1, a, b, lam, tol)
 
 
 @dataclass

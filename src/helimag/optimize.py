@@ -18,8 +18,15 @@ from typing import Optional
 
 import numpy as np
 
-from .energy import EnergyReport, energy_H, energy_H_1d
-from .lattice import Domain, ModelParams, SpinField, det_sum, index_mask
+from .energy import (
+    EnergyReport,
+    energy_H,
+    energy_H_1d,
+    prefactor,
+    squared_stencil,
+    three_point,
+)
+from .lattice import Domain, ModelParams, SpinField, chain_keep, det_sum, index_mask
 
 LOG_CSV_HEADER = "iter,energy,grad_norm,step"
 
@@ -110,11 +117,30 @@ class MinimizeOptions:
             raise ValueError("tolerances must be positive, backtrack in (0, 1)")
 
 
+def _chain_interval(domain: Domain) -> tuple[float, float]:
+    """The interval a single-row grid is measured on: the domain's x-extent."""
+    return (domain.x0, domain.x0 + domain.width)
+
+
 def _objective(psi: np.ndarray, domain: Domain, params: ModelParams, lam: float):
     u = SpinField.from_angles(psi, lam)
     if psi.shape[0] == 1:
-        return energy_H_1d(u, (domain.x0, domain.x0 + domain.width), params)
+        return energy_H_1d(u, _chain_interval(domain), params)
     return energy_H(u, domain, params).total
+
+
+def _add_stencil_gradient(
+    g: np.ndarray, cosp: np.ndarray, sinp: np.ndarray, mask: np.ndarray, alpha: float
+) -> None:
+    """Add the angle gradient of the masked sum of squared three-point
+    stencils along the last axis into ``g`` (a view; pass transposes for the
+    vertical stencils)."""
+    hx = three_point(cosp, alpha / 2.0) * mask
+    hy = three_point(sinp, alpha / 2.0) * mask
+    # d|v|^2/dpsi_k = 2 v . u_perp(k) * coefficient of u_k in v
+    g[..., :-2] += 2.0 * (-hx * sinp[..., :-2] + hy * cosp[..., :-2])
+    g[..., 1:-1] += -alpha * (-hx * sinp[..., 1:-1] + hy * cosp[..., 1:-1])
+    g[..., 2:] += 2.0 * (-hx * sinp[..., 2:] + hy * cosp[..., 2:])
 
 
 def energy_gradient(
@@ -130,40 +156,20 @@ def energy_gradient(
     ny, nx = psi.shape
     if bc is not None and bc.mask.shape != psi.shape:
         raise ValueError("boundary condition shape mismatch")
-    half_alpha = params.alpha / 2.0
     cosp = np.cos(psi)
     sinp = np.sin(psi)
     g = np.zeros_like(psi)
-    one_d = ny == 1
-    if one_d:
-        pf = 0.5 * lam / (math.sqrt(2.0) * lam * params.delta ** 1.5)
-        x0 = domain.x0
-        tol = 1e-12 * max(1.0, abs(x0) + domain.width)
-        keep = np.zeros(nx - 2, dtype=bool)
-        for i in range(nx - 2):
-            keep[i] = (
-                lam * i >= x0 - tol and lam * (i + 2) <= x0 + domain.width + tol
-            )
-        mask_hor = keep[None, :]
+    if ny == 1:
+        keep = chain_keep(nx, _chain_interval(domain), lam)
+        _add_stencil_gradient(g, cosp, sinp, keep, params.alpha)
+        g *= prefactor(params, lam, one_d=True)
     else:
-        pf = 0.5 * lam * lam / (math.sqrt(2.0) * lam * params.delta ** 1.5)
         mask = index_mask(domain, lam, nx, ny)
-        mask_hor = mask[:, : nx - 2] if nx >= 3 else None
-        mask_ver = mask[: ny - 2, :] if ny >= 3 else None
-    if nx >= 3:
-        hx = (cosp[:, 2:] - half_alpha * cosp[:, 1:-1] + cosp[:, :-2]) * mask_hor
-        hy = (sinp[:, 2:] - half_alpha * sinp[:, 1:-1] + sinp[:, :-2]) * mask_hor
-        # d|v|^2/dpsi_k = 2 v . u_perp(k) * coefficient of u_k in v
-        g[:, :-2] += 2.0 * (-hx * sinp[:, :-2] + hy * cosp[:, :-2])
-        g[:, 1:-1] += -params.alpha * (-hx * sinp[:, 1:-1] + hy * cosp[:, 1:-1])
-        g[:, 2:] += 2.0 * (-hx * sinp[:, 2:] + hy * cosp[:, 2:])
-    if not one_d and ny >= 3:
-        vx = (cosp[2:, :] - half_alpha * cosp[1:-1, :] + cosp[:-2, :]) * mask_ver
-        vy = (sinp[2:, :] - half_alpha * sinp[1:-1, :] + sinp[:-2, :]) * mask_ver
-        g[:-2, :] += 2.0 * (-vx * sinp[:-2, :] + vy * cosp[:-2, :])
-        g[1:-1, :] += -params.alpha * (-vx * sinp[1:-1, :] + vy * cosp[1:-1, :])
-        g[2:, :] += 2.0 * (-vx * sinp[2:, :] + vy * cosp[2:, :])
-    g *= pf
+        if nx >= 3:
+            _add_stencil_gradient(g, cosp, sinp, mask[:, : nx - 2], params.alpha)
+        if ny >= 3:
+            _add_stencil_gradient(g.T, cosp.T, sinp.T, mask[: ny - 2, :].T, params.alpha)
+        g *= prefactor(params, lam)
     if bc is not None:
         g[bc.mask] = 0.0
     return g
@@ -259,10 +265,10 @@ def minimize_H(
             break
     u = SpinField.from_angles(psi, lam)
     if psi.shape[0] == 1:
-        total = energy_H_1d(u, (domain.x0, domain.x0 + domain.width), params)
-        report = EnergyReport(
-            total=total, horizontal=total, vertical=0.0, term_count=psi.shape[1] - 2
-        )
+        interval = _chain_interval(domain)
+        total = energy_H_1d(u, interval, params)
+        terms = int(np.count_nonzero(chain_keep(psi.shape[1], interval, lam)))
+        report = EnergyReport(total=total, horizontal=total, vertical=0.0, term_count=terms)
     else:
         report = energy_H(u, domain, params)
     return MinimizeResult(psi=psi, report=report, log=log, converged=converged, stalled=stalled)
@@ -365,10 +371,5 @@ def _chain_energies(
     psis: np.ndarray, params: ModelParams, lam: float, n_sites: int
 ) -> np.ndarray:
     """Vectorized 1D energies of many chains at once (all interior stencils)."""
-    cosp = np.cos(psis)
-    sinp = np.sin(psis)
-    half_alpha = params.alpha / 2.0
-    hx = cosp[:, 2:] - half_alpha * cosp[:, 1:-1] + cosp[:, :-2]
-    hy = sinp[:, 2:] - half_alpha * sinp[:, 1:-1] + sinp[:, :-2]
-    pf = 0.5 * lam / (math.sqrt(2.0) * lam * params.delta ** 1.5)
-    return pf * (hx * hx + hy * hy).sum(axis=1)
+    terms = squared_stencil(np.cos(psis), np.sin(psis), params.alpha / 2.0)
+    return prefactor(params, lam, one_d=True) * terms.sum(axis=1)

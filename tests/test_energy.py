@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helimag.energy import (
@@ -151,6 +151,23 @@ class TestEnergyH:
         want /= math.sqrt(2.0) * p.lam * p.delta ** 1.5
         assert got == pytest.approx(want, rel=1e-12)
 
+    def test_1d_interval_cutting_both_ends(self):
+        # sites 0..9 at lam = 0.1; the interval [0.2, 0.7] keeps the stencils
+        # i = 2..5, whose cells [lam i, lam (i+2)] lie inside it
+        rng = np.random.default_rng(34)
+        p = ModelParams(lam=0.1, delta=0.3)
+        psi = rng.uniform(-math.pi, math.pi, (1, 10))
+        u = SpinField.from_angles(psi, p.lam)
+        got = energy_H_1d(u, (0.2, 0.7), p)
+        ux, uy = np.cos(psi[0]), np.sin(psi[0])
+        want = 0.0
+        for i in range(2, 6):
+            hx = ux[i + 2] - 0.5 * p.alpha * ux[i + 1] + ux[i]
+            hy = uy[i + 2] - 0.5 * p.alpha * uy[i + 1] + uy[i]
+            want += 0.5 * p.lam * (hx * hx + hy * hy)
+        want /= math.sqrt(2.0) * p.lam * p.delta ** 1.5
+        assert got == pytest.approx(want, rel=1e-12)
+
     def test_1d_zero_on_helix(self):
         p = ModelParams(lam=0.1, delta=0.4)
         psi = p.helix_angle * np.arange(10.0)[None, :]
@@ -175,6 +192,9 @@ class TestRho:
         st.floats(-math.pi, math.pi, allow_nan=False),
     )
     @settings(max_examples=300, deadline=None)
+    # differences near 1e-160 square to subnormals in the definition
+    @example(0.0, 4.4e-160)
+    @example(0.0, 8.3e-160)
     def test_methods_agree(self, t1, t2):
         if t1 == t2 or abs(math.cos((t1 + t2) / 4.0)) < 1e-6:
             return

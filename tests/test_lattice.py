@@ -49,12 +49,6 @@ class TestDomain:
         assert d.cell_inside(2, 2, 0.25)
         assert not d.cell_inside(3, 2, 0.25)
 
-    def test_cell_test_override(self):
-        # lower-triangle predicate
-        d = Domain(cell_test=lambda i, j, lam: i + j < 3)
-        assert d.cell_inside(0, 2, 0.1)
-        assert not d.cell_inside(2, 1, 0.1)
-
 
 class TestModelParams:
     def test_derived_quantities(self):
@@ -102,6 +96,71 @@ class TestIndexSet:
         for j in range(3):
             for i in range(4):
                 assert mask[j, i] == ((i, j) in pairs)
+
+
+def per_cell_interior(domain, lam, i_range, j_range):
+    """Loop reference: (len(j_range), len(i_range)) mask of the indices whose
+    cells Q(i,j), Q(i+1,j), Q(i,j+1) pass Domain.cell_inside one by one."""
+    inside = {
+        (i, j): domain.cell_inside(i, j, lam)
+        for j in range(j_range.start, j_range.stop + 1)
+        for i in range(i_range.start, i_range.stop + 1)
+    }
+    return np.array(
+        [
+            [inside[i, j] and inside[i + 1, j] and inside[i, j + 1] for i in i_range]
+            for j in j_range
+        ],
+        dtype=bool,
+    ).reshape(len(j_range), len(i_range))
+
+
+def random_rectangles(rng, count):
+    """Rectangles with offset origins, sides on and off the lattice, and
+    cells that exactly touch the boundary, each with a spacing."""
+    for k in range(count):
+        lam = float(rng.choice([0.1, 0.25, 1.0 / 3.0, 0.07]))
+        ox, oy = rng.integers(-4, 5, 2)
+        cx, cy = rng.integers(1, 9, 2)
+        if k % 3 == 0:  # sides and origin on lattice lines: touching cells
+            x0, y0, w, h = ox * lam, oy * lam, cx * lam, cy * lam
+        elif k % 3 == 1:  # lam = 0.1 and width 0.3 style sides
+            x0, y0 = ox * lam, oy * lam
+            w, h = round(cx * lam, 6), round(cy * lam, 6)
+        else:  # arbitrary origin and sides
+            x0, y0 = rng.uniform(-0.5, 0.5, 2)
+            w, h = rng.uniform(0.05, 1.0, 2)
+        yield Domain(x0=float(x0), y0=float(y0), width=float(w), height=float(h)), lam
+
+
+class TestIndexSetReference:
+    def test_mask_and_set_match_per_cell_loop(self):
+        rng = np.random.default_rng(20240417)
+        for domain, lam in random_rectangles(rng, 300):
+            # nx, ny from well below to well above the domain's extent
+            nx, ny = (int(v) for v in rng.integers(0, 16, 2))
+            want = per_cell_interior(domain, lam, range(nx), range(ny))
+            np.testing.assert_array_equal(index_mask(domain, lam, nx, ny), want)
+
+            x0, y0, x1, y1 = domain.corners()
+            i_range = range(math.floor(x0 / lam) - 3, math.ceil(x1 / lam) + 3)
+            j_range = range(math.floor(y0 / lam) - 3, math.ceil(y1 / lam) + 3)
+            full = per_cell_interior(domain, lam, i_range, j_range)
+            want_set = [
+                (i, j)
+                for b, j in enumerate(j_range)
+                for a, i in enumerate(i_range)
+                if full[b, a]
+            ]
+            assert index_set(domain, lam) == want_set
+
+    def test_width_off_the_lattice(self):
+        # 0.3 is not three float steps of 0.1; the slack keeps the touching cell
+        d = Domain(width=0.3, height=0.3)
+        assert index_set(d, 0.1) == [(0, 0), (1, 0), (0, 1), (1, 1)]
+        np.testing.assert_array_equal(
+            index_mask(d, 0.1, 4, 1), [[True, True, False, False]]
+        )
 
 
 class TestGrids:

@@ -102,6 +102,18 @@ class TestGradient:
         fd = fd_gradient(psi, d, p, p.lam)
         np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-5)
 
+    def test_matches_fd_1d_cut_interval(self):
+        # the interval [0.2, 0.7] cuts stencils at both ends of a 10-site chain
+        rng = np.random.default_rng(8)
+        p = ModelParams(lam=0.1, delta=0.4)
+        d = Domain(x0=0.2, width=0.5, height=0.1)
+        psi = rng.uniform(-math.pi, math.pi, (1, 10))
+        g = energy_gradient(psi, d, p, None, p.lam)
+        fd = fd_gradient(psi, d, p, p.lam)
+        np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-5)
+        # sites outside every kept stencil do not move the energy
+        assert np.all(g[0, [0, 1, 8, 9]] == 0.0)
+
     def test_zero_at_frozen_sites(self):
         p = ModelParams(lam=0.1, delta=0.3)
         bc = chain_bc(8, p, 1, -1)
@@ -142,6 +154,17 @@ class TestMinimize:
         d = Domain(width=0.6, height=0.05)
         res = minimize_H(linear_init(bc), d, p, bc, MinimizeOptions(max_iter=50))
         np.testing.assert_allclose(res.psi[bc.mask], bc.values[bc.mask])
+
+    def test_1d_term_count_of_cut_interval(self):
+        # [0.2, 0.7] keeps 4 of the 8 stencils of a 10-site chain
+        p = ModelParams(lam=0.1, delta=0.3)
+        bc = chain_bc(10, p, 1, -1)
+        d = Domain(x0=0.2, width=0.5, height=0.1)
+        res = minimize_H(linear_init(bc), d, p, bc, MinimizeOptions(max_iter=5))
+        assert res.report.term_count == 4
+        full = Domain(width=1.0, height=0.1)
+        res = minimize_H(linear_init(bc), full, p, bc, MinimizeOptions(max_iter=5))
+        assert res.report.term_count == 8
 
     def test_log_csv(self):
         csv = log_to_csv([(0, 1.0, 0.5, 1.0), (1, 0.9, 0.4, 2.0)])
