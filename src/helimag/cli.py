@@ -109,10 +109,13 @@ def _read_spin(config: dict) -> SpinField:
 
 def _cmd_energy(config: dict) -> dict:
     u = _read_spin(config)
-    p = ModelParams(lam=u.spacing, delta=float(config["delta"]))
+    p = _params({**config, "lambda": u.spacing})
     dom = Domain(width=u.nx * u.spacing, height=u.ny * u.spacing)
     rep = energy_H(u, dom, p)
-    dec = mm_decomposition(u, dom, p)
+    try:
+        dec = mm_decomposition(u, dom, p)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
     out = _outdir(config)
     doc = {"direct": json.loads(rep.to_json()), "decomposition": json.loads(dec.to_json())}
     path = out / "energy.json"
@@ -126,8 +129,11 @@ def _cmd_energy(config: dict) -> dict:
 
 def _cmd_transform(config: dict) -> dict:
     u = _read_spin(config)
-    p = ModelParams(lam=u.spacing, delta=float(config["delta"]))
-    theta, pair = transform(u, p)
+    p = _params({**config, "lambda": u.spacing})
+    try:
+        theta, pair = transform(u, p)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
     try:
         vort = vorticity(theta)
     except ValueError as exc:
@@ -178,7 +184,10 @@ def _cmd_classify(config: dict) -> dict:
 def _cmd_recover(config: dict) -> dict:
     m = _load_mesh(config)
     p = _params(config)
-    res = build_recovery(m, p, kernel=Kernel())
+    try:
+        res = build_recovery(m, p, kernel=Kernel())
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
     out = _outdir(config)
     (out / "recovery_spin.json").write_text(res.spin.to_json())
     (out / "recovery_chirality.json").write_text(res.pair.to_json())
@@ -194,10 +203,13 @@ def _cmd_recover(config: dict) -> dict:
 def _schedule(config: dict) -> SweepSchedule:
     spec = config.get("schedule", "default")
     if spec == "default":
-        return SweepSchedule.default(
-            finest_n=int(config.get("finest_n", 256)),
-            levels=int(config.get("levels", 4)),
-        )
+        try:
+            return SweepSchedule.default(
+                finest_n=int(config.get("finest_n", 256)),
+                levels=int(config.get("levels", 4)),
+            )
+        except (ValueError, TypeError) as exc:
+            raise ValidationError(f"bad schedule: {exc}") from exc
     try:
         steps = json.loads(Path(spec).read_text())
         return SweepSchedule(

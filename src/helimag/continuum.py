@@ -74,37 +74,89 @@ class MeshPotential:
         gy = (d2 * e1[:, 0] - d1 * e2[:, 0]) / det
         return np.stack([gx, gy], axis=1)
 
+    def affine_coefficients(self) -> np.ndarray:
+        """Rows (c0, gx, gy) of the per-triangle interpolant c0 + gx*x + gy*y,
+        shape (3, M)."""
+        g = self.gradients()
+        a = self.triangles[:, 0]
+        c0 = self.heights[a] - g[:, 0] * self.vertices[a, 0] - g[:, 1] * self.vertices[a, 1]
+        return np.stack([c0, g[:, 0], g[:, 1]])
+
+    def locate(self, x, y) -> np.ndarray:
+        """Index of the first triangle containing each point of the broadcast
+        of x and y (barycentric test with a relative slack of 1e-9).
+
+        Each triangle tests only the block of the broadcast shape whose every
+        axis meets its bounding box, gathered from the unbroadcast inputs, so
+        a (1, M) x (K, 1) grid costs about the block's area per triangle.
+        Raises ValueError if a point lies outside the mesh.
+        """
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        out_shape = np.broadcast_shapes(x.shape, y.shape)
+        shape = np.broadcast_shapes(out_shape, (1,))  # scalars as 1-point axes
+        ndim = len(shape)
+        x = x.reshape((1,) * (ndim - x.ndim) + x.shape)
+        y = y.reshape((1,) * (ndim - y.ndim) + y.shape)
+        v = self.vertices
+        tol = 1e-9 * max(1.0, np.abs(v).max())
+        corners = v[self.triangles]  # (M, 3, 2)
+        lo = corners.min(axis=1)
+        hi = corners.max(axis=1)
+        # a point the barycentric test accepts lies within 2*tol*extent of
+        # the triangle's box; twice that pad leaves room for rounding
+        pad = 4.0 * tol * (hi - lo).max(axis=1, keepdims=True)
+        lo -= pad
+        hi += pad
+        tri = np.full(shape, -1, dtype=np.intp)
+        left = tri.size
+        for t, (a, b, c) in enumerate(self.triangles):
+            if left == 0:
+                break
+            keep = [np.ones(n, dtype=bool) for n in shape]
+            for arr, k in ((x, 0), (y, 1)):
+                hit = (arr >= lo[t, k]) & (arr <= hi[t, k])
+                for d in range(ndim):
+                    keep[d] &= hit.any(axis=tuple(e for e in range(ndim) if e != d))
+            idx = [np.flatnonzero(k) for k in keep]
+            if any(i.size == 0 for i in idx):
+                continue
+            block, bxi, byi = _block_indexers(idx, (shape, x.shape, y.shape))
+            bx = x[bxi]
+            by = y[byi]
+            sub = tri[block]
+            e1 = v[b] - v[a]
+            e2 = v[c] - v[a]
+            det = e1[0] * e2[1] - e1[1] * e2[0]
+            rx = bx - v[a][0]
+            ry = by - v[a][1]
+            s = rx * e2[1] - ry * e2[0]
+            s /= det
+            u = ry * e1[0] - rx * e1[1]
+            u /= det
+            inside = s >= -tol
+            inside &= u >= -tol
+            s += u
+            inside &= s <= 1.0 + tol
+            inside &= sub < 0
+            found = int(np.count_nonzero(inside))
+            if found:
+                sub[inside] = t
+                if sub.base is not tri:  # a gathered copy, not a view
+                    tri[block] = sub
+                left -= found
+        if left:
+            raise ValueError("evaluation point outside the mesh")
+        return tri.reshape(out_shape)
+
     def evaluate(self, x, y):
         """Evaluate the interpolant at points inside the mesh (vectorized)."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        shape = np.broadcast(x, y).shape
-        px = np.broadcast_to(x, shape).ravel()
-        py = np.broadcast_to(y, shape).ravel()
-        out = np.zeros(px.shape)
-        filled = np.zeros(px.shape, dtype=bool)
-        v = self.vertices
-        h = self.heights
-        tol = 1e-9 * max(1.0, np.abs(v).max())
-        for t in range(self.triangles.shape[0]):
-            a, b, c = self.triangles[t]
-            ax, ay = v[a]
-            e1 = v[b] - v[a]
-            e2 = v[c] - v[a]
-            det = e1[0] * e2[1] - e1[1] * e2[0]
-            rx = px - ax
-            ry = py - ay
-            s = (rx * e2[1] - ry * e2[0]) / det
-            u = (ry * e1[0] - rx * e1[1]) / det
-            inside = (s >= -tol) & (u >= -tol) & (s + u <= 1.0 + tol) & ~filled
-            if np.any(inside):
-                out[inside] = (
-                    h[a] + s[inside] * (h[b] - h[a]) + u[inside] * (h[c] - h[a])
-                )
-                filled[inside] = True
-        if not np.all(filled):
-            raise ValueError("evaluation point outside the mesh")
-        return out.reshape(shape) if shape else float(out[0])
+        c0, gx, gy = self.affine_coefficients()
+        t = self.locate(x, y)
+        out = c0[t] + gx[t] * x + gy[t] * y
+        return out if out.ndim else float(out)
 
     def to_json(self) -> str:
         d = self.domain
@@ -132,6 +184,19 @@ class MeshPotential:
                 height=float(dd["height"]),
             ),
         )
+
+
+def _block_indexers(idx: list, shapes) -> list:
+    """Indexers of the block with index arrays idx (one per axis, sorted)
+    into arrays of each given shape, whose size-1 axes broadcast: slices,
+    which give views, when every axis's indices are contiguous (sorted grid
+    axes), np.ix_ gathers otherwise."""
+    if all(i[-1] - i[0] + 1 == i.size for i in idx):
+        sel = [slice(i[0], i[-1] + 1) for i in idx]
+        return [tuple(s if n > 1 else slice(None) for s, n in zip(sel, shape))
+                for shape in shapes]
+    return [np.ix_(*(i if n > 1 else [0] for i, n in zip(idx, shape)))
+            for shape in shapes]
 
 
 @dataclass

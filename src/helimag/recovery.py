@@ -14,10 +14,20 @@ profile nearly attains the optimal interfacial energy (see WALL_WIDTH
 below).  The bond angles of the lifted field satisfy
 theta_hor = arccos(1-delta) * d1 phi_n exactly wherever that value stays in
 [-pi, pi]; violations are reported as overflows.
+
+phi^eps is evaluated on the whole lattice at once.  Its quadrature points
+form a tensor grid: the x-values lam*i + a*eps*node are shared by every
+lattice row, and each row j adds its own column of y-values.  mollify
+calls the extension on chunks of whole lattice rows (MOLLIFY_CHUNK points,
+at least one row) and contracts each chunk with the quadrature weights.
+The extension locates every point's triangle once, one bounding-box block
+per triangle (MeshPotential.locate), and evaluates that triangle's affine
+map there.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass, field
@@ -53,6 +63,16 @@ def _bump(t: np.ndarray) -> np.ndarray:
     return np.where(inside, np.exp(-1.0 / (1.0 - tt * tt)), 0.0)
 
 
+@functools.lru_cache(maxsize=16)
+def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once
+    per order (the eigen-solve behind them costs milliseconds)."""
+    nodes, wts = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = False
+    wts.flags.writeable = False
+    return nodes, wts
+
+
 @dataclass
 class Kernel:
     """Tensor-product mollifier eta(z1, z2) = k(z1) k(z2) built from a 1D
@@ -64,7 +84,7 @@ class Kernel:
     _norm: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        nodes, wts = np.polynomial.legendre.leggauss(self.norm_order)
+        nodes, wts = gauss_legendre(self.norm_order)
         vals = np.asarray(self.profile(nodes), dtype=float)
         self._norm = float((wts * vals).sum())
         if not self._norm > 0.0:
@@ -99,7 +119,13 @@ class SweepSchedule:
     ) -> "SweepSchedule":
         """Halving lattice spacings ending at size/finest_n, with the coupling
         delta = lam^(2/3) (so eps = lam^(2/3)/sqrt(2) -> 0 and
-        lam/sqrt(delta) = lam^(2/3) -> 0)."""
+        lam/sqrt(delta) = lam^(2/3) -> 0).  Raises ValueError unless
+        levels >= 1 and the coarsest level keeps at least one cell."""
+        if levels < 1 or finest_n // 2 ** (levels - 1) < 1:
+            raise ValueError(
+                "schedule needs levels >= 1 and finest_n >= 2**(levels-1); "
+                f"got finest_n={finest_n}, levels={levels}"
+            )
         steps = []
         for k in range(levels - 1, -1, -1):
             lam = size / (finest_n // (2 ** k))
@@ -112,59 +138,37 @@ def extend_potential(m: MeshPotential) -> Callable:
     at most sqrt(2).
 
     Each point maps to its nearest point of the closed (rectangular) domain;
-    the affine map of the triangle found there is continued outward, so the
-    extension is again piecewise affine with gradients in {+-1}^2.  Inside
-    the domain the evaluator agrees with the mesh interpolant exactly.
+    the affine map of the triangle located there is continued outward, so
+    the extension is again piecewise affine with gradients in {+-1}^2.
+    Inside the domain the evaluator agrees with the mesh interpolant.  The
+    evaluator takes broadcasting inputs; a grid given as a row of x-values
+    and a column of y-values is located block by block on the compact axes
+    (see MeshPotential.locate).
     """
     x0, y0, x1, y1 = m.domain.corners()
+    c0, gx, gy = m.affine_coefficients()
 
     def ext(x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        cx = np.clip(x, x0, x1)
-        cy = np.clip(y, y0, y1)
-        val, gx, gy = _evaluate_with_gradient(m, cx, cy)
-        return val + gx * (x - cx) + gy * (y - cy)
+        t = m.locate(np.clip(x, x0, x1), np.clip(y, y0, y1))
+        # c0 + gx*x + gy*y, in place to keep fewer chunk-sized arrays alive
+        out = gx[t]
+        out *= x
+        out += c0[t]
+        gyy = gy[t]
+        gyy *= y
+        out += gyy
+        return out
 
     return ext
 
 
-def _evaluate_with_gradient(m: MeshPotential, x, y):
-    """Mesh interpolant value and per-triangle gradient at points inside the
-    mesh (vectorized over points)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    shape = np.broadcast(x, y).shape
-    px = np.broadcast_to(x, shape).ravel()
-    py = np.broadcast_to(y, shape).ravel()
-    out = np.zeros(px.shape)
-    ogx = np.zeros(px.shape)
-    ogy = np.zeros(px.shape)
-    filled = np.zeros(px.shape, dtype=bool)
-    v = m.vertices
-    h = m.heights
-    grads = m.gradients()
-    tol = 1e-9 * max(1.0, np.abs(v).max())
-    for t in range(m.triangles.shape[0]):
-        a, b, c = m.triangles[t]
-        e1 = v[b] - v[a]
-        e2 = v[c] - v[a]
-        det = e1[0] * e2[1] - e1[1] * e2[0]
-        rx = px - v[a][0]
-        ry = py - v[a][1]
-        s = (rx * e2[1] - ry * e2[0]) / det
-        u = (ry * e1[0] - rx * e1[1]) / det
-        inside = (s >= -tol) & (u >= -tol) & (s + u <= 1.0 + tol) & ~filled
-        if np.any(inside):
-            out[inside] = h[a] + s[inside] * (h[b] - h[a]) + u[inside] * (h[c] - h[a])
-            ogx[inside] = grads[t, 0]
-            ogy[inside] = grads[t, 1]
-            filled[inside] = True
-        if np.all(filled):
-            break
-    if not np.all(filled):
-        raise ValueError("evaluation point outside the mesh")
-    return out.reshape(shape), ogx.reshape(shape), ogy.reshape(shape)
+# Quadrature points per extension call in mollify: as many whole lattice
+# rows (nx * order^2 points each) as fit, at least one.  One row at n = 64
+# and order 24 is 36864 points; larger chunks cost resident memory and gain
+# little.
+MOLLIFY_CHUNK = 2 ** 15
 
 
 def mollify(
@@ -174,26 +178,48 @@ def mollify(
     fixed-order Gauss-Legendre product quadrature on the kernel support
     square (deterministic).  Exact on affine inputs; on kinked piecewise
     affine inputs the quadrature error decays algebraically in the order
-    (about 5e-5 at the default order 24)."""
+    (about 5e-5 at the default order 24).
+
+    The returned phi_eps(xs, ys) evaluates the tensor grid of the two axes
+    and returns an array of shape ys.shape + xs.shape.  Its quadrature
+    points form the tensor grid of xs[i] + eps*node[a] by ys[j] +
+    eps*node[b]; ext is called on chunks of whole rows j (about
+    MOLLIFY_CHUNK points each) with a row of x-values and a column of
+    y-values.  Both are passed sorted, so that each triangle's bounding box
+    meets a contiguous block of the chunk; the values are put back in order
+    and contracted with the weights.
+    """
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
-    nodes, wts = np.polynomial.legendre.leggauss(order)
-    kv = kernel.k1(nodes)
-    wk = wts * kv
+    nodes, wts = gauss_legendre(order)
+    wk = wts * kernel.k1(nodes)
     # renormalize at this order so the discrete rule has total mass exactly
     # 1: affine inputs are then reproduced exactly and the order dependence
     # drops below 1e-8
     wk = wk / wk.sum()
 
-    def phi_eps(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        out = np.zeros(np.broadcast(x, y).shape)
-        for a in range(order):
-            sx = x + epsilon * nodes[a]
-            for b in range(order):
-                out += (wk[a] * wk[b]) * ext(sx, y + epsilon * nodes[b])
-        return out
+    def phi_eps(xs, ys):
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        nx, ny = xs.size, ys.size
+        sx = (xs.reshape(-1, 1) + epsilon * nodes).ravel()
+        sy = (ys.reshape(-1, 1) + epsilon * nodes).ravel()
+        rows = max(1, MOLLIFY_CHUNK // (order * order * max(nx, 1)))
+        out = np.empty((ny, nx))
+        # sorted axes make each triangle's block a view in MeshPotential.locate
+        px = np.argsort(sx, kind="stable")
+        unsort_x = np.argsort(px)
+        sx = sx[px]
+        for j in range(0, ny, rows):
+            k = min(rows, ny - j)
+            cy = sy[j * order:(j + k) * order]
+            py = np.argsort(cy, kind="stable")
+            g = ext(sx[None, :], cy[py, None])
+            g = np.take(g, unsort_x, axis=1)[np.argsort(py)]
+            out[j:j + k] = np.einsum(
+                "jbia,b,a->ji", g.reshape(k, order, nx, order), wk, wk
+            )
+        return out.reshape(ys.shape + xs.shape)
 
     return phi_eps
 
@@ -232,11 +258,7 @@ def build_recovery(
         raise ValueError("lattice too coarse for the domain")
     ext = extend_potential(m)
     phi_eps = mollify(ext, kernel, width * params.epsilon, order=order)
-    ii = np.arange(nx)
-    jj = np.arange(ny)
-    X = x0 + lam * ii[None, :]
-    Y = y0 + lam * jj[:, None]
-    phi = phi_eps(X + np.zeros((ny, 1)), Y + np.zeros((1, nx)))
+    phi = phi_eps(x0 + lam * np.arange(nx), y0 + lam * np.arange(ny))
     beta = params.helix_angle
     psi = beta * phi / lam
     u = SpinField.from_angles(psi, lam)
@@ -366,7 +388,7 @@ def profile_transition_energy(
     """(total, potential, gradient) of the optimal profile on [a, b] by
     Gauss-Legendre quadrature; total = 8/3 within 1e-6, the two parts
     equipartition at 4/3 each."""
-    nodes, wts = np.polynomial.legendre.leggauss(order)
+    nodes, wts = gauss_legendre(order)
     t = 0.5 * (b - a) * nodes + 0.5 * (a + b)
     scale = 0.5 * (b - a)
     s = np.tanh(t)

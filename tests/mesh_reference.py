@@ -1,0 +1,73 @@
+"""Loop-level references for the mesh evaluation path: the first-match loop
+over every triangle, the clipped extension built on its barycentric values,
+and the mollifier as a per-shift double sum."""
+
+import numpy as np
+
+
+def first_match(m, x, y):
+    """(triangle, s, u) per point: the first triangle whose barycentric test
+    (slack 1e-9 relative) accepts the point, and its coordinates there;
+    triangle -1 where none does."""
+    px, py = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    shape = px.shape
+    px = px.ravel()
+    py = py.ravel()
+    tri = np.full(px.shape, -1)
+    ss = np.zeros(px.shape)
+    uu = np.zeros(px.shape)
+    v = m.vertices
+    tol = 1e-9 * max(1.0, np.abs(v).max())
+    for t, (a, b, c) in enumerate(m.triangles):
+        e1 = v[b] - v[a]
+        e2 = v[c] - v[a]
+        det = e1[0] * e2[1] - e1[1] * e2[0]
+        rx = px - v[a][0]
+        ry = py - v[a][1]
+        s = (rx * e2[1] - ry * e2[0]) / det
+        u = (ry * e1[0] - rx * e1[1]) / det
+        inside = (s >= -tol) & (u >= -tol) & (s + u <= 1.0 + tol) & (tri < 0)
+        tri[inside] = t
+        ss[inside] = s[inside]
+        uu[inside] = u[inside]
+    return tri.reshape(shape), ss.reshape(shape), uu.reshape(shape)
+
+
+def extension(m):
+    """Extension of the mesh potential: the barycentric value at the nearest
+    point of the domain plus the triangle's gradient times the offset."""
+    x0, y0, x1, y1 = m.domain.corners()
+    grads = m.gradients()
+    h = m.heights
+
+    def ext(x, y):
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        cx = np.clip(x, x0, x1)
+        cy = np.clip(y, y0, y1)
+        tri, s, u = first_match(m, cx, cy)
+        assert np.all(tri >= 0)
+        a, b, c = (m.triangles[tri, k] for k in range(3))
+        val = h[a] + s * (h[b] - h[a]) + u * (h[c] - h[a])
+        return val + grads[tri, 0] * (x - cx) + grads[tri, 1] * (y - cy)
+
+    return ext
+
+
+def double_sum_mollify(ext, kernel, epsilon, order=24):
+    """Pointwise mollifier: the weighted sum of ext over every pair of
+    quadrature shifts, accumulated shift by shift."""
+    nodes, wts = np.polynomial.legendre.leggauss(order)
+    wk = wts * kernel.k1(nodes)
+    wk = wk / wk.sum()
+
+    def phi_eps(x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        out = np.zeros(np.broadcast(x, y).shape)
+        for a in range(order):
+            sx = x + epsilon * nodes[a]
+            for b in range(order):
+                out += (wk[a] * wk[b]) * ext(sx, y + epsilon * nodes[b])
+        return out
+
+    return phi_eps

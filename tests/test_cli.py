@@ -176,3 +176,41 @@ class TestSelftestProfile:
         assert main(["profile1d", "--out", str(tmp_path)]) == 0
         doc = read_json(tmp_path / "profile1d.json")
         assert doc["total"] == pytest.approx(8.0 / 3.0, rel=1e-7)
+
+
+class TestErrorContract:
+    """Invalid input returns status 1 with an error message, never a raw
+    exception out of run()."""
+
+    def test_sweep_schedule_without_cells(self, tmp_path):
+        status, result = run("sweep", {"kind": "vertical_wall", "finest_n": 2,
+                                       "levels": 3, "out": str(tmp_path)})
+        assert status == 1
+        assert "schedule" in result["error"]
+
+    def test_recover_lattice_too_coarse(self, tmp_path):
+        status, result = run("recover", {"kind": "vertical_wall", "lambda": 0.5,
+                                         "delta": 0.3, "out": str(tmp_path)})
+        assert status == 1
+        assert "too coarse" in result["error"]
+
+    @pytest.mark.parametrize("command", ["energy", "transform"])
+    def test_single_row_field(self, tmp_path, command):
+        f = tmp_path / "u.json"
+        f.write_text(SpinField.from_angles(np.zeros((1, 8)), 0.1).to_json())
+        status, result = run(command, {"in": str(f), "delta": 0.3,
+                                       "out": str(tmp_path)})
+        assert status == 1
+        assert "2x2" in result["error"]
+
+    @pytest.mark.parametrize("command", ["energy", "transform"])
+    @pytest.mark.parametrize("delta", [None, 1.5, -1.0])
+    def test_bad_delta(self, tmp_path, command, delta):
+        main(["groundstate", "--delta", "0.2", "--lambda", "0.05", "--n", "4",
+              "--out", str(tmp_path)])
+        config = {"in": str(tmp_path / "groundstate.json"), "out": str(tmp_path)}
+        if delta is not None:
+            config["delta"] = delta
+        status, result = run(command, config)
+        assert status == 1
+        assert "model parameters" in result["error"]

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from mesh_reference import first_match
 
 from helimag.continuum import (
     SIGMA_AXIS,
@@ -23,6 +24,10 @@ from helimag.continuum import (
 from helimag.lattice import Domain
 
 LABELS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+
+
+KINDS = ("vertical_wall", "horizontal_wall", "diagonal_wall", "four_quadrant", "laminate")
+DOMAINS = [Domain(), Domain(x0=-1.5, y0=2.0, width=3.0, height=3.0)]
 
 
 def two_triangle_mesh(h3=1.0):
@@ -80,6 +85,72 @@ class TestMeshPotential:
         m = two_triangle_mesh(h3=0.5)
         with pytest.raises(MeshError):
             validate_mesh(m)
+
+
+class TestLocate:
+    """MeshPotential.locate against the first-match loop over every
+    triangle."""
+
+    @pytest.mark.parametrize("domain", DOMAINS, ids=["unit", "offset"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_vertices_and_edges(self, kind, domain):
+        m = build_example(kind, domain=domain, n=8)
+        v = m.vertices
+        t = np.linspace(0.0, 1.0, 9)[:, None]
+        pts = np.concatenate(
+            [v]
+            + [v[i] + t * (v[j] - v[i])
+               for a, b, c in m.triangles for i, j in ((a, b), (b, c), (c, a))]
+        )
+        want = first_match(m, pts[:, 0], pts[:, 1])[0]
+        assert np.all(want >= 0)
+        np.testing.assert_array_equal(m.locate(pts[:, 0], pts[:, 1]), want)
+        # the tensor grid of those coordinates, with sorted and shuffled axes
+        rng = np.random.default_rng(3)
+        xs = np.unique(pts[:, 0])
+        ys = np.unique(pts[:, 1])
+        for gx, gy in ((xs, ys), (rng.permutation(xs), rng.permutation(ys))):
+            want = first_match(m, gx[None, :], gy[:, None])[0]
+            assert np.all(want >= 0)
+            np.testing.assert_array_equal(m.locate(gx[None, :], gy[:, None]), want)
+
+    @pytest.mark.parametrize("domain", DOMAINS, ids=["unit", "offset"])
+    def test_points_at_the_barycentric_slack(self, domain):
+        # each vertex pushed outward to barycentric coordinates
+        # (1 + 1.98 tol, -0.99 tol, -0.99 tol): the loop accepts these
+        # points, which lie outside the triangles' bounding boxes
+        m = build_example("four_quadrant", domain=domain)
+        tol = 1e-9 * max(1.0, np.abs(m.vertices).max())
+        corners = m.vertices[m.triangles]  # (M, 3, 2)
+        lam = np.full((3, 3), -0.99 * tol) + np.eye(3) * (1.0 + 2.97 * tol)
+        pts = np.einsum("kc,mcd->mkd", lam, corners).reshape(-1, 2)
+        want = first_match(m, pts[:, 0], pts[:, 1])[0]
+        assert np.all(want >= 0)
+        np.testing.assert_array_equal(m.locate(pts[:, 0], pts[:, 1]), want)
+
+    @pytest.mark.parametrize("domain", DOMAINS, ids=["unit", "offset"])
+    def test_outside_raises(self, domain):
+        m = build_example("four_quadrant", domain=domain)
+        x0, y0, x1, y1 = domain.corners()
+        cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+        off = 1e-6 * domain.width
+        for x, y in ((x1 + off, cy), (cx, y0 - off), (x0 - 1.0, y1 + 1.0)):
+            assert first_match(m, x, y)[0] == -1
+            with pytest.raises(ValueError, match="outside the mesh"):
+                m.locate(x, y)
+        with pytest.raises(ValueError, match="outside the mesh"):
+            m.locate(np.array([[x0, cx, x1 + off]]), np.array([[y0], [y1]]))
+
+    def test_shapes(self):
+        m = build_example("four_quadrant")
+        assert m.locate(0.2, 0.7).shape == ()
+        assert m.locate(np.zeros((0,)), 0.5).shape == (0,)
+        rng = np.random.default_rng(4)
+        x = rng.uniform(0.0, 1.0, (3, 1, 5))
+        y = rng.uniform(0.0, 1.0, (4, 1))
+        got = m.locate(x, y)
+        assert got.shape == (3, 4, 5)
+        np.testing.assert_array_equal(got, first_match(m, x, y)[0])
 
 
 class TestClassify:

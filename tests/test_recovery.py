@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from mesh_reference import double_sum_mollify, extension
 
 from helimag.continuum import build_example, jump_set
 from helimag.lattice import Domain, ModelParams
 from helimag.recovery import (
     DIAG_WALL_WIDTH,
+    MOLLIFY_CHUNK,
     WALL_WIDTH,
     CurlProbe,
     Kernel,
@@ -17,6 +19,7 @@ from helimag.recovery import (
     curl_residual,
     extend_potential,
     gamma_sweep,
+    gauss_legendre,
     mollify,
     optimal_profile_1d,
     pick_width,
@@ -33,6 +36,14 @@ class TestKernel:
     def test_compact_support(self):
         k = Kernel()
         assert k.k1(np.array([1.0, -1.0, 1.5])).tolist() == [0.0, 0.0, 0.0]
+
+    def test_quadrature_rule_computed_once(self):
+        nodes, wts = gauss_legendre(24)
+        assert gauss_legendre(24)[0] is nodes
+        assert not nodes.flags.writeable and not wts.flags.writeable
+        ref_nodes, ref_wts = np.polynomial.legendre.leggauss(24)
+        np.testing.assert_array_equal(nodes, ref_nodes)
+        np.testing.assert_array_equal(wts, ref_wts)
 
     def test_rejects_zero_profile(self):
         with pytest.raises(ValueError):
@@ -60,6 +71,11 @@ class TestSweepSchedule:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             SweepSchedule(steps=[])
+
+    @pytest.mark.parametrize("finest_n, levels", [(2, 3), (8, 0), (0, 1)])
+    def test_default_rejects_levels_without_cells(self, finest_n, levels):
+        with pytest.raises(ValueError):
+            SweepSchedule.default(finest_n=finest_n, levels=levels)
 
 
 class TestExtension:
@@ -96,7 +112,9 @@ class TestMollify:
         sm = mollify(lambda x, y: 2.0 * x - y + 0.5, Kernel(), 0.1)
         x = np.array([0.3, 0.5])
         y = np.array([0.2, 0.8])
-        np.testing.assert_allclose(sm(x, y), 2.0 * x - y + 0.5, atol=1e-10)
+        np.testing.assert_allclose(
+            sm(x, y), 2.0 * x[None, :] - y[:, None] + 0.5, atol=1e-10
+        )
 
     def test_quadrature_order_convergence(self):
         # kinked input: error decays algebraically toward a high-order
@@ -119,6 +137,42 @@ class TestMollify:
         sm = mollify(ext, Kernel(), 0.1)
         # strictly above the kink value at the wall
         assert sm(0.5, 0.5) > ext(0.5, 0.5) + 1e-4
+
+
+class TestMollifyReference:
+    """The tensor-grid mollifier against the per-shift double sum over the
+    loop-level extension, on lattices whose shifted points leave the
+    domain."""
+
+    @pytest.mark.parametrize(
+        "domain",
+        [Domain(), Domain(x0=-1.5, y0=2.0, width=3.0, height=3.0)],
+        ids=["unit", "offset"],
+    )
+    @pytest.mark.parametrize(
+        "kind",
+        ["vertical_wall", "horizontal_wall", "diagonal_wall", "four_quadrant", "laminate"],
+    )
+    def test_matches_double_sum(self, kind, domain):
+        m = build_example(kind, domain=domain, n=8)
+        n = 13
+        lam = domain.width / n
+        xs = domain.x0 + lam * np.arange(n)
+        ys = domain.y0 + lam * np.arange(n)
+        eps = 3.0 * lam  # shifts reach 3 lattice steps past the boundary
+        # several chunks, the last one partial
+        assert MOLLIFY_CHUNK // (24 * 24 * n) < n
+        got = mollify(extend_potential(m), Kernel(), eps)(xs, ys)
+        ref = double_sum_mollify(extension(m), Kernel(), eps)(xs[None, :], ys[:, None])
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13 * np.abs(ref).max())
+
+    def test_scalar_and_empty_axes(self):
+        m = build_example("four_quadrant")
+        sm = mollify(extend_potential(m), Kernel(), 0.1)
+        ref = double_sum_mollify(extension(m), Kernel(), 0.1)(0.3, 0.6)
+        assert np.shape(sm(0.3, 0.6)) == ()
+        assert float(sm(0.3, 0.6)) == pytest.approx(ref, rel=1e-13)
+        assert sm(np.array([0.2, 0.4]), np.array([])).shape == (0, 2)
 
 
 class TestProfile:
