@@ -86,10 +86,11 @@ class MeshPotential:
         """Index of the first triangle containing each point of the broadcast
         of x and y (barycentric test with a relative slack of 1e-9).
 
-        Each triangle tests only the block of the broadcast shape whose every
-        axis meets its bounding box, gathered from the unbroadcast inputs, so
-        a (1, M) x (K, 1) grid costs about the block's area per triangle.
-        Raises ValueError if a point lies outside the mesh.
+        Each triangle tests only the block of the broadcast shape that spans,
+        on every axis, the first to the last index meeting its bounding box,
+        sliced from the unbroadcast inputs, so a (1, M) x (K, 1) grid with
+        sorted axes costs about the block's area per triangle.  Raises
+        ValueError if a point lies outside the mesh.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -121,10 +122,10 @@ class MeshPotential:
             idx = [np.flatnonzero(k) for k in keep]
             if any(i.size == 0 for i in idx):
                 continue
-            block, bxi, byi = _block_indexers(idx, (shape, x.shape, y.shape))
-            bx = x[bxi]
-            by = y[byi]
-            sub = tri[block]
+            block = [slice(i[0], i[-1] + 1) for i in idx]
+            bx = x[tuple(s if n > 1 else slice(None) for s, n in zip(block, x.shape))]
+            by = y[tuple(s if n > 1 else slice(None) for s, n in zip(block, y.shape))]
+            sub = tri[tuple(block)]  # a view: hits are written into tri
             e1 = v[b] - v[a]
             e2 = v[c] - v[a]
             det = e1[0] * e2[1] - e1[1] * e2[0]
@@ -142,8 +143,6 @@ class MeshPotential:
             found = int(np.count_nonzero(inside))
             if found:
                 sub[inside] = t
-                if sub.base is not tri:  # a gathered copy, not a view
-                    tri[block] = sub
                 left -= found
         if left:
             raise ValueError("evaluation point outside the mesh")
@@ -184,19 +183,6 @@ class MeshPotential:
                 height=float(dd["height"]),
             ),
         )
-
-
-def _block_indexers(idx: list, shapes) -> list:
-    """Indexers of the block with index arrays idx (one per axis, sorted)
-    into arrays of each given shape, whose size-1 axes broadcast: slices,
-    which give views, when every axis's indices are contiguous (sorted grid
-    axes), np.ix_ gathers otherwise."""
-    if all(i[-1] - i[0] + 1 == i.size for i in idx):
-        sel = [slice(i[0], i[-1] + 1) for i in idx]
-        return [tuple(s if n > 1 else slice(None) for s, n in zip(sel, shape))
-                for shape in shapes]
-    return [np.ix_(*(i if n > 1 else [0] for i, n in zip(idx, shape)))
-            for shape in shapes]
 
 
 @dataclass

@@ -185,9 +185,10 @@ def mollify(
     points form the tensor grid of xs[i] + eps*node[a] by ys[j] +
     eps*node[b]; ext is called on chunks of whole rows j (about
     MOLLIFY_CHUNK points each) with a row of x-values and a column of
-    y-values.  Both are passed sorted, so that each triangle's bounding box
-    meets a contiguous block of the chunk; the values are put back in order
-    and contracted with the weights.
+    y-values, and the values are contracted with the weights.  For sorted
+    xs and ys the shifted axes are sorted up to overlaps of width 2*eps, so
+    each triangle's block in MeshPotential.locate stays close to its
+    bounding box.
     """
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
@@ -206,16 +207,9 @@ def mollify(
         sy = (ys.reshape(-1, 1) + epsilon * nodes).ravel()
         rows = max(1, MOLLIFY_CHUNK // (order * order * max(nx, 1)))
         out = np.empty((ny, nx))
-        # sorted axes make each triangle's block a view in MeshPotential.locate
-        px = np.argsort(sx, kind="stable")
-        unsort_x = np.argsort(px)
-        sx = sx[px]
         for j in range(0, ny, rows):
             k = min(rows, ny - j)
-            cy = sy[j * order:(j + k) * order]
-            py = np.argsort(cy, kind="stable")
-            g = ext(sx[None, :], cy[py, None])
-            g = np.take(g, unsort_x, axis=1)[np.argsort(py)]
+            g = ext(sx[None, :], sy[j * order:(j + k) * order, None])
             out[j:j + k] = np.einsum(
                 "jbia,b,a->ji", g.reshape(k, order, nx, order), wk, wk
             )
