@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .chirality import transform, vorticity
-from .continuum import MeshPotential, build_example, classify_triple, jump_set, \
-    limit_energy, mesh_to_svg, total_variations, validate_mesh
+from .continuum import MeshError, MeshPotential, build_example, classify_triple, \
+    jump_set, limit_energy, mesh_to_svg, total_variations
 from .energy import energy_H, mm_decomposition, rho
 from .lattice import Domain, ModelParams, SpinField
 from .optimize import MinimizeOptions, chain_bc, log_to_csv, minimize_H, profile_init
@@ -68,6 +68,18 @@ def _params(config: dict) -> ModelParams:
         raise ValidationError(f"bad model parameters: {exc}") from exc
 
 
+def _int(config: dict, key: str, default: int) -> int:
+    """Integer config value; a bool, a non-integral number or a string that
+    is not an integer raises ValidationError."""
+    value = config.get(key, default)
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValidationError(f"{key} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{key} must be an integer, got {value!r}") from exc
+
+
 def _load_mesh(config: dict) -> MeshPotential:
     if "mesh" in config and config["mesh"]:
         try:
@@ -78,7 +90,7 @@ def _load_mesh(config: dict) -> MeshPotential:
     if not kind:
         raise ValidationError("either a mesh file or a built-in kind is required")
     try:
-        return build_example(kind, n=int(config.get("n_walls", 3)))
+        return build_example(kind, n=_int(config, "n_walls", 3))
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 
@@ -88,7 +100,7 @@ def _cmd_groundstate(config: dict) -> dict:
     if pair not in _PAIRS:
         raise ValidationError(f"pair must be one of {sorted(_PAIRS)}")
     p = _params(config)
-    n = int(config.get("n", 64))
+    n = _int(config, "n", 64)
     if n < 2:
         raise ValidationError("n must be at least 2")
     wsgn, zsgn = _PAIRS[pair]
@@ -150,11 +162,10 @@ def _cmd_transform(config: dict) -> dict:
 def _cmd_classify(config: dict) -> dict:
     m = _load_mesh(config)
     try:
-        validate_mesh(m)
-    except ValueError as exc:
+        segs = jump_set(m)
+    except MeshError as exc:
         raise ValidationError(str(exc)) from exc
-    segs = jump_set(m)
-    tvs = total_variations(m)
+    tvs = total_variations(m, segments=segs)
     doc = {
         "segments": [
             {
@@ -171,13 +182,13 @@ def _cmd_classify(config: dict) -> dict:
         "total_variations": {
             "D1w": tvs[0], "D2w": tvs[1], "D1z": tvs[2], "D2z": tvs[3]
         },
-        "limit_energy": limit_energy(m),
+        "limit_energy": limit_energy(m, segments=segs),
     }
     out = _outdir(config)
     path = out / "classify.json"
     path.write_text(json.dumps(doc))
     if config.get("format") == "svg":
-        (out / "mesh.svg").write_text(mesh_to_svg(m))
+        (out / "mesh.svg").write_text(mesh_to_svg(m, segments=segs))
     return {"written": str(path), "limit_energy": doc["limit_energy"]}
 
 
@@ -205,10 +216,9 @@ def _schedule(config: dict) -> SweepSchedule:
     if spec == "default":
         try:
             return SweepSchedule.default(
-                finest_n=int(config.get("finest_n", 256)),
-                levels=int(config.get("levels", 4)),
+                finest_n=_int(config, "finest_n", 256), levels=_int(config, "levels", 4)
             )
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             raise ValidationError(f"bad schedule: {exc}") from exc
     try:
         steps = json.loads(Path(spec).read_text())
@@ -233,14 +243,17 @@ def _cmd_sweep(config: dict) -> dict:
 
 def _cmd_minimize(config: dict) -> dict:
     p = _params(config)
-    n = int(config.get("n", 64))
+    n = _int(config, "n", 64)
     bc_spec = config.get("bc", "+-")
     if bc_spec not in _PAIRS:
         raise ValidationError(f"bc must be one of {sorted(_PAIRS)}")
     left, right = _PAIRS[bc_spec]
-    bc = chain_bc(n, p, left, right)
+    try:
+        bc = chain_bc(n, p, left, right)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
     psi0 = profile_init(n, p, left, right)
-    opts = MinimizeOptions(max_iter=int(config.get("max_iter", 5000)))
+    opts = MinimizeOptions(max_iter=_int(config, "max_iter", 5000))
     res = minimize_H(psi0, Domain(width=n * p.lam, height=p.lam), p, bc, opts)
     out = _outdir(config)
     (out / "minimize_psi.json").write_text(
@@ -332,10 +345,9 @@ def run(command: str, config: dict) -> tuple[int, dict]:
     """Execute one command with a config dict; returns (exit status, result)."""
     if command not in _DISPATCH:
         return 1, {"error": f"unknown command {command!r}"}
-    threads = int(config.get("threads", 1))
-    if threads < 1:
-        return 1, {"error": "threads must be >= 1"}
     try:
+        if _int(config, "threads", 1) < 1:
+            raise ValidationError("threads must be >= 1")
         return 0, _DISPATCH[command](config)
     except ValidationError as exc:
         return 1, {"error": str(exc)}

@@ -201,9 +201,9 @@ class JumpSegment:
         return math.hypot(self.q[0] - self.p[0], self.q[1] - self.p[1])
 
 
-def validate_mesh(m: MeshPotential) -> list[tuple[int, int]]:
-    """Check that every triangle gradient lies in {+-1}^2 and that the mesh
-    covers the domain; returns the per-triangle (w, z) labels."""
+def _mesh_labels(m: MeshPotential) -> np.ndarray:
+    """The (M, 2) integer (w, z) labels of a valid mesh; raises MeshError
+    as validate_mesh does."""
     grads = m.gradients()
     labels = np.round(grads).astype(int)
     bad = np.abs(grads - labels).max(axis=1) > GRAD_TOL
@@ -222,56 +222,68 @@ def validate_mesh(m: MeshPotential) -> list[tuple[int, int]]:
         raise MeshError(
             f"mesh area {area} does not cover the domain area {target}", []
         )
-    return [(int(w), int(z)) for w, z in labels]
+    return labels
 
 
-def _canonical_normal(nu: np.ndarray) -> tuple[np.ndarray, float]:
-    """Orient nu to lexicographic-positive; return (nu, sign flip applied)."""
-    if nu[0] < -MERGE_TOL or (abs(nu[0]) <= MERGE_TOL and nu[1] < 0.0):
-        return -nu, -1.0
-    return nu, 1.0
+def validate_mesh(m: MeshPotential) -> list[tuple[int, int]]:
+    """Check that every triangle gradient lies in {+-1}^2 and that the mesh
+    covers the domain; returns the per-triangle (w, z) labels."""
+    return [(w, z) for w, z in _mesh_labels(m).tolist()]
 
 
 def jump_set(m: MeshPotential) -> list[JumpSegment]:
     """Edges between differently labeled triangles, merged into maximal
     collinear segments with identical trace pairs.
 
+    Validates the mesh (MeshError as validate_mesh).  An edge is a jump edge
+    when exactly two triangles own it and their labels differ; edges with
+    one owner (the boundary) or three or more are skipped.  The half-edges
+    are grouped in one vectorised pass and the jump edges kept in order of
+    first appearance, (a, b), (b, c), (c, a) per triangle in triangle order.
     The normal is canonically oriented (lexicographically positive) and the
-    plus trace is the label on the side nu points into; the output is unique
-    up to the global (+, -, nu) <-> (-, +, -nu) swap.
+    plus trace is the label on the side nu points into, judged by the
+    centroid of the edge's first owner; the output is unique up to the
+    global (+, -, nu) <-> (-, +, -nu) swap.
     """
-    labels = validate_mesh(m)
+    labels = _mesh_labels(m)
     v = m.vertices
-    edges: dict[tuple[int, int], list[int]] = {}
-    for t, (a, b, c) in enumerate(m.triangles):
-        for i, j in ((a, b), (b, c), (c, a)):
-            key = (min(int(i), int(j)), max(int(i), int(j)))
-            edges.setdefault(key, []).append(t)
-    raw: list[JumpSegment] = []
-    for (i, j), tris in edges.items():
-        if len(tris) != 2:
-            continue
-        t1, t2 = tris
-        if labels[t1] == labels[t2]:
-            continue
-        p = v[i]
-        q = v[j]
-        tang = q - p
-        tang = tang / np.hypot(tang[0], tang[1])
-        nu = np.array([tang[1], -tang[0]])
-        nu, _ = _canonical_normal(nu)
-        mid = 0.5 * (p + q)
-        cent1 = v[m.triangles[t1]].mean(axis=0)
-        plus_t, minus_t = (t1, t2) if (cent1 - mid) @ nu > 0.0 else (t2, t1)
-        raw.append(
-            JumpSegment(
-                p=(float(p[0]), float(p[1])),
-                q=(float(q[0]), float(q[1])),
-                nu=(float(nu[0]), float(nu[1])),
-                plus=tuple(map(float, labels[plus_t])),
-                minus=tuple(map(float, labels[minus_t])),
-            )
+    tris = m.triangles
+    half = tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    lo = half.min(axis=1).astype(np.int64)
+    hi = half.max(axis=1).astype(np.int64)
+    keys = lo * v.shape[0] + hi
+    order = np.argsort(keys, kind="stable")
+    sk = keys[order]
+    start = np.flatnonzero(np.r_[True, sk[1:] != sk[:-1]])
+    count = np.diff(np.r_[start, sk.size])
+    pair = start[count == 2]
+    first = order[pair]  # stable sort: the first owner's half-edge first
+    second = order[pair + 1]
+    keep = np.argsort(first)  # order of first appearance
+    first = first[keep]
+    t1 = first // 3
+    t2 = second[keep] // 3
+    jump = (labels[t1] != labels[t2]).any(axis=1)
+    first, t1, t2 = first[jump], t1[jump], t2[jump]
+    p = v[lo[first]]
+    q = v[hi[first]]
+    tang = q - p
+    tang /= np.hypot(tang[:, 0], tang[:, 1])[:, None]
+    nu = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
+    flip = (nu[:, 0] < -MERGE_TOL) | ((np.abs(nu[:, 0]) <= MERGE_TOL) & (nu[:, 1] < 0.0))
+    nu[flip] = -nu[flip]
+    mid = 0.5 * (p + q)
+    cent1 = v[tris[t1]].mean(axis=1)
+    side = cent1 - mid
+    first_plus = side[:, 0] * nu[:, 0] + side[:, 1] * nu[:, 1] > 0.0
+    plus = np.where(first_plus[:, None], labels[t1], labels[t2]).astype(float)
+    minus = np.where(first_plus[:, None], labels[t2], labels[t1]).astype(float)
+    raw = [
+        JumpSegment(p=tuple(a), q=tuple(b), nu=tuple(n), plus=tuple(u), minus=tuple(w))
+        for a, b, n, u, w in zip(
+            p.tolist(), q.tolist(), nu.tolist(), plus.tolist(), minus.tolist()
         )
+    ]
     return _merge_segments(raw)
 
 
@@ -363,10 +375,13 @@ def sigma(plus, minus, nu) -> float:
     return (4.0 / 3.0) * (dw * abs(float(nu[0])) + dz * abs(float(nu[1])))
 
 
-def total_variations(m: MeshPotential) -> tuple[float, float, float, float]:
-    """(|D1 w|, |D2 w|, |D1 z|, |D2 z|) over the domain, from the jump set."""
+def total_variations(
+    m: MeshPotential, *, segments: list[JumpSegment] | None = None
+) -> tuple[float, float, float, float]:
+    """(|D1 w|, |D2 w|, |D1 z|, |D2 z|) over the domain, from the jump set
+    (``segments``, or jump_set(m) when None)."""
     d1w = d2w = d1z = d2z = 0.0
-    for s in jump_set(m):
+    for s in jump_set(m) if segments is None else segments:
         dw = abs(s.plus[0] - s.minus[0])
         dz = abs(s.plus[1] - s.minus[1])
         ln = s.length
@@ -377,12 +392,14 @@ def total_variations(m: MeshPotential) -> tuple[float, float, float, float]:
     return d1w, d2w, d1z, d2z
 
 
-def limit_energy(m: MeshPotential) -> float:
+def limit_energy(m: MeshPotential, *, segments: list[JumpSegment] | None = None) -> float:
     """Limit functional H = (4/3)(|D1 w| + |D2 z|), cross-checked against the
-    per-segment surface density sum."""
-    d1w, _, _, d2z = total_variations(m)
+    per-segment surface density sum.  Both sums run over one jump set:
+    ``segments``, or jump_set(m) when None."""
+    segs = jump_set(m) if segments is None else segments
+    d1w, _, _, d2z = total_variations(m, segments=segs)
     via_tv = (4.0 / 3.0) * (d1w + d2z)
-    via_sigma = sum(sigma(s.plus, s.minus, s.nu) * s.length for s in jump_set(m))
+    via_sigma = sum(sigma(s.plus, s.minus, s.nu) * s.length for s in segs)
     if abs(via_tv - via_sigma) > 1e-12 * max(1.0, abs(via_tv)):
         raise AssertionError(
             f"limit energy mismatch: {via_tv} (total variation) vs {via_sigma} (sigma)"
@@ -490,9 +507,10 @@ _LABEL_COLORS = {
 }
 
 
-def mesh_to_svg(m: MeshPotential) -> str:
+def mesh_to_svg(m: MeshPotential, *, segments: list[JumpSegment] | None = None) -> str:
     """SVG of the labeled triangles (four-color scheme, one color per
-    chirality pair) with the jump segments overlaid."""
+    chirality pair) with the jump segments (``segments``, or jump_set(m)
+    when None) overlaid."""
     labels = validate_mesh(m)
     x0, y0, x1, y1 = m.domain.corners()
     scale = 400.0 / max(x1 - x0, y1 - y0)
@@ -510,7 +528,7 @@ def mesh_to_svg(m: MeshPotential) -> str:
         )
         color = _LABEL_COLORS[labels[t]]
         parts.append(f'<polygon points="{pts}" fill="{color}" stroke="none"/>')
-    for s in jump_set(m):
+    for s in jump_set(m) if segments is None else segments:
         (px, py), (qx, qy) = pt(*s.p), pt(*s.q)
         parts.append(
             f'<line x1="{px:.3f}" y1="{py:.3f}" x2="{qx:.3f}" y2="{qy:.3f}" '

@@ -36,7 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .chirality import ChiralityPair, ThetaFields, transform
-from .continuum import MeshPotential, classify_triple, jump_set, limit_energy
+from .continuum import JumpSegment, MeshPotential, classify_triple, jump_set, limit_energy
 from .energy import EnergyReport, energy_H
 from .lattice import ModelParams, ScalarGrid, SpinField
 
@@ -319,10 +319,11 @@ class SweepTable:
         return buf.getvalue()
 
 
-def pick_width(m: MeshPotential) -> float:
+def pick_width(m: MeshPotential, *, segments: Optional[list[JumpSegment]] = None) -> float:
     """Default smoothing width for a mesh: the diagonal multiplier when every
-    wall is diagonal (class J3), the straight-wall multiplier otherwise."""
-    segs = jump_set(m)
+    wall of its jump set (``segments``, or jump_set(m) when None) is
+    diagonal (class J3), the straight-wall multiplier otherwise."""
+    segs = jump_set(m) if segments is None else segments
     if segs and all(
         classify_triple(s.plus, s.minus, s.nu) == "J3" for s in segs
     ):
@@ -341,8 +342,9 @@ def gamma_sweep(
     energy; ratio = H_n / H_limit (0 when the limit is 0).  Failed rows are
     marked and the sweep continues."""
     kernel = kernel if kernel is not None else Kernel()
-    h_lim = limit_energy(m)
-    w = width if width is not None else pick_width(m)
+    segs = jump_set(m)
+    h_lim = limit_energy(m, segments=segs)
+    w = width if width is not None else pick_width(m, segments=segs)
     rows: list[SweepRow] = []
     for params in schedule.steps:
         try:

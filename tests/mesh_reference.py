@@ -1,8 +1,11 @@
 """Loop-level references for the mesh evaluation path: the first-match loop
 over every triangle, the clipped extension built on its barycentric values,
-and the mollifier as a per-shift double sum."""
+the mollifier as a per-shift double sum, and the jump set built from a dict
+of edges."""
 
 import numpy as np
+
+from helimag.continuum import MERGE_TOL, JumpSegment, _merge_segments, validate_mesh
 
 
 def first_match(m, x, y):
@@ -71,3 +74,44 @@ def double_sum_mollify(ext, kernel, epsilon, order=24):
         return out
 
     return phi_eps
+
+
+def dict_jump_set(m):
+    """Jump set from a dict of edges in order of first appearance: each edge
+    with exactly two owners and different labels, normal oriented
+    lexicographically positive, plus trace on the side of the first owner's
+    centroid when nu points there; merged by the package's segment merge."""
+    labels = validate_mesh(m)
+    v = m.vertices
+    edges = {}
+    for t, (a, b, c) in enumerate(m.triangles):
+        for i, j in ((a, b), (b, c), (c, a)):
+            key = (min(int(i), int(j)), max(int(i), int(j)))
+            edges.setdefault(key, []).append(t)
+    raw = []
+    for (i, j), tris in edges.items():
+        if len(tris) != 2:
+            continue
+        t1, t2 = tris
+        if labels[t1] == labels[t2]:
+            continue
+        p = v[i]
+        q = v[j]
+        tang = q - p
+        tang = tang / np.hypot(tang[0], tang[1])
+        nu = np.array([tang[1], -tang[0]])
+        if nu[0] < -MERGE_TOL or (abs(nu[0]) <= MERGE_TOL and nu[1] < 0.0):
+            nu = -nu
+        mid = 0.5 * (p + q)
+        cent1 = v[m.triangles[t1]].mean(axis=0)
+        plus_t, minus_t = (t1, t2) if (cent1 - mid) @ nu > 0.0 else (t2, t1)
+        raw.append(
+            JumpSegment(
+                p=(float(p[0]), float(p[1])),
+                q=(float(q[0]), float(q[1])),
+                nu=(float(nu[0]), float(nu[1])),
+                plus=tuple(map(float, labels[plus_t])),
+                minus=tuple(map(float, labels[minus_t])),
+            )
+        )
+    return _merge_segments(raw)

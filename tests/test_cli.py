@@ -129,6 +129,35 @@ class TestClassify:
         rc = main(["classify", "--kind", "moebius", "--out", str(tmp_path)])
         assert rc == 1
 
+    def test_invalid_mesh(self, tmp_path):
+        from helimag.continuum import build_example
+
+        m = build_example("vertical_wall")
+        m.heights[0] += 0.25  # one gradient off the {+-1}^2 lattice
+        mesh = tmp_path / "m.json"
+        mesh.write_text(m.to_json())
+        status, result = run("classify", {"mesh": str(mesh), "out": str(tmp_path)})
+        assert status == 1
+        assert "gradients off" in result["error"]
+        assert not (tmp_path / "classify.json").exists()
+
+    def test_one_jump_set_per_request(self, tmp_path, monkeypatch):
+        from helimag import cli, continuum
+
+        calls = []
+        original = continuum.jump_set
+
+        def counted(m):
+            calls.append(m)
+            return original(m)
+
+        for mod in (cli, continuum):
+            monkeypatch.setattr(mod, "jump_set", counted)
+        status, _ = run("classify", {"kind": "four_quadrant", "format": "svg",
+                                     "out": str(tmp_path)})
+        assert status == 0
+        assert len(calls) == 1
+
 
 class TestRecoverSweepMinimize:
     def test_recover(self, tmp_path):
@@ -202,6 +231,30 @@ class TestErrorContract:
                                        "out": str(tmp_path)})
         assert status == 1
         assert "2x2" in result["error"]
+
+    def test_minimize_chain_too_short(self, tmp_path):
+        status, result = run("minimize", {"n": 3, "lambda": 0.04, "delta": 0.2,
+                                          "out": str(tmp_path)})
+        assert status == 1
+        assert "at least 5 sites" in result["error"]
+
+    @pytest.mark.parametrize("value", ["x", 2.5, True, None])
+    @pytest.mark.parametrize("command, key, config", [
+        ("groundstate", "n", {"lambda": 0.05, "delta": 0.2}),
+        ("minimize", "max_iter", {"n": 8, "lambda": 0.04, "delta": 0.2}),
+        ("selftest", "threads", {}),
+    ])
+    def test_non_integer_config_value(self, tmp_path, command, key, config, value):
+        status, result = run(command, {**config, key: value, "out": str(tmp_path)})
+        assert status == 1
+        assert result["error"] == f"{key} must be an integer, got {value!r}"
+
+    def test_integral_float_config_value(self, tmp_path):
+        status, _ = run("groundstate", {"n": 4.0, "lambda": 0.05, "delta": 0.2,
+                                        "out": str(tmp_path)})
+        assert status == 0
+        u = SpinField.from_json((tmp_path / "groundstate.json").read_text())
+        assert u.angles.shape == (4, 4)
 
     @pytest.mark.parametrize("command", ["energy", "transform"])
     @pytest.mark.parametrize("delta", [None, 1.5, -1.0])

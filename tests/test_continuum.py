@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from mesh_reference import first_match
+from mesh_reference import dict_jump_set, first_match
 
 from helimag.continuum import (
     SIGMA_AXIS,
@@ -251,6 +251,114 @@ class TestJumpSet:
         m = build_example("vertical_wall")
         segs = jump_set(m)
         assert len(segs) == 1
+
+
+def refined_mesh(kind, k, rng):
+    """Example potential of one of the five kinds on a k x k grid of the unit
+    square split into 2k^2 triangles, with its walls on seeded grid lines."""
+    g = np.arange(k + 1) / k
+    x, y = (a.ravel() for a in np.meshgrid(g, g))
+    c, cy = g[np.sort(rng.choice(np.arange(1, k), 2, replace=False))]
+    if kind == "vertical_wall":
+        h = y + np.abs(x - c)
+    elif kind == "horizontal_wall":
+        h = x + np.abs(y - c)
+    elif kind == "four_quadrant":
+        h = np.abs(x - c) + np.abs(y - cy)
+    elif kind == "diagonal_wall":
+        h = np.abs(x + y - rng.integers(1, 2 * k) / k)
+    else:  # laminate: the slope in x flips at up to three walls
+        walls = g[np.sort(rng.choice(np.arange(1, k), min(3, k - 1), replace=False))]
+        flips = (x[:, None] > walls[None, :]).sum(axis=1)
+        h = y + x * (-1.0) ** flips
+        h += 2.0 * ((-1.0) ** np.arange(walls.size) * walls
+                    * (x[:, None] > walls[None, :])).sum(axis=1)
+    j, i = (a.ravel() for a in np.mgrid[0:k, 0:k])
+    v00 = j * (k + 1) + i
+    tris = np.stack([v00, v00 + 1, v00 + k + 1, v00 + 1, v00 + k + 2, v00 + k + 1], axis=1)
+    return MeshPotential(vertices=np.stack([x, y], axis=1), triangles=tris.reshape(-1, 3),
+                         heights=h, domain=Domain())
+
+
+def with_three_owner_edge(m, rng):
+    """m with a triangle next to a jump edge appended again, vertices rotated,
+    so each of its interior edges has three owners; the domain grows by the
+    triangle's area so the mesh still validates."""
+    labels = validate_mesh(m)
+    owners = {}
+    for t, tri in enumerate(m.triangles.tolist()):
+        for i, j in zip(tri, tri[1:] + tri[:1]):
+            owners.setdefault((min(i, j), max(i, j)), []).append(t)
+    jumps = [ts[0] for ts in owners.values()
+             if len(ts) == 2 and labels[ts[0]] != labels[ts[1]]]
+    t = jumps[rng.integers(len(jumps))]
+    a, b, c = m.vertices[m.triangles[t]]
+    area = 0.5 * abs((b - a)[0] * (c - a)[1] - (b - a)[1] * (c - a)[0])
+    d = m.domain
+    return MeshPotential(
+        vertices=m.vertices,
+        triangles=np.vstack([m.triangles, np.roll(m.triangles[t], 1)]),
+        heights=m.heights,
+        domain=Domain(x0=d.x0, y0=d.y0, width=d.width + area / d.height, height=d.height),
+    )
+
+
+def mesh_variant(m, variant, rng):
+    if variant == "shuffled":
+        return MeshPotential(m.vertices, m.triangles[rng.permutation(len(m.triangles))],
+                             m.heights, m.domain)
+    if variant == "rotated":
+        cols = (np.arange(3) + rng.integers(0, 3, (len(m.triangles), 1))) % 3
+        tris = np.take_along_axis(m.triangles, cols, axis=1)
+        return MeshPotential(m.vertices, tris, m.heights, m.domain)
+    if variant == "three_owners":
+        return with_three_owner_edge(m, rng)
+    return m
+
+
+class TestJumpSetReference:
+    """The vectorised jump set against the dict-of-edges loop: equal lists,
+    exact floats and order."""
+
+    @pytest.mark.parametrize("variant", ["plain", "shuffled", "rotated", "three_owners"])
+    @pytest.mark.parametrize("k", [4, 8, 16])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_refined_meshes(self, kind, k, variant):
+        rng = np.random.default_rng([KINDS.index(kind), k])
+        m = mesh_variant(refined_mesh(kind, k, rng), variant, rng)
+        want = dict_jump_set(m)
+        got = jump_set(m)
+        assert want
+        assert got == want
+        assert repr(got) == repr(want)  # also tells -0.0 from 0.0
+
+    @pytest.mark.parametrize("domain", DOMAINS, ids=["unit", "offset"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_example_meshes(self, kind, domain):
+        m = build_example(kind, domain=domain, n=5)
+        assert repr(jump_set(m)) == repr(dict_jump_set(m))
+
+    def test_three_owner_edge_is_skipped(self):
+        # the edge (1, 0)-(0, 1) belongs to A = (0, 1, 2) with label (1, 1),
+        # B = (1, 3, 2) with label (-1, -1) and C = (1, 2, 4) with label
+        # (-1, -1); it is not a jump edge, and no other edge is shared
+        m = MeshPotential(
+            vertices=np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.5, 0.0)]),
+            triangles=np.array([(0, 1, 2), (1, 3, 2), (1, 2, 4)]),
+            heights=np.array([0.0, 1.0, 1.0, 0.0, 1.5]),
+            domain=Domain(width=1.25),
+        )
+        assert validate_mesh(m) == [(1, 1), (-1, -1), (-1, -1)]
+        assert jump_set(m) == dict_jump_set(m) == []
+
+    def test_segments_keyword(self):
+        m = build_example("four_quadrant")
+        segs = jump_set(m)
+        assert total_variations(m, segments=segs) == total_variations(m)
+        assert limit_energy(m, segments=segs) == limit_energy(m)
+        assert limit_energy(m, segments=segs[:1]) == pytest.approx(SIGMA_AXIS * segs[0].length)
+        assert mesh_to_svg(m, segments=segs) == mesh_to_svg(m)
+        assert mesh_to_svg(m, segments=[]).count("<line") == 0
 
 
 class TestLimitEnergy:

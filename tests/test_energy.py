@@ -205,6 +205,14 @@ class TestRho:
     def test_closed_form_raises_at_corner(self):
         with pytest.raises((ValueError, FloatingPointError, ZeroDivisionError)):
             rho(math.pi, math.pi, "closed_form")
+        with pytest.raises((ValueError, FloatingPointError, ZeroDivisionError)):
+            rho(-math.pi, -math.pi, "closed_form")
+
+    @pytest.mark.parametrize("corner", [math.pi, -math.pi])
+    def test_definition_is_one_at_corner(self, corner):
+        # (pi, pi) and (-pi, -pi) lie on the diagonal, where the definition
+        # takes the value 1 although the closed form is singular
+        assert rho(corner, corner, "definition") == 1.0
 
     def test_symmetry(self):
         rng = np.random.default_rng(8)

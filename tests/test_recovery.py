@@ -223,6 +223,12 @@ class TestPickWidth:
         assert pick_width(build_example("vertical_wall")) == WALL_WIDTH
         assert pick_width(build_example("four_quadrant")) == WALL_WIDTH
 
+    def test_segments_keyword(self):
+        m = build_example("diagonal_wall")
+        assert pick_width(m, segments=jump_set(m)) == DIAG_WALL_WIDTH
+        # no walls: the straight-wall multiplier
+        assert pick_width(m, segments=[]) == WALL_WIDTH
+
 
 class TestGammaSweep:
     def test_vertical_wall_ratio_converges(self):
@@ -231,6 +237,22 @@ class TestGammaSweep:
         assert not any(r.failed for r in table.rows)
         assert table.rows[-1].ratio == pytest.approx(1.0, abs=0.08)
         assert table.rows[-1].h_limit == pytest.approx(8.0 / 3.0)
+
+    def test_one_jump_set_per_sweep(self, monkeypatch):
+        from helimag import continuum, recovery
+
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return jump_set(m)
+
+        for mod in (continuum, recovery):
+            monkeypatch.setattr(mod, "jump_set", counted)
+        m = build_example("diagonal_wall")
+        table = gamma_sweep(m, SweepSchedule.default(finest_n=16, levels=1))
+        assert len(calls) == 1
+        assert table.rows[0].h_limit == pytest.approx(16.0 / 3.0)
 
     def test_csv_output(self):
         m = build_example("vertical_wall")
