@@ -115,7 +115,7 @@ def _cmd_groundstate(config: dict) -> dict:
 def _read_spin(config: dict) -> SpinField:
     try:
         return SpinField.from_json(Path(config["in"]).read_text())
-    except (KeyError, OSError, ValueError) as exc:
+    except (KeyError, OSError, TypeError, ValueError) as exc:
         raise ValidationError(f"cannot load spin field: {exc}") from exc
 
 
@@ -232,7 +232,10 @@ def _schedule(config: dict) -> SweepSchedule:
 def _cmd_sweep(config: dict) -> dict:
     m = _load_mesh(config)
     sched = _schedule(config)
-    table = gamma_sweep(m, sched, kernel=Kernel())
+    try:
+        table = gamma_sweep(m, sched, kernel=Kernel())
+    except MeshError as exc:
+        raise ValidationError(str(exc)) from exc
     out = _outdir(config)
     path = out / "sweep.csv"
     path.write_text(table.to_csv())
@@ -253,7 +256,10 @@ def _cmd_minimize(config: dict) -> dict:
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
     psi0 = profile_init(n, p, left, right)
-    opts = MinimizeOptions(max_iter=_int(config, "max_iter", 5000))
+    try:
+        opts = MinimizeOptions(max_iter=_int(config, "max_iter", 5000))
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
     res = minimize_H(psi0, Domain(width=n * p.lam, height=p.lam), p, bc, opts)
     out = _outdir(config)
     (out / "minimize_psi.json").write_text(

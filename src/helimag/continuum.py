@@ -54,6 +54,12 @@ class MeshPotential:
             raise ValueError("triangles must be (M, 3)")
         if self.heights.shape != (self.vertices.shape[0],):
             raise ValueError("heights must match the vertex count")
+        if self.triangles.size and (
+            self.triangles.min() < 0 or self.triangles.max() >= self.vertices.shape[0]
+        ):
+            raise ValueError(
+                f"triangle vertex indices must lie in [0, {self.vertices.shape[0]})"
+            )
 
     def gradients(self) -> np.ndarray:
         """Per-triangle gradient of the affine interpolant, shape (M, 2)."""
@@ -82,6 +88,15 @@ class MeshPotential:
         c0 = self.heights[a] - g[:, 0] * self.vertices[a, 0] - g[:, 1] * self.vertices[a, 1]
         return np.stack([c0, g[:, 0], g[:, 1]])
 
+    def locate_pad(self) -> np.ndarray:
+        """Per-triangle pad (shape (M, 1)) of the bounding boxes locate
+        tests.  The barycentric test (slack tol = 1e-9 * max(1, max |vertex|))
+        accepts points up to 2*tol*extent outside a triangle; the pad is
+        twice that, leaving room for rounding."""
+        tol = 1e-9 * max(1.0, np.abs(self.vertices).max())
+        corners = self.vertices[self.triangles]  # (M, 3, 2)
+        return 4.0 * tol * np.ptp(corners, axis=1).max(axis=1, keepdims=True)
+
     def locate(self, x, y) -> np.ndarray:
         """Index of the first triangle containing each point of the broadcast
         of x and y (barycentric test with a relative slack of 1e-9).
@@ -102,13 +117,9 @@ class MeshPotential:
         v = self.vertices
         tol = 1e-9 * max(1.0, np.abs(v).max())
         corners = v[self.triangles]  # (M, 3, 2)
-        lo = corners.min(axis=1)
-        hi = corners.max(axis=1)
-        # a point the barycentric test accepts lies within 2*tol*extent of
-        # the triangle's box; twice that pad leaves room for rounding
-        pad = 4.0 * tol * (hi - lo).max(axis=1, keepdims=True)
-        lo -= pad
-        hi += pad
+        pad = self.locate_pad()
+        lo = corners.min(axis=1) - pad
+        hi = corners.max(axis=1) + pad
         tri = np.full(shape, -1, dtype=np.intp)
         left = tri.size
         for t, (a, b, c) in enumerate(self.triangles):
@@ -231,6 +242,42 @@ def validate_mesh(m: MeshPotential) -> list[tuple[int, int]]:
     return [(w, z) for w, z in _mesh_labels(m).tolist()]
 
 
+def _edge_owners(m: MeshPotential):
+    """Group the 3M half-edges (a, b), (b, c), (c, a) of each triangle by
+    edge.  Returns the per-half-edge endpoint indices lo < hi, the stable
+    argsort of the edge keys lo*N + hi (so each edge's half-edges are in
+    triangle order), and each edge's start in that order and owner count."""
+    half = m.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    lo = half.min(axis=1).astype(np.int64)
+    hi = half.max(axis=1).astype(np.int64)
+    keys = lo * m.vertices.shape[0] + hi
+    order = np.argsort(keys, kind="stable")
+    sk = keys[order]
+    start = np.flatnonzero(np.r_[True, sk[1:] != sk[:-1]])
+    count = np.diff(np.r_[start, sk.size])
+    return lo, hi, order, start, count
+
+
+def is_conforming(m: MeshPotential) -> bool:
+    """True when every edge has exactly two owner triangles or one owner and
+    lies on the domain boundary.  jump_set sees every wall of such a mesh;
+    it skips an edge with three or more owners, and a hanging-node edge
+    (one owner, inside the domain) is no edge of its neighbours."""
+    lo, hi, order, start, count = _edge_owners(m)
+    if np.any(count > 2):
+        return False
+    single = order[start[count == 1]]
+    p = m.vertices[lo[single]]
+    q = m.vertices[hi[single]]
+    corners = m.domain.corners()
+    x0, y0, x1, y1 = corners
+    tol = 1e-9 * max(1.0, *map(abs, corners))
+    on_side = np.zeros(single.size, dtype=bool)
+    for k, c in ((0, x0), (0, x1), (1, y0), (1, y1)):
+        on_side |= (np.abs(p[:, k] - c) <= tol) & (np.abs(q[:, k] - c) <= tol)
+    return bool(on_side.all())
+
+
 def jump_set(m: MeshPotential) -> list[JumpSegment]:
     """Edges between differently labeled triangles, merged into maximal
     collinear segments with identical trace pairs.
@@ -248,14 +295,7 @@ def jump_set(m: MeshPotential) -> list[JumpSegment]:
     labels = _mesh_labels(m)
     v = m.vertices
     tris = m.triangles
-    half = tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    lo = half.min(axis=1).astype(np.int64)
-    hi = half.max(axis=1).astype(np.int64)
-    keys = lo * v.shape[0] + hi
-    order = np.argsort(keys, kind="stable")
-    sk = keys[order]
-    start = np.flatnonzero(np.r_[True, sk[1:] != sk[:-1]])
-    count = np.diff(np.r_[start, sk.size])
+    lo, hi, order, start, count = _edge_owners(m)
     pair = start[count == 2]
     first = order[pair]  # stable sort: the first owner's half-edge first
     second = order[pair + 1]

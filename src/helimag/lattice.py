@@ -85,8 +85,8 @@ class ModelParams:
     delta: float
 
     def __post_init__(self) -> None:
-        if not self.lam > 0.0:
-            raise ValueError("lattice spacing must be positive")
+        if not (self.lam > 0.0 and math.isfinite(self.lam)):
+            raise ValueError("lattice spacing must be positive and finite")
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
         if self.epsilon >= 1.0:

@@ -113,6 +113,8 @@ class MinimizeOptions:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.grad_tol <= 0 or self.armijo <= 0 or not (0 < self.backtrack < 1):
             raise ValueError("tolerances must be positive, backtrack in (0, 1)")
 

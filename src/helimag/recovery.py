@@ -15,14 +15,20 @@ below).  The bond angles of the lifted field satisfy
 theta_hor = arccos(1-delta) * d1 phi_n exactly wherever that value stays in
 [-pi, pi]; violations are reported as overflows.
 
-phi^eps is evaluated on the whole lattice at once.  Its quadrature points
+phi^eps is evaluated on the whole lattice at once, with the quadrature
+only on a band.  The extension is one affine map on each connected region
+of one label, and the rule has mass 1 and symmetric nodes, so phi^eps is
+the extension itself at every lattice point whose kernel support box misses
+the jump set.  build_recovery marks the points whose box meets a wall
+(quadrature_band) and falls back to the full rule when the mesh is not
+conforming, since jump_set may then miss a wall.  The quadrature points
 form a tensor grid: the x-values lam*i + a*eps*node are shared by every
 lattice row, and each row j adds its own column of y-values.  mollify
-calls the extension on chunks of whole lattice rows (MOLLIFY_CHUNK points,
-at least one row) and contracts each chunk with the quadrature weights.
-The extension locates every point's triangle once, one bounding-box block
-per triangle (MeshPotential.locate), and evaluates that triangle's affine
-map there.
+calls the extension on runs of band rows restricted to their band columns
+(about MOLLIFY_CHUNK points, at least one row) and contracts each run with
+the quadrature weights.  The extension locates every point's triangle once,
+one bounding-box block per triangle (MeshPotential.locate), and evaluates
+that triangle's affine map there.
 """
 
 from __future__ import annotations
@@ -36,7 +42,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .chirality import ChiralityPair, ThetaFields, transform
-from .continuum import JumpSegment, MeshPotential, classify_triple, jump_set, limit_energy
+from .continuum import JumpSegment, MeshPotential, classify_triple, is_conforming, \
+    jump_set, limit_energy
 from .energy import EnergyReport, energy_H
 from .lattice import ModelParams, ScalarGrid, SpinField
 
@@ -164,10 +171,10 @@ def extend_potential(m: MeshPotential) -> Callable:
     return ext
 
 
-# Quadrature points per extension call in mollify: as many whole lattice
-# rows (nx * order^2 points each) as fit, at least one.  One row at n = 64
-# and order 24 is 36864 points; larger chunks cost resident memory and gain
-# little.
+# Quadrature points per extension call in mollify: as many lattice rows of
+# the band (order^2 points per band column) as fit, at least one.  One full
+# row at n = 64 and order 24 is 36864 points; larger chunks cost resident
+# memory and gain little.
 MOLLIFY_CHUNK = 2 ** 15
 
 
@@ -180,15 +187,23 @@ def mollify(
     affine inputs the quadrature error decays algebraically in the order
     (about 5e-5 at the default order 24).
 
-    The returned phi_eps(xs, ys) evaluates the tensor grid of the two axes
-    and returns an array of shape ys.shape + xs.shape.  Its quadrature
-    points form the tensor grid of xs[i] + eps*node[a] by ys[j] +
-    eps*node[b]; ext is called on chunks of whole rows j (about
-    MOLLIFY_CHUNK points each) with a row of x-values and a column of
-    y-values, and the values are contracted with the weights.  For sorted
-    xs and ys the shifted axes are sorted up to overlaps of width 2*eps, so
-    each triangle's block in MeshPotential.locate stays close to its
-    bounding box.
+    The returned phi_eps(xs, ys, mask=None) evaluates the tensor grid of the
+    two axes and returns an array of shape ys.shape + xs.shape.  mask, a
+    boolean (ys.size, xs.size) array, marks the points that need
+    quadrature; None is the all-True mask, the full rule.  Unless every
+    point is masked, ext is first evaluated once on the grid points
+    themselves, which is the rule's value wherever ext is affine on the
+    point's support box, and the quadrature then overwrites the masked
+    points.
+
+    The quadrature points form the tensor grid of xs[i] + eps*node[a] by
+    ys[j] + eps*node[b].  They are evaluated over runs of consecutive rows
+    that hold masked points: a run grows while rows * order^2 * (number of
+    columns masked in any of its rows) stays within MOLLIFY_CHUNK, and is
+    one ext call on a row of x-values (those columns) and a column of
+    y-values, contracted with the weights.  For sorted xs and ys the shifted
+    axes are sorted up to overlaps of width 2*eps, so each triangle's block
+    in MeshPotential.locate stays close to its bounding box.
     """
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
@@ -198,24 +213,58 @@ def mollify(
     # 1: affine inputs are then reproduced exactly and the order dependence
     # drops below 1e-8
     wk = wk / wk.sum()
+    per_point = order * order
 
-    def phi_eps(xs, ys):
+    def phi_eps(xs, ys, mask=None):
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
+        out_shape = ys.shape + xs.shape
+        xs, ys = xs.ravel(), ys.ravel()
         nx, ny = xs.size, ys.size
-        sx = (xs.reshape(-1, 1) + epsilon * nodes).ravel()
-        sy = (ys.reshape(-1, 1) + epsilon * nodes).ravel()
-        rows = max(1, MOLLIFY_CHUNK // (order * order * max(nx, 1)))
-        out = np.empty((ny, nx))
-        for j in range(0, ny, rows):
-            k = min(rows, ny - j)
-            g = ext(sx[None, :], sy[j * order:(j + k) * order, None])
-            out[j:j + k] = np.einsum(
-                "jbia,b,a->ji", g.reshape(k, order, nx, order), wk, wk
+        band = np.ones((ny, nx), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+        if band.shape != (ny, nx):
+            raise ValueError(f"mask shape {band.shape} != (ny, nx) = {(ny, nx)}")
+        out = np.empty((ny, nx)) if band.all() else ext(xs[None, :], ys[:, None])
+        sx = xs[:, None] + epsilon * nodes  # (nx, order)
+        sy = (ys[:, None] + epsilon * nodes).ravel()
+        busy = band.any(axis=1)
+        j = 0
+        while j < ny:
+            if not busy[j]:
+                j += 1
+                continue
+            cols, k = band[j], 1
+            while j + k < ny and busy[j + k]:
+                grown = cols | band[j + k]
+                if (k + 1) * per_point * np.count_nonzero(grown) > MOLLIFY_CHUNK:
+                    break
+                cols, k = grown, k + 1
+            ci = np.flatnonzero(cols)
+            g = ext(sx[ci].reshape(1, -1), sy[j * order:(j + k) * order, None])
+            out[j:j + k, ci] = np.einsum(
+                "jbia,b,a->ji", g.reshape(k, order, ci.size, order), wk, wk
             )
-        return out.reshape(ys.shape + xs.shape)
+            j += k
+        return out.reshape(out_shape)
 
     return phi_eps
+
+
+def quadrature_band(
+    segments: list[JumpSegment], xs: np.ndarray, ys: np.ndarray, reach: float
+) -> np.ndarray:
+    """Boolean (ys.size, xs.size) mask of the grid points whose box
+    [x - reach, x + reach] x [y - reach, y + reach] meets one of the
+    segments.  Box and segment meet unless the x axis, the y axis or the
+    segment's unit normal nu separates them."""
+    band = np.zeros((ys.size, xs.size), dtype=bool)
+    for s in segments:
+        (px, py), (qx, qy), (nux, nuy) = s.p, s.q, s.nu
+        cols = (xs >= min(px, qx) - reach) & (xs <= max(px, qx) + reach)
+        rows = (ys >= min(py, qy) - reach) & (ys <= max(py, qy) + reach)
+        dist = np.abs(nux * (xs[None, :] - px) + nuy * (ys[:, None] - py))
+        band |= rows[:, None] & cols[None, :] & (dist <= reach * (abs(nux) + abs(nuy)))
+    return band
 
 
 @dataclass
@@ -235,24 +284,45 @@ def build_recovery(
     kernel: Optional[Kernel] = None,
     width: float = WALL_WIDTH,
     order: int = 24,
+    *,
+    segments: Optional[list[JumpSegment]] = None,
 ) -> RecoveryResult:
     """Recovery spin field at one (lam, delta) with its chirality pair and
     energy report.
+
+    The mollifier runs its quadrature only on the band of lattice points
+    whose kernel support box (half-width width*eps*max|node| plus
+    MeshPotential.locate's pad) meets a wall of the jump set (``segments``,
+    or jump_set(m) when None; jump_set raises MeshError on a non-admissible
+    mesh).  Off the band the box lies in one label region, where the
+    extension is one affine map; the rule has mass 1 and symmetric nodes,
+    so the value there is the extension at the point.  The full rule runs
+    instead when the mesh is not conforming (is_conforming: jump_set may
+    miss a wall) or the kernel profile is not even.
 
     Bond angles where |arccos(1-delta) * d phi_n| would exceed pi are
     counted and listed as overflows (the lifting identity fails there;
     a nonzero count signals eps too large for the mesh's gradient scale).
     """
     kernel = kernel if kernel is not None else Kernel()
+    segs = jump_set(m) if segments is None else segments
     lam = params.lam
     x0, y0, _, _ = m.domain.corners()
     nx = int(round(m.domain.width / lam))
     ny = int(round(m.domain.height / lam))
     if nx < 3 or ny < 3:
         raise ValueError("lattice too coarse for the domain")
+    xs = x0 + lam * np.arange(nx)
+    ys = y0 + lam * np.arange(ny)
+    eps = width * params.epsilon
+    nodes, _ = gauss_legendre(order)
+    k1 = kernel.k1(nodes)
+    band = None
+    if is_conforming(m) and np.array_equal(k1, k1[::-1]):
+        reach = eps * np.abs(nodes).max() + m.locate_pad().max()
+        band = quadrature_band(segs, xs, ys, reach)
     ext = extend_potential(m)
-    phi_eps = mollify(ext, kernel, width * params.epsilon, order=order)
-    phi = phi_eps(x0 + lam * np.arange(nx), y0 + lam * np.arange(ny))
+    phi = mollify(ext, kernel, eps, order=order)(xs, ys, band)
     beta = params.helix_angle
     psi = beta * phi / lam
     u = SpinField.from_angles(psi, lam)
@@ -348,7 +418,9 @@ def gamma_sweep(
     rows: list[SweepRow] = []
     for params in schedule.steps:
         try:
-            res = build_recovery(m, params, kernel=kernel, width=w, order=order)
+            res = build_recovery(
+                m, params, kernel=kernel, width=w, order=order, segments=segs
+            )
         except (ValueError, ArithmeticError) as exc:
             rows.append(
                 SweepRow(

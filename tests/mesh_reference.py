@@ -1,11 +1,14 @@
 """Loop-level references for the mesh evaluation path: the first-match loop
 over every triangle, the clipped extension built on its barycentric values,
 the mollifier as a per-shift double sum, and the jump set built from a dict
-of edges."""
+of edges; and two valid meshes on the unit square whose wall jump_set
+cannot see."""
 
 import numpy as np
 
-from helimag.continuum import MERGE_TOL, JumpSegment, _merge_segments, validate_mesh
+from helimag.continuum import MERGE_TOL, JumpSegment, MeshPotential, _merge_segments, \
+    validate_mesh
+from helimag.lattice import Domain
 
 
 def first_match(m, x, y):
@@ -115,3 +118,33 @@ def dict_jump_set(m):
             )
         )
     return _merge_segments(raw)
+
+
+def three_owner_mesh():
+    """Unit square split along the diagonal y = x into labels (1, -1) below
+    and (-1, 1) above, plus a sliver triangle (area 2^-33, inside the area
+    check's slack) on the upper side that also owns the diagonal.  The
+    diagonal has three owners, so jump_set skips the wall."""
+    d = 2.0 ** -33
+    verts = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.5 - d, 0.5 + d)])
+    return MeshPotential(
+        vertices=verts,
+        triangles=np.array([(0, 1, 2), (0, 2, 3), (0, 2, 4)]),
+        heights=np.abs(verts[:, 0] - verts[:, 1]),
+        domain=Domain(),
+    )
+
+
+def hanging_node_mesh():
+    """phi = y + |x - 1/2| on the unit square: two triangles on the left of
+    the wall x = 1/2 and a fan of three on the right from its midpoint.  The
+    left triangle's edge on the wall has one owner, as do the two right
+    halves, so jump_set finds no wall."""
+    verts = np.array([(0.0, 0.0), (0.5, 0.0), (0.5, 1.0), (0.0, 1.0),
+                      (1.0, 0.0), (1.0, 1.0), (0.5, 0.5)])
+    return MeshPotential(
+        vertices=verts,
+        triangles=np.array([(0, 1, 2), (0, 2, 3), (6, 1, 4), (6, 4, 5), (6, 5, 2)]),
+        heights=verts[:, 1] + np.abs(verts[:, 0] - 0.5),
+        domain=Domain(),
+    )

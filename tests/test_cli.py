@@ -267,3 +267,53 @@ class TestErrorContract:
         status, result = run(command, config)
         assert status == 1
         assert "model parameters" in result["error"]
+
+    @pytest.mark.parametrize("command", ["sweep", "recover"])
+    def test_invalid_mesh(self, tmp_path, command):
+        from helimag.continuum import build_example
+
+        m = build_example("vertical_wall")
+        m.heights[0] += 0.25  # one gradient off the {+-1}^2 lattice
+        mesh = tmp_path / "m.json"
+        mesh.write_text(m.to_json())
+        status, result = run(command, {"mesh": str(mesh), "lambda": 1.0 / 16, "delta": 0.2,
+                                       "finest_n": 16, "levels": 1, "out": str(tmp_path)})
+        assert status == 1
+        assert "gradients off" in result["error"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+
+    @pytest.mark.parametrize("command", ["classify", "recover"])
+    def test_triangle_index_out_of_range(self, tmp_path, command):
+        from helimag.continuum import build_example
+
+        doc = json.loads(build_example("vertical_wall").to_json())
+        doc["triangles"][0][1] = 99  # 6 vertices
+        mesh = tmp_path / "m.json"
+        mesh.write_text(json.dumps(doc))
+        status, result = run(command, {"mesh": str(mesh), "lambda": 1.0 / 16, "delta": 0.2,
+                                       "out": str(tmp_path)})
+        assert status == 1
+        assert "cannot load mesh" in result["error"]
+
+    @pytest.mark.parametrize("command", ["energy", "transform"])
+    def test_spin_file_holding_a_list(self, tmp_path, command):
+        f = tmp_path / "u.json"
+        f.write_text("[1, 2, 3]")
+        status, result = run(command, {"in": str(f), "delta": 0.3, "out": str(tmp_path)})
+        assert status == 1
+        assert "cannot load spin field" in result["error"]
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_minimize_iteration_cap_below_one(self, tmp_path, cap):
+        status, result = run("minimize", {"n": 30, "lambda": 0.04, "delta": 0.2,
+                                          "max_iter": cap, "out": str(tmp_path)})
+        assert status == 1
+        assert "max_iter" in result["error"]
+        assert not (tmp_path / "minimize_report.json").exists()
+
+    def test_groundstate_non_finite_lambda(self, tmp_path):
+        status, result = run("groundstate", {"n": 4, "lambda": math.inf, "delta": 0.2,
+                                             "out": str(tmp_path)})
+        assert status == 1
+        assert "model parameters" in result["error"]
+        assert not (tmp_path / "groundstate.json").exists()

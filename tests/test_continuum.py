@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from mesh_reference import dict_jump_set, first_match
+from mesh_reference import dict_jump_set, first_match, hanging_node_mesh, three_owner_mesh
 
 from helimag.continuum import (
     SIGMA_AXIS,
@@ -14,6 +14,7 @@ from helimag.continuum import (
     MeshPotential,
     build_example,
     classify_triple,
+    is_conforming,
     jump_set,
     limit_energy,
     mesh_to_svg,
@@ -68,6 +69,16 @@ class TestMeshPotential:
     def test_evaluate_outside_raises(self):
         with pytest.raises(ValueError):
             two_triangle_mesh().evaluate(1.5, 0.5)
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_triangle_index_out_of_range(self, bad):
+        with pytest.raises(ValueError, match="indices"):
+            MeshPotential(
+                vertices=np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]),
+                triangles=np.array([(0, 1, 2), (1, bad, 2)]),
+                heights=np.zeros(4),
+                domain=Domain(),
+            )
 
     def test_json_roundtrip(self):
         m = build_example("four_quadrant")
@@ -350,6 +361,23 @@ class TestJumpSetReference:
         )
         assert validate_mesh(m) == [(1, 1), (-1, -1), (-1, -1)]
         assert jump_set(m) == dict_jump_set(m) == []
+
+    @pytest.mark.parametrize("domain", DOMAINS, ids=["unit", "offset"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_example_meshes_conform(self, kind, domain):
+        assert is_conforming(build_example(kind, domain=domain, n=5))
+        assert is_conforming(refined_mesh(kind, 8, np.random.default_rng(KINDS.index(kind))))
+
+    @pytest.mark.parametrize("make", [three_owner_mesh, hanging_node_mesh])
+    def test_meshes_whose_wall_is_missed_do_not_conform(self, make):
+        m = make()
+        validate_mesh(m)
+        assert jump_set(m) == []
+        assert not is_conforming(m)
+
+    def test_three_owner_edge_does_not_conform(self):
+        m = refined_mesh("vertical_wall", 4, np.random.default_rng(0))
+        assert not is_conforming(with_three_owner_edge(m, np.random.default_rng(1)))
 
     def test_segments_keyword(self):
         m = build_example("four_quadrant")

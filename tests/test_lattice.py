@@ -65,6 +65,11 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(lam=0.1, delta=1.0)
 
+    @pytest.mark.parametrize("lam", [math.inf, math.nan])
+    def test_non_finite_spacing(self, lam):
+        with pytest.raises(ValueError, match="finite"):
+            ModelParams(lam=lam, delta=0.5)
+
     def test_out_of_regime_warns(self):
         with pytest.warns(UserWarning):
             ModelParams(lam=2.0, delta=0.5)

@@ -166,6 +166,11 @@ class TestMinimize:
         res = minimize_H(linear_init(bc), full, p, bc, MinimizeOptions(max_iter=5))
         assert res.report.term_count == 8
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_iteration_cap_below_one(self, cap):
+        with pytest.raises(ValueError, match="max_iter"):
+            MinimizeOptions(max_iter=cap)
+
     def test_log_csv(self):
         csv = log_to_csv([(0, 1.0, 0.5, 1.0), (1, 0.9, 0.4, 2.0)])
         lines = csv.strip().split("\n")

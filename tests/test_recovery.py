@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from mesh_reference import double_sum_mollify, extension
+from mesh_reference import double_sum_mollify, extension, hanging_node_mesh, three_owner_mesh
 
-from helimag.continuum import build_example, jump_set
+from helimag import recovery
+from helimag.continuum import MeshError, MeshPotential, build_example, is_conforming, jump_set
 from helimag.lattice import Domain, ModelParams
 from helimag.recovery import (
     DIAG_WALL_WIDTH,
@@ -24,6 +25,7 @@ from helimag.recovery import (
     optimal_profile_1d,
     pick_width,
     profile_transition_energy,
+    quadrature_band,
 )
 
 
@@ -138,6 +140,23 @@ class TestMollify:
         # strictly above the kink value at the wall
         assert sm(0.5, 0.5) > ext(0.5, 0.5) + 1e-4
 
+    def test_mask_selects_the_quadrature_points(self):
+        m = build_example("vertical_wall")
+        ext = extend_potential(m)
+        sm = mollify(ext, Kernel(), 0.1)
+        x = np.linspace(0.1, 0.9, 9)
+        y = np.array([0.2, 0.7, 0.4])
+        mask = np.zeros((3, 9), dtype=bool)
+        mask[1, 3:6] = True
+        mask[2, 4] = True
+        got = sm(x, y, mask)
+        np.testing.assert_allclose(got[mask], sm(x, y)[mask], rtol=1e-14)
+        # rows 1 and 2 form one run over columns 3-5; away from the wall the
+        # rule there gives the extension's value up to rounding
+        np.testing.assert_allclose(got[~mask], ext(x[None, :], y[:, None])[~mask], rtol=1e-14)
+        with pytest.raises(ValueError):
+            sm(x, y, mask.T)
+
 
 class TestMollifyReference:
     """The tensor-grid mollifier against the per-shift double sum over the
@@ -213,6 +232,161 @@ class TestBuildRecovery:
         m = build_example("vertical_wall")
         with pytest.raises(ValueError):
             build_recovery(m, ModelParams(lam=0.5, delta=0.6))
+
+
+def capture_masks(monkeypatch):
+    """Record the quadrature mask of every phi_eps call made through
+    recovery.mollify."""
+    seen = []
+    original = recovery.mollify
+
+    def recording(*args, **kwargs):
+        phi_eps = original(*args, **kwargs)
+
+        def wrapped(xs, ys, mask=None):
+            seen.append(mask)
+            return phi_eps(xs, ys, mask)
+
+        return wrapped
+
+    monkeypatch.setattr(recovery, "mollify", recording)
+    return seen
+
+
+def lattice_axes(m, params):
+    x0, y0, _, _ = m.domain.corners()
+    lam = params.lam
+    nx = int(round(m.domain.width / lam))
+    ny = int(round(m.domain.height / lam))
+    return x0 + lam * np.arange(nx), y0 + lam * np.arange(ny)
+
+
+def full_rule_phi(m, params, width):
+    xs, ys = lattice_axes(m, params)
+    return mollify(extend_potential(m), Kernel(), width * params.epsilon)(xs, ys)
+
+
+def two_label_points(m, xs, ys, eps, order=24):
+    """Lattice points whose quadrature points, located as the extension
+    locates them, lie in triangles of more than one label."""
+    nodes, _ = gauss_legendre(order)
+    x0, y0, x1, y1 = m.domain.corners()
+    sx = np.clip((xs[:, None] + eps * nodes).ravel(), x0, x1)
+    sy = np.clip((ys[:, None] + eps * nodes).ravel(), y0, y1)
+    code = (np.round(m.gradients()) @ [2.0, 1.0])[m.locate(sx[None, :], sy[:, None])]
+    code = code.reshape(ys.size, order, xs.size, order)
+    return code.min(axis=(1, 3)) != code.max(axis=(1, 3))
+
+
+BAND_MESHES = [(kind, 1) for kind in
+               ("vertical_wall", "horizontal_wall", "diagonal_wall", "four_quadrant")]
+BAND_MESHES += [("laminate", walls) for walls in range(1, 9)]
+BAND_DOMAINS = [Domain(), Domain(x0=-1.5, y0=2.0, width=3.0, height=3.0)]
+
+
+class TestQuadratureBand:
+    """build_recovery runs the quadrature only on the band of lattice points
+    whose kernel support box meets a wall; everywhere it matches the full
+    rule."""
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("kind, walls", BAND_MESHES, ids=lambda v: str(v))
+    @pytest.mark.parametrize("domain", BAND_DOMAINS, ids=["unit", "offset"])
+    def test_matches_the_full_rule(self, domain, kind, walls, n, monkeypatch):
+        m = build_example(kind, domain=domain, n=walls)
+        params = SweepSchedule.default(finest_n=n, levels=1, size=domain.width).steps[0]
+        width = pick_width(m)
+        seen = capture_masks(monkeypatch)
+        phi = build_recovery(m, params, width=width).phi.values
+        (band,) = seen
+        assert band is not None and band.any()
+        full = full_rule_phi(m, params, width)
+        np.testing.assert_allclose(phi, full, rtol=0.0, atol=1e-13 * np.abs(full).max())
+
+    @pytest.mark.parametrize("kind, walls", BAND_MESHES, ids=lambda v: str(v))
+    @pytest.mark.parametrize("domain", BAND_DOMAINS, ids=["unit", "offset"])
+    def test_covers_every_point_that_meets_two_labels(self, domain, kind, walls, monkeypatch):
+        # holds even where the kernel weight of the far nodes is too small
+        # for the values to show a missed point
+        m = build_example(kind, domain=domain, n=walls)
+        params = SweepSchedule.default(finest_n=32, levels=1, size=domain.width).steps[0]
+        width = pick_width(m)
+        seen = capture_masks(monkeypatch)
+        build_recovery(m, params, width=width)
+        xs, ys = lattice_axes(m, params)
+        needs = two_label_points(m, xs, ys, width * params.epsilon)
+        assert needs.any()
+        assert not np.any(needs & ~seen[0])
+
+    def test_box_is_padded_by_the_locate_slack(self, monkeypatch):
+        # the wall stops 2e-10 short of the support box of the lattice
+        # column x = 0.75; the barycentric slack of locate still puts that
+        # column's leftmost quadrature nodes in a triangle left of the wall
+        params = ModelParams(lam=1.0 / 16, delta=(1.0 / 16) ** (2.0 / 3.0))
+        nodes, _ = gauss_legendre(24)
+        c = 0.75 - WALL_WIDTH * params.epsilon * np.abs(nodes).max() - 2e-10
+        verts = np.array([(0.0, 0.0), (c, 0.0), (1.0, 0.0), (0.0, 1.0), (c, 1.0), (1.0, 1.0)])
+        m = MeshPotential(
+            vertices=verts,
+            triangles=np.array([(0, 1, 3), (1, 4, 3), (1, 2, 4), (2, 5, 4)]),
+            heights=verts[:, 1] + np.abs(verts[:, 0] - c),
+            domain=Domain(),
+        )
+        seen = capture_masks(monkeypatch)
+        build_recovery(m, params)
+        xs, ys = lattice_axes(m, params)
+        needs = two_label_points(m, xs, ys, WALL_WIDTH * params.epsilon)
+        assert needs[:, 12].all()
+        assert not np.any(needs & ~seen[0])
+
+    def test_segments_keyword(self, monkeypatch):
+        m = build_example("four_quadrant")
+        params = ModelParams(lam=1.0 / 32, delta=(1.0 / 32) ** (2.0 / 3.0))
+        calls = []
+        monkeypatch.setattr(recovery, "jump_set", lambda mesh: calls.append(mesh) or [])
+        with_segs = build_recovery(m, params, segments=jump_set(m)).phi.values
+        assert calls == []
+        monkeypatch.undo()
+        np.testing.assert_array_equal(with_segs, build_recovery(m, params).phi.values)
+
+    def test_segments_box_test(self):
+        seg = jump_set(build_example("diagonal_wall"))  # x + y = 1
+        xs = np.array([0.0, 0.25, 0.5])
+        ys = np.array([0.0, 0.5, 0.9])
+        # the box of (x, y) meets the chord where |x + y - 1| <= 2 * reach
+        np.testing.assert_array_equal(
+            quadrature_band(seg, xs, ys, 0.1),
+            [[False, False, False], [False, False, True], [True, True, False]],
+        )
+        assert not quadrature_band([], xs, ys, 0.1).any()
+
+    @pytest.mark.parametrize("make", [three_owner_mesh, hanging_node_mesh])
+    def test_non_conforming_mesh_takes_the_full_rule(self, make, monkeypatch):
+        m = make()
+        assert not is_conforming(m)
+        params = ModelParams(lam=1.0 / 32, delta=(1.0 / 32) ** (2.0 / 3.0))
+        seen = capture_masks(monkeypatch)
+        phi = build_recovery(m, params).phi.values
+        assert seen == [None]
+        # jump_set misses the wall, so a band built from it would miss
+        # points whose quadrature meets two labels
+        xs, ys = lattice_axes(m, params)
+        eps = WALL_WIDTH * params.epsilon
+        assert np.any(two_label_points(m, xs, ys, eps) & ~quadrature_band(jump_set(m), xs, ys, eps))
+        np.testing.assert_array_equal(phi, full_rule_phi(m, params, WALL_WIDTH))
+
+    def test_uneven_kernel_takes_the_full_rule(self, monkeypatch):
+        m = build_example("vertical_wall")
+        params = ModelParams(lam=1.0 / 16, delta=(1.0 / 16) ** (2.0 / 3.0))
+        seen = capture_masks(monkeypatch)
+        build_recovery(m, params, kernel=Kernel(profile=lambda t: recovery._bump(t) * (1.5 + t)))
+        assert seen == [None]
+
+    def test_invalid_mesh_raises(self):
+        m = build_example("vertical_wall")
+        m.heights[0] += 0.25  # one gradient off the {+-1}^2 lattice
+        with pytest.raises(MeshError):
+            build_recovery(m, ModelParams(lam=1.0 / 16, delta=0.2))
 
 
 class TestPickWidth:
