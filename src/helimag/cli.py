@@ -269,7 +269,12 @@ def _cmd_minimize(config: dict) -> dict:
     (out / "minimize_report.json").write_text(res.report.to_json())
     if res.stalled:
         raise NumericalError("line search stalled; best iterate written")
-    return {"energy": res.report.total, "converged": res.converged}
+    return {
+        "energy": res.report.total,
+        "converged": res.converged,
+        "reason": res.reason,
+        "objective_evals": res.objective_evals,
+    }
 
 
 def _cmd_profile1d(config: dict) -> dict:

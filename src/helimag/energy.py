@@ -138,33 +138,102 @@ def squared_stencil(ux: np.ndarray, uy: np.ndarray, half_alpha: float) -> np.nda
     return hx * hx + hy * hy
 
 
-def _stencil_sums(u: SpinField, domain: Domain, params: ModelParams):
-    """Horizontal/vertical renormalized summands restricted to the interior
-    index set, plus the masks used (shared with the decomposition)."""
-    lam = u.spacing
-    half_alpha = params.alpha / 2.0
-    ux, uy = u.vectors()
-    mask = index_mask(domain, lam, u.nx, u.ny)
-    s_hor = np.zeros((u.ny, max(u.nx - 2, 0)))
-    s_ver = np.zeros((max(u.ny - 2, 0), u.nx))
-    if u.nx >= 3:
-        s_hor = squared_stencil(ux, uy, half_alpha)
-    if u.ny >= 3:
-        s_ver = squared_stencil(ux.T, uy.T, half_alpha).T
-    mask_hor = mask[:, : u.nx - 2] if u.nx >= 3 else np.zeros_like(s_hor, dtype=bool)
-    mask_ver = mask[: u.ny - 2, :] if u.ny >= 3 else np.zeros_like(s_ver, dtype=bool)
-    return s_hor, mask_hor, s_ver, mask_ver
+@dataclass
+class StencilState:
+    """One angle array's cos/sin, its unsquared three-point stencils (hx, hy)
+    per direction with the stencil axis last (the vertical ones are those of
+    the transpose), and the energy each direction contributes."""
+
+    cosp: np.ndarray
+    sinp: np.ndarray
+    stencils: list[tuple[np.ndarray, np.ndarray]]
+    parts: list[float]
+
+    @property
+    def total(self) -> float:
+        return self.parts[0] + self.parts[1] if len(self.parts) == 2 else self.parts[0]
+
+
+class StencilEnergy:
+    """The renormalized energy of angle arrays of one shape.
+
+    The index set and the prefactor are computed once.  ``evaluate`` takes
+    one cos/sin and one set of stencils per angle array and sums them;
+    ``gradient`` reuses that state.  On a plane the stencils are masked by
+    the interior index set of ``domain``; a single row over ``interval``
+    sums only the kept terms, because zero padding would regroup the
+    pairwise sum.
+    """
+
+    def __init__(
+        self,
+        shape: tuple[int, int],
+        params: ModelParams,
+        lam: float,
+        domain: Optional[Domain] = None,
+        interval: Optional[tuple[float, float]] = None,
+    ) -> None:
+        ny, nx = shape
+        self.alpha = params.alpha
+        self.one_d = interval is not None
+        if self.one_d:
+            self.masks = [chain_keep(nx, interval, lam)]
+        else:
+            mask = index_mask(domain, lam, nx, ny)
+            # oriented like the stencils: the vertical mask is transposed
+            self.masks = [mask[:, : max(nx - 2, 0)], mask[: max(ny - 2, 0), :].T]
+        self.prefactor = prefactor(params, lam, one_d=self.one_d)
+        self.term_count = sum(int(np.count_nonzero(m)) for m in self.masks)
+
+    def evaluate(self, u: SpinField) -> StencilState:
+        cosp, sinp = u.vectors()
+        half_alpha = self.alpha / 2.0
+        state = StencilState(cosp, sinp, [], [])
+        for vertical, mask in enumerate(self.masks):
+            c, s = (cosp.T, sinp.T) if vertical else (cosp, sinp)
+            hx = three_point(c, half_alpha)
+            hy = three_point(s, half_alpha)
+            sq = hx * hx + hy * hy
+            if self.one_d:
+                terms = sq[:, mask]
+            else:
+                # sum in the grid's row-major order
+                terms = (sq * mask).T if vertical else sq * mask
+            state.stencils.append((hx, hy))
+            state.parts.append(self.prefactor * det_sum(terms))
+        return state
+
+    def report(self, state: StencilState) -> EnergyReport:
+        hor = state.parts[0]
+        ver = state.parts[1] if len(state.parts) == 2 else 0.0
+        return EnergyReport(
+            total=state.total, horizontal=hor, vertical=ver, term_count=self.term_count
+        )
+
+    def gradient(self, state: StencilState) -> np.ndarray:
+        """Angle gradient of the energy of ``state``."""
+        g = np.zeros_like(state.cosp)
+        for vertical, ((hx, hy), mask) in enumerate(zip(state.stencils, self.masks)):
+            c, s, gv = (
+                (state.cosp.T, state.sinp.T, g.T)
+                if vertical
+                else (state.cosp, state.sinp, g)
+            )
+            hx = hx * mask
+            hy = hy * mask
+            # d|v|^2/dpsi_k = 2 v . u_perp(k) * coefficient of u_k in v
+            gv[..., :-2] += 2.0 * (-hx * s[..., :-2] + hy * c[..., :-2])
+            gv[..., 1:-1] += -self.alpha * (-hx * s[..., 1:-1] + hy * c[..., 1:-1])
+            gv[..., 2:] += 2.0 * (-hx * s[..., 2:] + hy * c[..., 2:])
+        g *= self.prefactor
+        return g
 
 
 def energy_H(u: SpinField, domain: Domain, params: ModelParams) -> EnergyReport:
     """Renormalized energy over the interior index set; zero exactly on the
     four helical ground states."""
-    pf = prefactor(params, u.spacing)
-    s_hor, mask_hor, s_ver, mask_ver = _stencil_sums(u, domain, params)
-    hor = pf * det_sum(s_hor * mask_hor)
-    ver = pf * det_sum(s_ver * mask_ver)
-    count = int(np.count_nonzero(mask_hor)) + int(np.count_nonzero(mask_ver))
-    return EnergyReport(total=hor + ver, horizontal=hor, vertical=ver, term_count=count)
+    model = StencilEnergy((u.ny, u.nx), params, u.spacing, domain=domain)
+    return model.report(model.evaluate(u))
 
 
 def energy_H_1d(
@@ -177,11 +246,8 @@ def energy_H_1d(
     a, b = interval
     if not b > a:
         raise ValueError("empty interval")
-    ux, uy = chain.vectors()
-    terms = squared_stencil(ux[0], uy[0], params.alpha / 2.0)
-    # sum only the kept terms: zero padding would regroup the pairwise sum
-    keep = chain_keep(chain.nx, interval, chain.spacing)
-    return prefactor(params, chain.spacing, one_d=True) * det_sum(terms[keep])
+    model = StencilEnergy((1, chain.nx), params, chain.spacing, interval=interval)
+    return model.evaluate(chain).total
 
 
 _RHO_METHODS = ("definition", "closed_form")

@@ -1,11 +1,9 @@
-"""Scaled square-lattice grids, domains, index sets and discrete calculus.
+"""Scaled square-lattice grids, domains and index sets.
 
 Grid functions are piecewise constant on the closed cells
 Q(i, j) = [lam*i, lam*(i+1)] x [lam*j, lam*(j+1)].  Values are stored
 row-major in an (ny, nx) array indexed [j, i] so that flattening gives rows
-of constant j.  Discrete derivatives are forward differences divided by the
-spacing; outputs shrink instead of padding, so every stored value is a true
-stencil value.
+of constant j.
 """
 
 from __future__ import annotations
@@ -240,99 +238,3 @@ class SpinField:
         nx, ny = int(doc["nx"]), int(doc["ny"])
         angles = np.array(doc["angles"], dtype=float).reshape(ny, nx)
         return cls(nx=nx, ny=ny, spacing=float(doc["lambda"]), angles=angles)
-
-
-_STENCILS = ("d1", "d2", "d11", "d12", "d22")
-
-
-def discrete_derivative(g: ScalarGrid, which: str) -> ScalarGrid:
-    """Forward-difference derivatives d1, d2 and their compositions.
-
-    d1 g[j, i] = (g[j, i+1] - g[j, i]) / lam, d2 differences in j.  Second
-    derivatives compose first differences; d1 and d2 commute exactly in
-    exact arithmetic (within 1e-12 relative in floats).
-    """
-    if which not in _STENCILS:
-        raise ValueError(f"unknown derivative {which!r}; expected one of {_STENCILS}")
-    lam = g.spacing
-    a = g.values
-
-    def d1(v: np.ndarray) -> np.ndarray:
-        if v.shape[1] < 2:
-            raise ValueError("grid too small for a d1 stencil")
-        return (v[:, 1:] - v[:, :-1]) / lam
-
-    def d2(v: np.ndarray) -> np.ndarray:
-        if v.shape[0] < 2:
-            raise ValueError("grid too small for a d2 stencil")
-        return (v[1:, :] - v[:-1, :]) / lam
-
-    if which == "d1":
-        out = d1(a)
-    elif which == "d2":
-        out = d2(a)
-    elif which == "d11":
-        out = d1(d1(a))
-    elif which == "d22":
-        out = d2(d2(a))
-    else:  # d12
-        out = d1(d2(a))
-    return ScalarGrid.from_values(out, lam)
-
-
-@dataclass
-class AffineInterpolant:
-    """Continuous piecewise-affine interpolation of grid data at lattice
-    points (lam*i, lam*j).
-
-    Each cell splits along its anti-diagonal into a lower-left triangle
-    T-(i, j) and an upper-right triangle T+(i, j).  On T- the gradient is
-    (d1 g[j, i], d2 g[j, i]); on T+ it is (d1 g[j+1, i], d2 g[j, i+1]).
-    """
-
-    grid: ScalarGrid
-
-    def __call__(self, x, y):
-        g = self.grid
-        lam = g.spacing
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        tol = GEOM_TOL * max(1.0, (g.nx - 1) * lam, (g.ny - 1) * lam)
-        if np.any(x < -tol) or np.any(x > (g.nx - 1) * lam + tol):
-            raise ValueError("evaluation point outside the covered rectangle")
-        if np.any(y < -tol) or np.any(y > (g.ny - 1) * lam + tol):
-            raise ValueError("evaluation point outside the covered rectangle")
-        sx = np.clip(x / lam, 0.0, g.nx - 1 - 1e-15)
-        sy = np.clip(y / lam, 0.0, g.ny - 1 - 1e-15)
-        i = np.minimum(sx.astype(int), g.nx - 2)
-        j = np.minimum(sy.astype(int), g.ny - 2)
-        fx = sx - i
-        fy = sy - j
-        v = g.values
-        g00 = v[j, i]
-        g10 = v[j, i + 1]
-        g01 = v[j + 1, i]
-        g11 = v[j + 1, i + 1]
-        lower = g00 + fx * (g10 - g00) + fy * (g01 - g00)
-        upper = g11 + (1.0 - fx) * (g01 - g11) + (1.0 - fy) * (g10 - g11)
-        return np.where(fx + fy <= 1.0, lower, upper)
-
-    def gradient_table(self) -> dict[str, np.ndarray]:
-        """Per-triangle gradients, arrays of shape (ny-1, nx-1) per component."""
-        g = self.grid
-        d1 = discrete_derivative(g, "d1").values  # (ny, nx-1)
-        d2 = discrete_derivative(g, "d2").values  # (ny-1, nx)
-        return {
-            "lower_dx": d1[:-1, :],
-            "lower_dy": d2[:, :-1],
-            "upper_dx": d1[1:, :],
-            "upper_dy": d2[:, 1:],
-        }
-
-
-def affine_interpolate(g: ScalarGrid) -> AffineInterpolant:
-    """Piecewise-affine interpolant; exact on affine data, matches g at
-    lattice points."""
-    if g.nx < 2 or g.ny < 2:
-        raise ValueError("interpolation needs a grid of at least 2x2")
-    return AffineInterpolant(grid=g)

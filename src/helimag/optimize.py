@@ -18,15 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .energy import (
-    EnergyReport,
-    energy_H,
-    energy_H_1d,
-    prefactor,
-    squared_stencil,
-    three_point,
-)
-from .lattice import Domain, ModelParams, SpinField, chain_keep, det_sum, index_mask
+from .energy import EnergyReport, StencilEnergy, energy_H_1d, prefactor, squared_stencil
+from .lattice import Domain, ModelParams, SpinField, det_sum
 
 LOG_CSV_HEADER = "iter,energy,grad_norm,step"
 
@@ -108,41 +101,28 @@ class MinimizeOptions:
     backtrack: float = 0.5
     max_backtracks: int = 60
     init_step: float = 1.0
-    anneal_steps: int = 0  # optional annealing pre-pass, off by default
-    anneal_temp: float = 0.1
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.grad_tol <= 0 or self.armijo <= 0 or not (0 < self.backtrack < 1):
-            raise ValueError("tolerances must be positive, backtrack in (0, 1)")
+        if self.max_backtracks < 1:
+            raise ValueError(f"max_backtracks must be at least 1, got {self.max_backtracks}")
+        for name in ("grad_tol", "armijo", "init_step"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not (0 < self.backtrack < 1):
+            raise ValueError(f"backtrack must lie in (0, 1), got {self.backtrack}")
 
 
-def _chain_interval(domain: Domain) -> tuple[float, float]:
-    """The interval a single-row grid is measured on: the domain's x-extent."""
-    return (domain.x0, domain.x0 + domain.width)
-
-
-def _objective(psi: np.ndarray, domain: Domain, params: ModelParams, lam: float):
-    u = SpinField.from_angles(psi, lam)
-    if psi.shape[0] == 1:
-        return energy_H_1d(u, _chain_interval(domain), params)
-    return energy_H(u, domain, params).total
-
-
-def _add_stencil_gradient(
-    g: np.ndarray, cosp: np.ndarray, sinp: np.ndarray, mask: np.ndarray, alpha: float
-) -> None:
-    """Add the angle gradient of the masked sum of squared three-point
-    stencils along the last axis into ``g`` (a view; pass transposes for the
-    vertical stencils)."""
-    hx = three_point(cosp, alpha / 2.0) * mask
-    hy = three_point(sinp, alpha / 2.0) * mask
-    # d|v|^2/dpsi_k = 2 v . u_perp(k) * coefficient of u_k in v
-    g[..., :-2] += 2.0 * (-hx * sinp[..., :-2] + hy * cosp[..., :-2])
-    g[..., 1:-1] += -alpha * (-hx * sinp[..., 1:-1] + hy * cosp[..., 1:-1])
-    g[..., 2:] += 2.0 * (-hx * sinp[..., 2:] + hy * cosp[..., 2:])
+def _stencil_energy(
+    shape: tuple[int, int], domain: Domain, params: ModelParams, lam: float
+) -> StencilEnergy:
+    """The energy of angle arrays of ``shape``; a single row is a chain
+    measured on the domain's x-extent with the 1D energy."""
+    if shape[0] == 1:
+        return StencilEnergy(shape, params, lam, interval=(domain.x0, domain.x0 + domain.width))
+    return StencilEnergy(shape, params, lam, domain=domain)
 
 
 def energy_gradient(
@@ -154,24 +134,11 @@ def energy_gradient(
 ) -> np.ndarray:
     """Analytic gradient of the renormalized energy with respect to the site
     angles; zero at frozen sites.  Single-row grids use the 1D energy."""
-    psi = np.asarray(psi, dtype=float)
-    ny, nx = psi.shape
-    if bc is not None and bc.mask.shape != psi.shape:
+    u = SpinField.from_angles(psi, lam)
+    if bc is not None and bc.mask.shape != u.angles.shape:
         raise ValueError("boundary condition shape mismatch")
-    cosp = np.cos(psi)
-    sinp = np.sin(psi)
-    g = np.zeros_like(psi)
-    if ny == 1:
-        keep = chain_keep(nx, _chain_interval(domain), lam)
-        _add_stencil_gradient(g, cosp, sinp, keep, params.alpha)
-        g *= prefactor(params, lam, one_d=True)
-    else:
-        mask = index_mask(domain, lam, nx, ny)
-        if nx >= 3:
-            _add_stencil_gradient(g, cosp, sinp, mask[:, : nx - 2], params.alpha)
-        if ny >= 3:
-            _add_stencil_gradient(g.T, cosp.T, sinp.T, mask[: ny - 2, :].T, params.alpha)
-        g *= prefactor(params, lam)
+    model = _stencil_energy(u.angles.shape, domain, params, lam)
+    g = model.gradient(model.evaluate(u))
     if bc is not None:
         g[bc.mask] = 0.0
     return g
@@ -179,11 +146,26 @@ def energy_gradient(
 
 @dataclass
 class MinimizeResult:
+    """Final iterate and energy, the per-iteration log, why the run stopped
+    ("converged", "max_iter" or "stalled") and the line-search counts: one
+    objective evaluation at the start and one per trial, each trial either
+    accepted or a backtrack."""
+
     psi: np.ndarray
     report: EnergyReport
     log: list[tuple[int, float, float, float]]
-    converged: bool
-    stalled: bool
+    reason: str
+    objective_evals: int
+    accepted: int
+    backtracks: int
+
+    @property
+    def converged(self) -> bool:
+        return self.reason == "converged"
+
+    @property
+    def stalled(self) -> bool:
+        return self.reason == "stalled"
 
 
 def log_to_csv(log: list[tuple[int, float, float, float]]) -> str:
@@ -192,33 +174,6 @@ def log_to_csv(log: list[tuple[int, float, float, float]]) -> str:
     for it, e, gn, st in log:
         buf.write(f"{it},{e!r},{gn!r},{st!r}\n")
     return buf.getvalue()
-
-
-def _anneal(
-    psi: np.ndarray,
-    domain: Domain,
-    params: ModelParams,
-    bc: BoundaryCondition,
-    lam: float,
-    opts: MinimizeOptions,
-) -> np.ndarray:
-    """Optional Metropolis pre-pass with a linearly cooling temperature and a
-    deterministic seed."""
-    rng = np.random.default_rng(opts.seed)
-    psi = psi.copy()
-    free = np.argwhere(~bc.mask)
-    e = _objective(psi, domain, params, lam)
-    for step in range(opts.anneal_steps):
-        temp = opts.anneal_temp * (1.0 - step / max(opts.anneal_steps, 1)) + 1e-12
-        j, i = free[rng.integers(len(free))]
-        old = psi[j, i]
-        psi[j, i] = old + rng.normal(0.0, 0.5)
-        e_new = _objective(psi, domain, params, lam)
-        if e_new <= e or rng.random() < math.exp(-(e_new - e) / temp):
-            e = e_new
-        else:
-            psi[j, i] = old
-    return psi
 
 
 def minimize_H(
@@ -233,47 +188,54 @@ def minimize_H(
     Every accepted step strictly decreases the energy; terminates at the
     gradient tolerance or the iteration cap.  A line search that fails after
     max_backtracks reductions returns the best iterate with ``stalled`` set.
+
+    The index set and the prefactor are computed once per call.  Each trial
+    gets one cos/sin and one set of stencils (and the finite-angle check of
+    ``SpinField``); the gradient at an accepted point and the final report
+    reuse the accepted trial's.
     """
     opts = opts if opts is not None else MinimizeOptions()
     psi = bc.apply(np.asarray(psi0, dtype=float))
     lam = params.lam
-    if opts.anneal_steps > 0:
-        psi = _anneal(psi, domain, params, bc, lam, opts)
-    e = _objective(psi, domain, params, lam)
+    model = _stencil_energy(psi.shape, domain, params, lam)
+    state = model.evaluate(SpinField.from_angles(psi, lam))
+    e = state.total
+    evals, accepted, backtracks = 1, 0, 0
     step = opts.init_step
     log: list[tuple[int, float, float, float]] = []
-    converged = False
-    stalled = False
+    reason = "max_iter"
     for it in range(opts.max_iter):
-        g = energy_gradient(psi, domain, params, bc, lam)
+        g = model.gradient(state)
+        g[bc.mask] = 0.0
         gnorm = float(np.abs(g).max())
         log.append((it, e, gnorm, step))
         if gnorm <= opts.grad_tol:
-            converged = True
+            reason = "converged"
             break
         gsq = float(det_sum(g * g))
         step = min(step * 2.0, 1e6)  # optimistic growth, then backtrack
-        accepted = False
         for _ in range(opts.max_backtracks):
             trial = psi - step * g
-            e_trial = _objective(trial, domain, params, lam)
-            if e_trial <= e - opts.armijo * step * gsq:
-                psi, e = trial, e_trial
-                accepted = True
+            trial_state = model.evaluate(SpinField.from_angles(trial, lam))
+            evals += 1
+            if trial_state.total <= e - opts.armijo * step * gsq:
                 break
+            backtracks += 1
             step *= opts.backtrack
-        if not accepted:
-            stalled = True
+        else:
+            reason = "stalled"
             break
-    u = SpinField.from_angles(psi, lam)
-    if psi.shape[0] == 1:
-        interval = _chain_interval(domain)
-        total = energy_H_1d(u, interval, params)
-        terms = int(np.count_nonzero(chain_keep(psi.shape[1], interval, lam)))
-        report = EnergyReport(total=total, horizontal=total, vertical=0.0, term_count=terms)
-    else:
-        report = energy_H(u, domain, params)
-    return MinimizeResult(psi=psi, report=report, log=log, converged=converged, stalled=stalled)
+        psi, state, e = trial, trial_state, trial_state.total
+        accepted += 1
+    return MinimizeResult(
+        psi=psi,
+        report=model.report(state),
+        log=log,
+        reason=reason,
+        objective_evals=evals,
+        accepted=accepted,
+        backtracks=backtracks,
+    )
 
 
 def linear_init(bc: BoundaryCondition) -> np.ndarray:

@@ -189,6 +189,16 @@ class TestRecoverSweepMinimize:
         log = (tmp_path / "minimize_log.csv").read_text().strip().split("\n")
         assert log[0] == "iter,energy,grad_norm,step"
 
+    def test_minimize_reports_why_it_stopped(self, tmp_path):
+        status, result = run("minimize", {"n": 30, "lambda": 0.04,
+                                          "delta": 0.04 ** (2.0 / 3.0), "max_iter": 50,
+                                          "out": str(tmp_path)})
+        assert status == 0
+        assert result["reason"] == "max_iter" and not result["converged"]
+        log = (tmp_path / "minimize_log.csv").read_text().strip().split("\n")
+        # one evaluation before the first step, at least one trial per step
+        assert result["objective_evals"] >= len(log)
+
     def test_minimize_bad_bc(self, tmp_path):
         rc = main(["minimize", "--n", "30", "--lambda", "0.04", "--delta", "0.2",
                    "--bc", "+o", "--out", str(tmp_path)])

@@ -3,12 +3,14 @@ decomposition, each checked against independent straight-line oracles."""
 
 import math
 
+import descent_reference
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helimag.energy import (
+    EnergyReport,
     W,
     discrete_mm,
     energy_E,
@@ -173,6 +175,29 @@ class TestEnergyH:
         psi = p.helix_angle * np.arange(10.0)[None, :]
         u = SpinField.from_angles(psi, p.lam)
         assert energy_H_1d(u, (0.0, 1.0), p) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("shape, domain", [
+        ((9, 9), Domain(width=1.0, height=1.0)),
+        ((11, 17), Domain(width=17 / 17, height=11 / 17)),
+        ((17, 14), Domain(x0=0.03, y0=0.05, width=0.6, height=0.85)),
+        ((2, 17), Domain(width=1.0, height=1.0)),
+    ])
+    def test_summation_order_is_the_masked_row_major_one(self, shape, domain):
+        # bit-identical, not approximate: the descent references depend on it
+        rng = np.random.default_rng(35)
+        p = ModelParams(lam=1.0 / 17, delta=0.3)
+        u = SpinField.from_angles(rng.uniform(-math.pi, math.pi, shape), p.lam)
+        hor, ver, count = descent_reference.plane_energy(u, domain, p)
+        assert energy_H(u, domain, p) == EnergyReport(
+            total=hor + ver, horizontal=hor, vertical=ver, term_count=count
+        )
+
+    @pytest.mark.parametrize("interval", [(0.0, 1.0), (0.12, 0.83), (0.3, 0.35)])
+    def test_1d_sums_only_the_kept_terms(self, interval):
+        rng = np.random.default_rng(36)
+        p = ModelParams(lam=0.05, delta=0.3)
+        u = SpinField.from_angles(rng.uniform(-math.pi, math.pi, (1, 20)), p.lam)
+        assert energy_H_1d(u, interval, p) == descent_reference.chain_energy(u, interval, p)
 
 
 class TestRho:

@@ -1,22 +1,17 @@
-"""Geometry, parameters, grids and the piecewise-affine interpolant."""
+"""Geometry, parameters, index sets and grids."""
 
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from helimag.lattice import (
-    AffineInterpolant,
     Domain,
     ModelParams,
     ScalarGrid,
     SpinField,
-    affine_interpolate,
     det_sum,
-    discrete_derivative,
     index_mask,
     index_set,
 )
@@ -187,78 +182,3 @@ class TestGrids:
         vals = np.array([[1.0, 2.0], [3.0, 4.0]])
         doc = json.loads(ScalarGrid.from_values(vals, 1.0).to_json())
         assert doc["values"] == [1.0, 2.0, 3.0, 4.0]
-
-
-class TestDerivatives:
-    def test_forward_difference(self):
-        g = ScalarGrid.from_values(np.array([[0.0, 1.0, 3.0], [2.0, 2.0, 2.0]]), 0.5)
-        d1 = discrete_derivative(g, "d1").values
-        np.testing.assert_allclose(d1, [[2.0, 4.0], [0.0, 0.0]])
-        d2 = discrete_derivative(g, "d2").values
-        np.testing.assert_allclose(d2, [[4.0, 2.0, -2.0]])
-
-    def test_unknown_stencil(self):
-        g = ScalarGrid.from_values(np.zeros((3, 3)), 1.0)
-        with pytest.raises(ValueError):
-            discrete_derivative(g, "dx")
-
-    @given(st.integers(0, 2 ** 31))
-    @settings(max_examples=20, deadline=None)
-    def test_d12_commutes(self, seed):
-        rng = np.random.default_rng(seed)
-        g = ScalarGrid.from_values(rng.normal(size=(5, 6)), 0.3)
-        a = discrete_derivative(g, "d12").values
-        d1 = discrete_derivative(g, "d1")
-        b = discrete_derivative(d1, "d2").values
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
-
-    def test_second_derivative_of_quadratic(self):
-        lam = 0.25
-        jj, ii = np.mgrid[0:5, 0:5]
-        g = ScalarGrid.from_values((lam * ii) ** 2, lam)
-        np.testing.assert_allclose(discrete_derivative(g, "d11").values, 2.0)
-
-
-class TestAffineInterpolant:
-    def test_matches_lattice_points(self):
-        rng = np.random.default_rng(3)
-        lam = 0.5
-        g = ScalarGrid.from_values(rng.normal(size=(4, 5)), lam)
-        f = affine_interpolate(g)
-        jj, ii = np.mgrid[0:4, 0:5]
-        np.testing.assert_allclose(f(lam * ii, lam * jj), g.values, atol=1e-14)
-
-    def test_exact_on_affine_data(self):
-        lam = 0.2
-        jj, ii = np.mgrid[0:4, 0:4]
-        g = ScalarGrid.from_values(3.0 * lam * ii - 2.0 * lam * jj + 1.0, lam)
-        f = affine_interpolate(g)
-        x = np.array([0.07, 0.33, 0.55])
-        y = np.array([0.11, 0.29, 0.41])
-        np.testing.assert_allclose(f(x, y), 3.0 * x - 2.0 * y + 1.0, atol=1e-13)
-
-    def test_continuity_across_antidiagonal(self):
-        rng = np.random.default_rng(7)
-        g = ScalarGrid.from_values(rng.normal(size=(3, 3)), 1.0)
-        f = affine_interpolate(g)
-        t = np.linspace(0.05, 0.95, 11)
-        # points on the cut x + y = 1 of cell (0, 0)
-        below = f(t - 1e-10, 1.0 - t)
-        above = f(t + 1e-10, 1.0 - t)
-        np.testing.assert_allclose(below, above, atol=1e-8)
-
-    def test_gradient_table_shapes(self):
-        g = ScalarGrid.from_values(np.random.default_rng(0).normal(size=(4, 6)), 0.1)
-        tab = AffineInterpolant(g).gradient_table()
-        for k in ("lower_dx", "lower_dy", "upper_dx", "upper_dy"):
-            assert tab[k].shape == (3, 5)
-
-    def test_rejects_outside_points(self):
-        g = ScalarGrid.from_values(np.zeros((3, 3)), 1.0)
-        f = affine_interpolate(g)
-        with pytest.raises(ValueError):
-            f(2.5, 0.5)
-
-    def test_too_small_grid(self):
-        with pytest.raises(ValueError):
-            affine_interpolate(ScalarGrid.from_values(np.zeros((1, 4)), 1.0))

@@ -2,6 +2,7 @@
 
 import math
 
+import descent_reference
 import numpy as np
 import pytest
 
@@ -177,14 +178,113 @@ class TestMinimize:
         assert lines[0] == "iter,energy,grad_norm,step"
         assert len(lines) == 3
 
-    def test_anneal_prepass_still_descends(self):
-        p = ModelParams(lam=0.05, delta=0.3)
-        bc = chain_bc(10, p, 1, 1)
-        d = Domain(width=0.5, height=0.05)
-        opts = MinimizeOptions(max_iter=300, anneal_steps=50, seed=3)
-        res = minimize_H(linear_init(bc), d, p, bc, opts)
-        energies = [e for _, e, _, _ in res.log]
-        assert all(b <= a + 1e-15 for a, b in zip(energies, energies[1:]))
+    @pytest.mark.parametrize("field, value", [
+        ("init_step", 0.0), ("init_step", -1.0), ("init_step", math.nan),
+        ("grad_tol", 0.0), ("grad_tol", math.nan), ("grad_tol", math.inf),
+        ("armijo", 0.0), ("armijo", math.nan), ("armijo", -1e-4),
+        ("max_backtracks", 0), ("max_backtracks", -3),
+        ("backtrack", 1.0), ("backtrack", math.nan),
+    ])
+    def test_options_that_would_do_nothing_are_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MinimizeOptions(**{field: value})
+
+
+def _plane(nx, ny, domain=None, pair=((1, 1), (-1, 1))):
+    lam = 1.0 / max(nx, ny)
+    p = ModelParams(lam=lam, delta=lam ** (2.0 / 3.0))
+    bc = two_sided_bc(nx, ny, p, *pair)
+    d = domain if domain is not None else Domain(width=nx * lam, height=ny * lam)
+    return linear_init(bc), d, p, bc
+
+
+def _chain(n, lam, sides, domain=None):
+    p = ModelParams(lam=lam, delta=lam ** (2.0 / 3.0))
+    bc = chain_bc(n, p, *sides)
+    d = domain if domain is not None else Domain(width=n * lam, height=lam)
+    return profile_init(n, p, *sides), d, p, bc
+
+
+def _perturbed_helix(n, lam, domain=None):
+    psi0, d, p, bc = _chain(n, lam, (1, 1), domain)
+    return psi0 + 0.05 * np.sin(np.arange(n)), d, p, bc
+
+
+# (problem, options): planes on a square, a non-square and an offset domain
+# that cuts cells, chains on a cut interval with equal and opposite
+# chiralities, a chain that converges, and line searches too short to
+# succeed (at the first step, and after steps were accepted)
+DESCENT_CASES = {
+    "square": (lambda: _plane(12, 12), dict(max_iter=60)),
+    "non_square": (lambda: _plane(14, 9), dict(max_iter=60)),
+    "offset_cut": (
+        lambda: _plane(12, 12, Domain(x0=0.03, y0=0.05, width=0.8, height=0.7)),
+        dict(max_iter=60),
+    ),
+    "chain_cut_equal": (
+        lambda: _perturbed_helix(20, 0.05, Domain(x0=0.12, width=0.71, height=0.05)),
+        dict(max_iter=150),
+    ),
+    "chain_cut_opposite": (
+        lambda: _chain(20, 0.05, (1, -1), Domain(x0=0.12, width=0.71, height=0.05)),
+        dict(max_iter=150),
+    ),
+    "chain_converges": (lambda: _perturbed_helix(12, 0.15), dict(max_iter=3000)),
+    "stall_first": (lambda: _chain(20, 0.05, (1, -1)), dict(max_iter=200, max_backtracks=1)),
+    "stall_later": (
+        lambda: _plane(12, 12),
+        dict(max_iter=200, max_backtracks=1, init_step=1e-3),
+    ),
+}
+
+
+class TestDescentRecord:
+    @pytest.mark.parametrize("case", sorted(DESCENT_CASES))
+    def test_bit_identical_to_loop_reference(self, case):
+        make, kw = DESCENT_CASES[case]
+        psi0, d, p, bc = make()
+        opts = MinimizeOptions(**kw)
+        psi, report, log, converged, stalled = descent_reference.minimize(psi0, d, p, bc, opts)
+        res = minimize_H(psi0, d, p, bc, opts)
+        assert res.psi.tobytes() == psi.tobytes()
+        assert res.log == log
+        assert res.report == report
+        assert (res.converged, res.stalled) == (converged, stalled)
+
+    @pytest.mark.parametrize("case", sorted(DESCENT_CASES))
+    def test_counts_add_up(self, case):
+        make, kw = DESCENT_CASES[case]
+        res = minimize_H(*make(), MinimizeOptions(**kw))
+        assert res.objective_evals == 1 + res.accepted + res.backtracks
+        # every logged iteration took a step except a last one that stopped
+        assert res.accepted == len(res.log) - int(res.reason != "max_iter")
+        assert res.reason in ("converged", "max_iter", "stalled")
+
+    def test_reasons(self):
+        make, kw = DESCENT_CASES["chain_converges"]
+        assert minimize_H(*make(), MinimizeOptions(**kw)).reason == "converged"
+        make, kw = DESCENT_CASES["square"]
+        assert minimize_H(*make(), MinimizeOptions(**kw)).reason == "max_iter"
+        make, kw = DESCENT_CASES["stall_later"]
+        res = minimize_H(*make(), MinimizeOptions(**kw))
+        assert res.reason == "stalled" and res.accepted > 0
+
+    @pytest.mark.parametrize("problem, cap, counts", [
+        # (objective evaluations, accepted, backtracks) of the descent that
+        # evaluated the energy with one energy_H/energy_H_1d call per trial
+        (lambda: _plane(16, 16), 80, (164, 80, 83)),
+        (lambda: _chain(20, 0.05, (1, -1)), 200, (407, 200, 206)),
+    ])
+    def test_counts_pinned(self, problem, cap, counts):
+        res = minimize_H(*problem(), MinimizeOptions(max_iter=cap))
+        assert (res.objective_evals, res.accepted, res.backtracks) == counts
+
+    def test_non_finite_trial_is_rejected(self):
+        psi0, d, p, bc = _chain(20, 0.05, (1, -1))
+        psi0 = psi0.copy()
+        psi0[0, 5] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            minimize_H(psi0, d, p, bc, MinimizeOptions(max_iter=5))
 
 
 class TestInits:
