@@ -3,9 +3,7 @@
 Exit codes: 0 success, 1 validation failure (arguments, schemas, invalid
 meshes), 2 numerical failure (bond-angle overflow, line-search stall,
 failed sweep rows).  All structured IO is JSON, tables are CSV, images are
-SVG.  Outputs are deterministic; the --deterministic flag is accepted for
-symmetry (fixed-order summation is always on) and --threads is validated
-but the implementation is single-process.
+SVG.
 """
 
 from __future__ import annotations
@@ -48,11 +46,6 @@ class ValidationError(Exception):
 
 class NumericalError(Exception):
     pass
-
-
-def canonical_json(config: dict) -> str:
-    """Canonical serialization of a run configuration (round-trip stable)."""
-    return json.dumps(config, sort_keys=True)
 
 
 def _outdir(config: dict) -> Path:
@@ -196,7 +189,8 @@ def _cmd_recover(config: dict) -> dict:
     m = _load_mesh(config)
     p = _params(config)
     try:
-        res = build_recovery(m, p, kernel=Kernel())
+        segs = jump_set(m)
+        res = build_recovery(m, p, kernel=Kernel(), segments=segs)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
     out = _outdir(config)
@@ -208,7 +202,8 @@ def _cmd_recover(config: dict) -> dict:
             f"bond-angle overflow on {res.overflow_count} bonds "
             f"(epsilon too large for this mesh)"
         )
-    return {"H_n": res.report.total, "overflow_count": res.overflow_count}
+    return {"H_n": res.report.total, "overflow_count": res.overflow_count,
+            "segments": len(segs), "quadrature_points": res.quadrature_points}
 
 
 def _schedule(config: dict) -> SweepSchedule:
@@ -241,7 +236,9 @@ def _cmd_sweep(config: dict) -> dict:
     path.write_text(table.to_csv())
     if any(r.failed for r in table.rows):
         raise NumericalError("one or more sweep rows failed; see " + str(path))
-    return {"written": str(path), "final_ratio": table.rows[-1].ratio}
+    points = sum(r.quadrature_points for r in table.rows)
+    return {"written": str(path), "final_ratio": table.rows[-1].ratio,
+            "segments": table.segments, "quadrature_points": points}
 
 
 def _cmd_minimize(config: dict) -> dict:
@@ -357,8 +354,6 @@ def run(command: str, config: dict) -> tuple[int, dict]:
     if command not in _DISPATCH:
         return 1, {"error": f"unknown command {command!r}"}
     try:
-        if _int(config, "threads", 1) < 1:
-            raise ValidationError("threads must be >= 1")
         return 0, _DISPATCH[command](config)
     except ValidationError as exc:
         return 1, {"error": str(exc)}
@@ -371,8 +366,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("command", choices=COMMANDS)
     ap.add_argument("--config", help="JSON config file; flags override its keys")
     ap.add_argument("--out", help="output directory (default .)")
-    ap.add_argument("--deterministic", action="store_true", default=True)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--format", choices=("json", "csv", "svg"))
     ap.add_argument("--json-errors", action="store_true",
                     help="emit machine-readable error JSON on stderr")
@@ -393,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _FLAG_KEYS = {
-    "out": "out", "threads": "threads", "format": "format", "pair": "pair",
+    "out": "out", "format": "format", "pair": "pair",
     "bc": "bc", "delta": "delta", "lam": "lambda", "n": "n",
     "n_walls": "n_walls", "infile": "in", "mesh": "mesh", "kind": "kind",
     "schedule": "schedule", "finest_n": "finest_n", "levels": "levels",
@@ -414,7 +407,6 @@ def main(argv: list[str] | None = None) -> int:
         val = getattr(args, attr)
         if val is not None:
             config[key] = val
-    config.setdefault("deterministic", bool(args.deterministic))
     status, result = run(args.command, config)
     if status == 0:
         print(json.dumps(result))

@@ -102,15 +102,23 @@ class MeshPotential:
         of x and y (barycentric test with a relative slack of 1e-9).
 
         Each triangle tests only the block of the broadcast shape that spans,
-        on every axis, the first to the last index meeting its bounding box,
-        sliced from the unbroadcast inputs, so a (1, M) x (K, 1) grid with
-        sorted axes costs about the block's area per triangle.  Raises
-        ValueError if a point lies outside the mesh.
+        on every axis, the first to the last index meeting its bounding box;
+        the ranges of all triangles come from one pass over the unbroadcast
+        inputs, so a (1, M) x (K, 1) grid with sorted axes costs about the
+        block's area per triangle.  The barycentric coordinates are affine,
+        s = sx(x) + sy(y) and u = ux(x) + uy(y), so their terms are computed
+        on the unbroadcast inputs and the test is three broadcast
+        comparisons.  Triangles write their hits from last to first, so a
+        point accepted by several keeps the first.  Raises ValueError if a
+        point lies outside the mesh.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         out_shape = np.broadcast_shapes(x.shape, y.shape)
         shape = np.broadcast_shapes(out_shape, (1,))  # scalars as 1-point axes
+        tri = np.full(shape, -1, dtype=np.intp)
+        if tri.size == 0:
+            return tri.reshape(out_shape)
         ndim = len(shape)
         x = x.reshape((1,) * (ndim - x.ndim) + x.shape)
         y = y.reshape((1,) * (ndim - y.ndim) + y.shape)
@@ -120,42 +128,31 @@ class MeshPotential:
         pad = self.locate_pad()
         lo = corners.min(axis=1) - pad
         hi = corners.max(axis=1) + pad
-        tri = np.full(shape, -1, dtype=np.intp)
-        left = tri.size
-        for t, (a, b, c) in enumerate(self.triangles):
-            if left == 0:
-                break
-            keep = [np.ones(n, dtype=bool) for n in shape]
-            for arr, k in ((x, 0), (y, 1)):
-                hit = (arr >= lo[t, k]) & (arr <= hi[t, k])
-                for d in range(ndim):
-                    keep[d] &= hit.any(axis=tuple(e for e in range(ndim) if e != d))
-            idx = [np.flatnonzero(k) for k in keep]
-            if any(i.size == 0 for i in idx):
-                continue
-            block = [slice(i[0], i[-1] + 1) for i in idx]
-            bx = x[tuple(s if n > 1 else slice(None) for s, n in zip(block, x.shape))]
-            by = y[tuple(s if n > 1 else slice(None) for s, n in zip(block, y.shape))]
-            sub = tri[tuple(block)]  # a view: hits are written into tri
-            e1 = v[b] - v[a]
-            e2 = v[c] - v[a]
-            det = e1[0] * e2[1] - e1[1] * e2[0]
-            rx = bx - v[a][0]
-            ry = by - v[a][1]
-            s = rx * e2[1] - ry * e2[0]
-            s /= det
-            u = ry * e1[0] - rx * e1[1]
-            u /= det
-            inside = s >= -tol
-            inside &= u >= -tol
-            s += u
-            inside &= s <= 1.0 + tol
-            inside &= sub < 0
-            found = int(np.count_nonzero(inside))
-            if found:
-                sub[inside] = t
-                left -= found
-        if left:
+        per_tri = (slice(None),) + (None,) * ndim
+        keep = [np.ones((len(corners), n), dtype=bool) for n in shape]
+        for arr, k in ((x, 0), (y, 1)):
+            hit = (arr >= lo[:, k][per_tri]) & (arr <= hi[:, k][per_tri])
+            for d in range(ndim):
+                keep[d] &= hit.any(axis=tuple(e + 1 for e in range(ndim) if e != d))
+        first = [kd.argmax(axis=1) for kd in keep]
+        stop = [n - kd[:, ::-1].argmax(axis=1) for n, kd in zip(shape, keep)]
+        met = np.logical_and.reduce([kd.any(axis=1) for kd in keep])
+        a = corners[:, 0]
+        e1 = corners[:, 1] - a
+        e2 = corners[:, 2] - a
+        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        # s = sx + sy, u = ux + uy: coefficient times x - ax or y - ay, 1/det folded in
+        coef = np.stack([e2[:, 1], -e2[:, 0], -e1[:, 1], e1[:, 0]], axis=1) / det[:, None]
+        for t in np.flatnonzero(met)[::-1]:
+            block = tuple(slice(f[t], s[t]) for f, s in zip(first, stop))
+            rx = x[tuple(b if n > 1 else slice(None) for b, n in zip(block, x.shape))] - a[t, 0]
+            ry = y[tuple(b if n > 1 else slice(None) for b, n in zip(block, y.shape))] - a[t, 1]
+            sx, sy, ux, uy = rx * coef[t, 0], ry * coef[t, 1], rx * coef[t, 2], ry * coef[t, 3]
+            inside = sx >= -tol - sy
+            inside &= ux >= -tol - uy
+            inside &= sx + ux <= 1.0 + tol - (sy + uy)
+            np.copyto(tri[block], t, where=inside)
+        if (tri < 0).any():
             raise ValueError("evaluation point outside the mesh")
         return tri.reshape(out_shape)
 

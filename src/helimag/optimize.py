@@ -301,7 +301,6 @@ def brute_force_1d(
     if m ** max(n_free, 1) > 1e8:
         raise ValueError("enumeration budget exceeded")
     lam = params.lam
-    domain = Domain(width=n_sites * lam, height=lam)
     base = bc.values[0].copy()
     if n_free == 0:
         u = SpinField.from_angles(base[None, :], lam)

@@ -26,9 +26,11 @@ form a tensor grid: the x-values lam*i + a*eps*node are shared by every
 lattice row, and each row j adds its own column of y-values.  mollify
 calls the extension on runs of band rows restricted to their band columns
 (about MOLLIFY_CHUNK points, at least one row) and contracts each run with
-the quadrature weights.  The extension locates every point's triangle once,
-one bounding-box block per triangle (MeshPotential.locate), and evaluates
-that triangle's affine map there.
+the quadrature weights.  The extension locates every point's triangle once
+(MeshPotential.locate: one bounding-box block per triangle, decided by a
+barycentric test whose terms are computed on the grid's axes) and
+evaluates that triangle's affine map there.  RecoveryResult counts the
+points passed to the extension.
 """
 
 from __future__ import annotations
@@ -276,6 +278,7 @@ class RecoveryResult:
     phi: ScalarGrid
     overflow_count: int
     overflow_bonds: list[tuple[str, int, int]]
+    quadrature_points: int  # points passed to the extension
 
 
 def build_recovery(
@@ -322,7 +325,14 @@ def build_recovery(
         reach = eps * np.abs(nodes).max() + m.locate_pad().max()
         band = quadrature_band(segs, xs, ys, reach)
     ext = extend_potential(m)
-    phi = mollify(ext, kernel, eps, order=order)(xs, ys, band)
+    evaluated = []
+
+    def counted(x, y):
+        out = ext(x, y)
+        evaluated.append(out.size)
+        return out
+
+    phi = mollify(counted, kernel, eps, order=order)(xs, ys, band)
     beta = params.helix_angle
     psi = beta * phi / lam
     u = SpinField.from_angles(psi, lam)
@@ -346,6 +356,7 @@ def build_recovery(
         phi=phi_grid,
         overflow_count=len(over),
         overflow_bonds=over,
+        quadrature_points=sum(evaluated),
     )
 
 
@@ -363,6 +374,7 @@ class SweepRow:
     h_limit: float
     ratio: float
     overflow_count: int
+    quadrature_points: int = 0
     failed: bool = False
     error: str = ""
 
@@ -370,6 +382,7 @@ class SweepRow:
 @dataclass
 class SweepTable:
     rows: list[SweepRow]
+    segments: int  # merged jump segments of the mesh
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -440,14 +453,10 @@ def gamma_sweep(
                 h_limit=h_lim,
                 ratio=ratio,
                 overflow_count=res.overflow_count,
+                quadrature_points=res.quadrature_points,
             )
         )
-    return SweepTable(rows=rows)
-
-
-def optimal_profile_1d(t):
-    """Optimal transition profile tanh(t) of the scalar double-well problem."""
-    return np.tanh(np.asarray(t, dtype=float)) if np.ndim(t) else math.tanh(t)
+    return SweepTable(rows=rows, segments=len(segs))
 
 
 def profile_transition_energy(

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from helimag.cli import canonical_json, main, run
+from helimag.cli import main, run
 from helimag.lattice import SpinField
 
 
@@ -19,16 +19,6 @@ class TestPlumbing:
         status, result = run("fold", {})
         assert status == 1
         assert "unknown command" in result["error"]
-
-    def test_bad_threads(self):
-        status, result = run("selftest", {"threads": 0})
-        assert status == 1
-
-    def test_canonical_json_sorted_and_stable(self):
-        a = canonical_json({"b": 1, "a": [2, 3]})
-        b = canonical_json({"a": [2, 3], "b": 1})
-        assert a == b
-        assert a.index('"a"') < a.index('"b"')
 
     def test_config_file_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -179,6 +169,27 @@ class TestRecoverSweepMinimize:
         ratio = float(lines[-1].split(",")[7])
         assert 0.8 < ratio < 1.3
 
+    def test_recover_and_sweep_report_their_work(self, tmp_path):
+        from helimag.continuum import build_example, jump_set
+        from helimag.lattice import ModelParams
+        from helimag.recovery import build_recovery
+
+        lam = 1.0 / 16
+        params = ModelParams(lam=lam, delta=lam ** (2.0 / 3.0))
+        m = build_example("laminate", n=2)
+        want = build_recovery(m, params).quadrature_points
+        status, rec = run("recover", {"kind": "laminate", "n_walls": 2, "lambda": lam,
+                                      "delta": params.delta, "out": str(tmp_path)})
+        assert status == 0
+        assert rec["segments"] == len(jump_set(m)) == 2
+        assert rec["quadrature_points"] == want
+        # the one sweep row has the recover command's lattice and width
+        status, sweep = run("sweep", {"kind": "laminate", "n_walls": 2, "finest_n": 16,
+                                      "levels": 1, "out": str(tmp_path)})
+        assert status == 0
+        assert sweep["segments"] == 2
+        assert sweep["quadrature_points"] == want
+
     def test_minimize_writes_artifacts(self, tmp_path):
         rc = main(["minimize", "--n", "30", "--lambda", "0.04", "--delta",
                    str(0.04 ** (2.0 / 3.0)), "--bc", "+-", "--max-iter", "400",
@@ -252,7 +263,6 @@ class TestErrorContract:
     @pytest.mark.parametrize("command, key, config", [
         ("groundstate", "n", {"lambda": 0.05, "delta": 0.2}),
         ("minimize", "max_iter", {"n": 8, "lambda": 0.04, "delta": 0.2}),
-        ("selftest", "threads", {}),
     ])
     def test_non_integer_config_value(self, tmp_path, command, key, config, value):
         status, result = run(command, {**config, key: value, "out": str(tmp_path)})

@@ -23,6 +23,7 @@ from helimag.continuum import (
     validate_mesh,
 )
 from helimag.lattice import Domain
+from helimag.recovery import WALL_WIDTH, SweepSchedule, gauss_legendre
 
 LABELS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 
@@ -98,6 +99,29 @@ class TestMeshPotential:
             validate_mesh(m)
 
 
+def assert_locates_vertices_and_edges(m):
+    """locate equals the first-match loop at the vertices, at 9 points along
+    every edge and on the tensor grid of their coordinates (sorted and
+    shuffled axes)."""
+    v = m.vertices
+    t = np.linspace(0.0, 1.0, 9)[:, None]
+    pts = np.concatenate(
+        [v]
+        + [v[i] + t * (v[j] - v[i])
+           for a, b, c in m.triangles for i, j in ((a, b), (b, c), (c, a))]
+    )
+    want = first_match(m, pts[:, 0], pts[:, 1])[0]
+    assert np.all(want >= 0)
+    np.testing.assert_array_equal(m.locate(pts[:, 0], pts[:, 1]), want)
+    rng = np.random.default_rng(3)
+    xs = np.unique(pts[:, 0])
+    ys = np.unique(pts[:, 1])
+    for gx, gy in ((xs, ys), (rng.permutation(xs), rng.permutation(ys))):
+        want = first_match(m, gx[None, :], gy[:, None])[0]
+        assert np.all(want >= 0)
+        np.testing.assert_array_equal(m.locate(gx[None, :], gy[:, None]), want)
+
+
 class TestLocate:
     """MeshPotential.locate against the first-match loop over every
     triangle."""
@@ -105,25 +129,35 @@ class TestLocate:
     @pytest.mark.parametrize("domain", DOMAINS, ids=["unit", "offset"])
     @pytest.mark.parametrize("kind", KINDS)
     def test_vertices_and_edges(self, kind, domain):
-        m = build_example(kind, domain=domain, n=8)
-        v = m.vertices
-        t = np.linspace(0.0, 1.0, 9)[:, None]
-        pts = np.concatenate(
-            [v]
-            + [v[i] + t * (v[j] - v[i])
-               for a, b, c in m.triangles for i, j in ((a, b), (b, c), (c, a))]
-        )
-        want = first_match(m, pts[:, 0], pts[:, 1])[0]
+        assert_locates_vertices_and_edges(build_example(kind, domain=domain, n=8))
+
+    @pytest.mark.parametrize("mesh", [hanging_node_mesh, three_owner_mesh])
+    def test_non_conforming_meshes(self, mesh):
+        # triangles overlap along shared edges: their order picks the winner
+        assert_locates_vertices_and_edges(mesh())
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize(
+        "mesh",
+        [pytest.param(lambda k=k, d=d: build_example(k, domain=d, n=4), id=f"{k}-{name}")
+         for k in KINDS for d, name in zip(DOMAINS, ["unit", "offset"])]
+        + [pytest.param(hanging_node_mesh, id="hanging_node"),
+           pytest.param(three_owner_mesh, id="three_owner")],
+    )
+    def test_mollifier_quadrature_axes(self, mesh, n):
+        # the axes the recovery mollifier passes to the extension: unsorted,
+        # neighbouring columns overlap, clipped onto the domain's boundary
+        m = mesh()
+        x0, y0, x1, y1 = m.domain.corners()
+        params = SweepSchedule.default(finest_n=n, levels=1, size=m.domain.width).steps[0]
+        nodes, _ = gauss_legendre(24)
+        eps = WALL_WIDTH * params.epsilon
+        sx = np.clip((x0 + params.lam * np.arange(n)[:, None] + eps * nodes).ravel(), x0, x1)
+        sy = np.clip((y0 + params.lam * np.arange(n)[:, None] + eps * nodes).ravel(), y0, y1)
+        assert np.any(np.diff(sx) < 0.0) and np.any(sx == x0) and np.any(sx == x1)
+        want = first_match(m, sx[None, :], sy[:, None])[0]
         assert np.all(want >= 0)
-        np.testing.assert_array_equal(m.locate(pts[:, 0], pts[:, 1]), want)
-        # the tensor grid of those coordinates, with sorted and shuffled axes
-        rng = np.random.default_rng(3)
-        xs = np.unique(pts[:, 0])
-        ys = np.unique(pts[:, 1])
-        for gx, gy in ((xs, ys), (rng.permutation(xs), rng.permutation(ys))):
-            want = first_match(m, gx[None, :], gy[:, None])[0]
-            assert np.all(want >= 0)
-            np.testing.assert_array_equal(m.locate(gx[None, :], gy[:, None]), want)
+        np.testing.assert_array_equal(m.locate(sx[None, :], sy[:, None]), want)
 
     @pytest.mark.parametrize("domain", DOMAINS, ids=["unit", "offset"])
     def test_points_at_the_barycentric_slack(self, domain):

@@ -22,7 +22,6 @@ from helimag.recovery import (
     gamma_sweep,
     gauss_legendre,
     mollify,
-    optimal_profile_1d,
     pick_width,
     profile_transition_energy,
     quadrature_band,
@@ -50,6 +49,45 @@ class TestKernel:
     def test_rejects_zero_profile(self):
         with pytest.raises(ValueError):
             Kernel(profile=lambda t: np.zeros_like(np.asarray(t, dtype=float)))
+
+
+def optimal_width(s, ds, lo, hi, order):
+    """Multiplier a = sqrt(int |s'|^2 / int W(s)) minimizing the wall energy
+    a*int W(s) + (1/a)*int |s'|^2 of the profile s on [lo, hi], W(s) =
+    (1 - s^2)^2, by Gauss-Legendre quadrature."""
+    nodes, wts = gauss_legendre(order)
+    t = lo + 0.5 * (hi - lo) * (nodes + 1.0)
+    st = s(t)
+    return math.sqrt((wts @ ds(t) ** 2) / (wts @ (1.0 - st * st) ** 2))
+
+
+def kernel_cdf(k, x, order):
+    """K(x) = int_{-1}^{x} k by Gauss-Legendre quadrature on [-1, x], x
+    clipped to the support [-1, 1]."""
+    half = 0.5 * (np.clip(x, -1.0, 1.0) + 1.0)
+    nodes, wts = gauss_legendre(order)
+    return half * (k(-1.0 + half[..., None] * (1.0 + nodes)) @ wts)
+
+
+class TestWallWidth:
+    """The hard-coded width multipliers are the optimal ones for the default
+    kernel."""
+
+    def test_axis_wall_width(self):
+        # profile s = 2K - 1 of a step mollified across an axis wall
+        k = Kernel().k1
+        a = optimal_width(lambda t: 2.0 * kernel_cdf(k, t, 200) - 1.0,
+                          lambda t: 2.0 * k(t), -1.0, 1.0, 200)
+        assert a == pytest.approx(WALL_WIDTH, rel=0.0, abs=1e-9)
+
+    def test_diagonal_wall_width(self):
+        # self-convolved profile s2 = 2(K*k) - 1 on [-2, 2], s2' = 2(k*k)
+        k = Kernel().k1
+        tau, w = gauss_legendre(200)
+        kw = k(tau) * w
+        a = optimal_width(lambda t: 2.0 * (kernel_cdf(k, t[:, None] - tau, 80) @ kw) - 1.0,
+                          lambda t: 2.0 * (k(t[:, None] - tau) @ kw), -2.0, 2.0, 200)
+        assert a == pytest.approx(DIAG_WALL_WIDTH, rel=0.0, abs=1e-9)
 
 
 class TestSweepSchedule:
@@ -173,7 +211,16 @@ class TestMollifyReference:
         ["vertical_wall", "horizontal_wall", "diagonal_wall", "four_quadrant", "laminate"],
     )
     def test_matches_double_sum(self, kind, domain):
-        m = build_example(kind, domain=domain, n=8)
+        self.assert_matches_double_sum(build_example(kind, domain=domain, n=8))
+
+    @pytest.mark.parametrize("mesh", [hanging_node_mesh, three_owner_mesh])
+    def test_matches_double_sum_non_conforming(self, mesh):
+        # triangles overlap along shared edges: the first match decides
+        self.assert_matches_double_sum(mesh())
+
+    @staticmethod
+    def assert_matches_double_sum(m):
+        domain = m.domain
         n = 13
         lam = domain.width / n
         xs = domain.x0 + lam * np.arange(n)
@@ -195,11 +242,6 @@ class TestMollifyReference:
 
 
 class TestProfile:
-    def test_tanh_profile(self):
-        assert optimal_profile_1d(0.0) == 0.0
-        assert optimal_profile_1d(50.0) == pytest.approx(1.0)
-        np.testing.assert_allclose(optimal_profile_1d(np.array([-50.0])), [-1.0])
-
     def test_transition_energy_calibration(self):
         total, pot, grad = profile_transition_energy()
         assert total == pytest.approx(8.0 / 3.0, rel=1e-8)
@@ -232,6 +274,32 @@ class TestBuildRecovery:
         m = build_example("vertical_wall")
         with pytest.raises(ValueError):
             build_recovery(m, ModelParams(lam=0.5, delta=0.6))
+
+    @pytest.mark.parametrize("mesh, banded", [
+        (lambda: build_example("laminate", n=2), True),
+        (hanging_node_mesh, False),
+    ], ids=["laminate", "hanging_node"])
+    def test_counts_quadrature_points(self, mesh, banded, monkeypatch):
+        evaluated = []
+        original = recovery.extend_potential
+
+        def counting(m):
+            ext = original(m)
+
+            def counted(x, y):
+                out = ext(x, y)
+                evaluated.append(out.size)
+                return out
+
+            return counted
+
+        monkeypatch.setattr(recovery, "extend_potential", counting)
+        m = mesh()
+        res = build_recovery(m, ModelParams(lam=1.0 / 32, delta=(1.0 / 32) ** (2.0 / 3.0)))
+        assert res.quadrature_points == sum(evaluated)
+        full = 32 * 32 * 24 * 24  # the full rule, no extra pass at the points
+        assert (32 * 32 < res.quadrature_points < full) if banded else \
+            res.quadrature_points == full
 
 
 def capture_masks(monkeypatch):
