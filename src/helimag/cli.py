@@ -49,8 +49,11 @@ class NumericalError(Exception):
 
 
 def _outdir(config: dict) -> Path:
-    out = Path(config.get("out", "."))
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out = Path(config.get("out", "."))
+        out.mkdir(parents=True, exist_ok=True)
+    except (OSError, TypeError) as exc:
+        raise ValidationError(f"cannot use output directory: {exc}") from exc
     return out
 
 
@@ -73,11 +76,20 @@ def _int(config: dict, key: str, default: int) -> int:
         raise ValidationError(f"{key} must be an integer, got {value!r}") from exc
 
 
+def _pair(config: dict, key: str, default: str) -> str:
+    """One of the four sign pairs "++", "+-", "-+", "--"; anything else
+    raises ValidationError."""
+    value = config.get(key, default)
+    if not isinstance(value, str) or value not in _PAIRS:
+        raise ValidationError(f"{key} must be one of {sorted(_PAIRS)}")
+    return value
+
+
 def _load_mesh(config: dict) -> MeshPotential:
     if "mesh" in config and config["mesh"]:
         try:
             return MeshPotential.from_json(Path(config["mesh"]).read_text())
-        except (OSError, KeyError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"cannot load mesh: {exc}") from exc
     kind = config.get("kind")
     if not kind:
@@ -89,9 +101,7 @@ def _load_mesh(config: dict) -> MeshPotential:
 
 
 def _cmd_groundstate(config: dict) -> dict:
-    pair = config.get("pair", "++")
-    if pair not in _PAIRS:
-        raise ValidationError(f"pair must be one of {sorted(_PAIRS)}")
+    pair = _pair(config, "pair", "++")
     p = _params(config)
     n = _int(config, "n", 64)
     if n < 2:
@@ -190,7 +200,7 @@ def _cmd_recover(config: dict) -> dict:
     p = _params(config)
     try:
         segs = jump_set(m)
-        res = build_recovery(m, p, kernel=Kernel(), segments=segs)
+        res = build_recovery(m, p, kernel=Kernel())
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
     out = _outdir(config)
@@ -244,10 +254,7 @@ def _cmd_sweep(config: dict) -> dict:
 def _cmd_minimize(config: dict) -> dict:
     p = _params(config)
     n = _int(config, "n", 64)
-    bc_spec = config.get("bc", "+-")
-    if bc_spec not in _PAIRS:
-        raise ValidationError(f"bc must be one of {sorted(_PAIRS)}")
-    left, right = _PAIRS[bc_spec]
+    left, right = _PAIRS[_pair(config, "bc", "+-")]
     try:
         bc = chain_bc(n, p, left, right)
     except ValueError as exc:
@@ -372,10 +379,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--pair")
     ap.add_argument("--bc")
     ap.add_argument("--delta", type=float)
-    ap.add_argument("--lambda", dest="lam", type=float)
+    ap.add_argument("--lambda", dest="lambda", type=float)
     ap.add_argument("--n", type=int)
     ap.add_argument("--n-walls", type=int, dest="n_walls")
-    ap.add_argument("--in", dest="infile")
+    ap.add_argument("--in", dest="in")
     ap.add_argument("--mesh")
     ap.add_argument("--kind")
     ap.add_argument("--schedule")
@@ -383,15 +390,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--levels", type=int)
     ap.add_argument("--max-iter", type=int, dest="max_iter")
     return ap
-
-
-_FLAG_KEYS = {
-    "out": "out", "format": "format", "pair": "pair",
-    "bc": "bc", "delta": "delta", "lam": "lambda", "n": "n",
-    "n_walls": "n_walls", "infile": "in", "mesh": "mesh", "kind": "kind",
-    "schedule": "schedule", "finest_n": "finest_n", "levels": "levels",
-    "max_iter": "max_iter",
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -403,10 +401,11 @@ def main(argv: list[str] | None = None) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 1
-    for attr, key in _FLAG_KEYS.items():
-        val = getattr(args, attr)
-        if val is not None:
-            config[key] = val
+    # each flag's dest is its config key
+    config.update(
+        (key, val) for key, val in vars(args).items()
+        if val is not None and key not in ("command", "config", "json_errors")
+    )
     status, result = run(args.command, config)
     if status == 0:
         print(json.dumps(result))

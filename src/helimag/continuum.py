@@ -46,7 +46,13 @@ class MeshPotential:
 
     def __post_init__(self) -> None:
         self.vertices = np.asarray(self.vertices, dtype=float)
-        self.triangles = np.asarray(self.triangles, dtype=int)
+        tri = np.asarray(self.triangles)
+        # integral floats pass; a cast to int would truncate 0.7 to vertex 0
+        if not (tri.dtype.kind in "iu" or (
+            tri.dtype.kind == "f" and np.all(np.isfinite(tri) & (tri == np.round(tri)))
+        )):
+            raise ValueError("triangle vertex indices must be integers")
+        self.triangles = tri.astype(int)
         self.heights = np.asarray(self.heights, dtype=float)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise ValueError("vertices must be (N, 2)")
@@ -54,6 +60,8 @@ class MeshPotential:
             raise ValueError("triangles must be (M, 3)")
         if self.heights.shape != (self.vertices.shape[0],):
             raise ValueError("heights must match the vertex count")
+        if not (np.isfinite(self.vertices).all() and np.isfinite(self.heights).all()):
+            raise ValueError("vertices and heights must be finite")
         if self.triangles.size and (
             self.triangles.min() < 0 or self.triangles.max() >= self.vertices.shape[0]
         ):
@@ -182,7 +190,7 @@ class MeshPotential:
         dd = doc["domain"]
         return cls(
             vertices=np.array(doc["vertices"], dtype=float),
-            triangles=np.array(doc["triangles"], dtype=int),
+            triangles=np.array(doc["triangles"]),
             heights=np.array(doc["heights"], dtype=float),
             domain=Domain(
                 x0=float(dd["x0"]),
@@ -255,24 +263,29 @@ def _edge_owners(m: MeshPotential):
     return lo, hi, order, start, count
 
 
-def is_conforming(m: MeshPotential) -> bool:
-    """True when every edge has exactly two owner triangles or one owner and
-    lies on the domain boundary.  jump_set sees every wall of such a mesh;
-    it skips an edge with three or more owners, and a hanging-node edge
-    (one owner, inside the domain) is no edge of its neighbours."""
+def kink_edges(m: MeshPotential) -> tuple[np.ndarray, np.ndarray]:
+    """The (E, 2) endpoints p, q of every edge across which the extension
+    can change its affine map: edges with two owners whose labels differ
+    (jump_set's edges before merging), edges with three or more owners
+    (jump_set skips them), and edges with one owner that do not lie on a
+    domain side (a hanging-node edge is no edge of its neighbours).  The
+    extension is affine on every convex set that meets none of them.
+    Validates the mesh (MeshError as validate_mesh)."""
+    labels = _mesh_labels(m)
     lo, hi, order, start, count = _edge_owners(m)
-    if np.any(count > 2):
-        return False
-    single = order[start[count == 1]]
-    p = m.vertices[lo[single]]
-    q = m.vertices[hi[single]]
+    first = order[start]
+    second = order[start + (count > 1)]  # the first owner again on one-owner edges
+    p = m.vertices[lo[first]]
+    q = m.vertices[hi[first]]
     corners = m.domain.corners()
     x0, y0, x1, y1 = corners
     tol = 1e-9 * max(1.0, *map(abs, corners))
-    on_side = np.zeros(single.size, dtype=bool)
+    on_side = np.zeros(first.size, dtype=bool)
     for k, c in ((0, x0), (0, x1), (1, y0), (1, y1)):
         on_side |= (np.abs(p[:, k] - c) <= tol) & (np.abs(q[:, k] - c) <= tol)
-    return bool(on_side.all())
+    kink = (labels[first // 3] != labels[second // 3]).any(axis=1)
+    kink |= (count > 2) | ((count == 1) & ~on_side)
+    return p[kink], q[kink]
 
 
 def jump_set(m: MeshPotential) -> list[JumpSegment]:

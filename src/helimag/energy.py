@@ -313,39 +313,24 @@ def mm_decomposition(u: SpinField, domain: Domain, params: ModelParams) -> Energ
     w = pair.w.values
     z = pair.z.values
     mask = index_mask(domain, lam, u.nx, u.ny)
-
-    pot = 0.0
-    grad = 0.0
-    hor = ver = 0.0
+    # the vertical arrays run transposed, stencil axis last, like StencilEnergy
+    runs = ((th, w, mask[:, : u.nx - 2]), (tv.T, z.T, mask[: u.ny - 2, :].T))
+    parts = []  # (potential, gradient) per direction
     count = 0
-    if u.nx >= 3:
-        m = mask[:, : u.nx - 2]
-        t1, t2 = th[:, :-1], th[:, 1:]
-        p = (0.5 / eps) * lam * lam * (W(w[:, :-1]) + W(w[:, 1:]))
-        g = (eps / delta) * (
-            2.0 * np.cos(t1 + t2) * np.sin((t2 - t1) / 2.0) ** 2
-        )
-        ph, gh = det_sum(p * m), det_sum(g * m)
-        pot += ph
-        grad += gh
-        hor = ph + gh
+    for vertical, (t, c, m) in enumerate(runs):
+        t1, t2 = t[:, :-1], t[:, 1:]
+        p = (0.5 / eps) * lam * lam * (W(c[:, :-1]) + W(c[:, 1:])) * m
+        g = (eps / delta) * (2.0 * np.cos(t1 + t2) * np.sin((t2 - t1) / 2.0) ** 2) * m
+        if vertical:  # sum in the grid's row-major order
+            p, g = p.T, g.T
+        parts.append((det_sum(p), det_sum(g)))
         count += int(np.count_nonzero(m))
-    if u.ny >= 3:
-        m = mask[: u.ny - 2, :]
-        t1, t2 = tv[:-1, :], tv[1:, :]
-        p = (0.5 / eps) * lam * lam * (W(z[:-1, :]) + W(z[1:, :]))
-        g = (eps / delta) * (
-            2.0 * np.cos(t1 + t2) * np.sin((t2 - t1) / 2.0) ** 2
-        )
-        pv, gv = det_sum(p * m), det_sum(g * m)
-        pot += pv
-        grad += gv
-        ver = pv + gv
-        count += int(np.count_nonzero(m))
+    (ph, gh), (pv, gv) = parts
+    pot, grad = ph + pv, gh + gv
     return EnergyReport(
         total=pot + grad,
-        horizontal=hor,
-        vertical=ver,
+        horizontal=ph + gh,
+        vertical=pv + gv,
         term_count=count,
         potential_part=pot,
         gradient_part=grad,

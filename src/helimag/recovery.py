@@ -16,21 +16,21 @@ theta_hor = arccos(1-delta) * d1 phi_n exactly wherever that value stays in
 [-pi, pi]; violations are reported as overflows.
 
 phi^eps is evaluated on the whole lattice at once, with the quadrature
-only on a band.  The extension is one affine map on each connected region
-of one label, and the rule has mass 1 and symmetric nodes, so phi^eps is
-the extension itself at every lattice point whose kernel support box misses
-the jump set.  build_recovery marks the points whose box meets a wall
-(quadrature_band) and falls back to the full rule when the mesh is not
-conforming, since jump_set may then miss a wall.  The quadrature points
-form a tensor grid: the x-values lam*i + a*eps*node are shared by every
-lattice row, and each row j adds its own column of y-values.  mollify
-calls the extension on runs of band rows restricted to their band columns
-(about MOLLIFY_CHUNK points, at least one row) and contracts each run with
-the quadrature weights.  The extension locates every point's triangle once
-(MeshPotential.locate: one bounding-box block per triangle, decided by a
-barycentric test whose terms are computed on the grid's axes) and
-evaluates that triangle's affine map there.  RecoveryResult counts the
-points passed to the extension.
+only on a band.  The extension changes its affine map only across the
+mesh's kink edges (continuum.kink_edges), and the rule has mass 1, so at
+every lattice point whose kernel support box misses those edges phi^eps is
+the extension at the point shifted by the rule's first moment (the point
+itself for an even kernel).  build_recovery marks the points whose box
+meets a kink edge (quadrature_band), for every mesh and kernel.  The
+quadrature points form a tensor grid: the x-values lam*i + a*eps*node are
+shared by every lattice row, and each row j adds its own column of
+y-values.  mollify calls the extension on runs of band rows restricted to
+their band columns (about MOLLIFY_CHUNK points, at least one row) and
+contracts each run with the quadrature weights.  The extension locates
+every point's triangle once (MeshPotential.locate: one bounding-box block
+per triangle, decided by a barycentric test whose terms are computed on
+the grid's axes) and evaluates that triangle's affine map there.
+RecoveryResult counts the points passed to the extension.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .chirality import ChiralityPair, ThetaFields, transform
-from .continuum import JumpSegment, MeshPotential, classify_triple, is_conforming, \
-    jump_set, limit_energy
+from .continuum import JumpSegment, MeshPotential, classify_triple, jump_set, \
+    kink_edges, limit_energy
 from .energy import EnergyReport, energy_H
 from .lattice import ModelParams, ScalarGrid, SpinField
 
@@ -193,10 +193,11 @@ def mollify(
     two axes and returns an array of shape ys.shape + xs.shape.  mask, a
     boolean (ys.size, xs.size) array, marks the points that need
     quadrature; None is the all-True mask, the full rule.  Unless every
-    point is masked, ext is first evaluated once on the grid points
-    themselves, which is the rule's value wherever ext is affine on the
-    point's support box, and the quadrature then overwrites the masked
-    points.
+    point is masked, ext is first evaluated once on the grid points shifted
+    along both axes by the rule's first moment eps * sum_a w_a node_a (0.0
+    for an even kernel).  That is the rule's value wherever ext is affine on
+    the point's support box, for any kernel, and the quadrature then
+    overwrites the masked points.
 
     The quadrature points form the tensor grid of xs[i] + eps*node[a] by
     ys[j] + eps*node[b].  They are evaluated over runs of consecutive rows
@@ -215,6 +216,10 @@ def mollify(
     # 1: affine inputs are then reproduced exactly and the order dependence
     # drops below 1e-8
     wk = wk / wk.sum()
+    # the rule's first moment times eps, from the antisymmetric part of the
+    # weights (the nodes are antisymmetric): exactly 0.0 for an even kernel,
+    # where the plain wk @ nodes leaves rounding of order 1e-17
+    shift = epsilon * 0.5 * float((wk - wk[::-1]) @ nodes)
     per_point = order * order
 
     def phi_eps(xs, ys, mask=None):
@@ -226,7 +231,7 @@ def mollify(
         band = np.ones((ny, nx), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
         if band.shape != (ny, nx):
             raise ValueError(f"mask shape {band.shape} != (ny, nx) = {(ny, nx)}")
-        out = np.empty((ny, nx)) if band.all() else ext(xs[None, :], ys[:, None])
+        out = np.empty((ny, nx)) if band.all() else ext(xs[None, :] + shift, ys[:, None] + shift)
         sx = xs[:, None] + epsilon * nodes  # (nx, order)
         sy = (ys[:, None] + epsilon * nodes).ravel()
         busy = band.any(axis=1)
@@ -253,15 +258,17 @@ def mollify(
 
 
 def quadrature_band(
-    segments: list[JumpSegment], xs: np.ndarray, ys: np.ndarray, reach: float
+    p: np.ndarray, q: np.ndarray, xs: np.ndarray, ys: np.ndarray, reach: float
 ) -> np.ndarray:
     """Boolean (ys.size, xs.size) mask of the grid points whose box
     [x - reach, x + reach] x [y - reach, y + reach] meets one of the
-    segments.  Box and segment meet unless the x axis, the y axis or the
-    segment's unit normal nu separates them."""
+    segments from p[k] to q[k] ((E, 2) arrays).  Box and segment meet unless
+    the x axis, the y axis or the segment's unit normal nu separates them."""
     band = np.zeros((ys.size, xs.size), dtype=bool)
-    for s in segments:
-        (px, py), (qx, qy), (nux, nuy) = s.p, s.q, s.nu
+    tang = q - p
+    tang /= np.hypot(tang[:, 0], tang[:, 1])[:, None]
+    nu = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
+    for (px, py), (qx, qy), (nux, nuy) in zip(p.tolist(), q.tolist(), nu.tolist()):
         cols = (xs >= min(px, qx) - reach) & (xs <= max(px, qx) + reach)
         rows = (ys >= min(py, qy) - reach) & (ys <= max(py, qy) + reach)
         dist = np.abs(nux * (xs[None, :] - px) + nuy * (ys[:, None] - py))
@@ -287,28 +294,24 @@ def build_recovery(
     kernel: Optional[Kernel] = None,
     width: float = WALL_WIDTH,
     order: int = 24,
-    *,
-    segments: Optional[list[JumpSegment]] = None,
 ) -> RecoveryResult:
     """Recovery spin field at one (lam, delta) with its chirality pair and
     energy report.
 
     The mollifier runs its quadrature only on the band of lattice points
     whose kernel support box (half-width width*eps*max|node| plus
-    MeshPotential.locate's pad) meets a wall of the jump set (``segments``,
-    or jump_set(m) when None; jump_set raises MeshError on a non-admissible
-    mesh).  Off the band the box lies in one label region, where the
-    extension is one affine map; the rule has mass 1 and symmetric nodes,
-    so the value there is the extension at the point.  The full rule runs
-    instead when the mesh is not conforming (is_conforming: jump_set may
-    miss a wall) or the kernel profile is not even.
+    MeshPotential.locate's pad) meets a kink edge of the mesh (kink_edges,
+    which raises MeshError on a non-admissible mesh).  Off the band the
+    extension is one affine map on the box, so the rule's value there is
+    the extension at the point shifted by the rule's first moment (see
+    mollify), for every mesh and kernel.
 
     Bond angles where |arccos(1-delta) * d phi_n| would exceed pi are
     counted and listed as overflows (the lifting identity fails there;
     a nonzero count signals eps too large for the mesh's gradient scale).
     """
     kernel = kernel if kernel is not None else Kernel()
-    segs = jump_set(m) if segments is None else segments
+    edges = kink_edges(m)
     lam = params.lam
     x0, y0, _, _ = m.domain.corners()
     nx = int(round(m.domain.width / lam))
@@ -319,11 +322,8 @@ def build_recovery(
     ys = y0 + lam * np.arange(ny)
     eps = width * params.epsilon
     nodes, _ = gauss_legendre(order)
-    k1 = kernel.k1(nodes)
-    band = None
-    if is_conforming(m) and np.array_equal(k1, k1[::-1]):
-        reach = eps * np.abs(nodes).max() + m.locate_pad().max()
-        band = quadrature_band(segs, xs, ys, reach)
+    reach = eps * np.abs(nodes).max() + m.locate_pad().max()
+    band = quadrature_band(*edges, xs, ys, reach)
     ext = extend_potential(m)
     evaluated = []
 
@@ -431,9 +431,7 @@ def gamma_sweep(
     rows: list[SweepRow] = []
     for params in schedule.steps:
         try:
-            res = build_recovery(
-                m, params, kernel=kernel, width=w, order=order, segments=segs
-            )
+            res = build_recovery(m, params, kernel=kernel, width=w, order=order)
         except (ValueError, ArithmeticError) as exc:
             rows.append(
                 SweepRow(

@@ -33,6 +33,14 @@ class TestPlumbing:
     def test_missing_config_file(self, capsys):
         assert main(["groundstate", "--config", "/nonexistent.json"]) == 1
 
+    def test_flags_land_under_their_config_keys(self, monkeypatch):
+        from helimag import cli
+
+        seen = []
+        monkeypatch.setattr(cli, "run", lambda command, config: seen.append(config) or (0, {}))
+        assert main(["classify", "--lambda", "0.05", "--in", "u.json", "--n-walls", "4"]) == 0
+        assert seen == [{"lambda": 0.05, "in": "u.json", "n_walls": 4}]
+
 
 class TestGroundstateEnergy:
     def test_groundstate_energy_zero(self, tmp_path):
@@ -337,3 +345,53 @@ class TestErrorContract:
         assert status == 1
         assert "model parameters" in result["error"]
         assert not (tmp_path / "groundstate.json").exists()
+
+    @pytest.mark.parametrize("command", ["classify", "recover"])
+    @pytest.mark.parametrize("mesh", ["list", "path_list"])
+    def test_mesh_that_is_a_list(self, tmp_path, command, mesh):
+        f = tmp_path / "m.json"
+        f.write_text("[1, 2, 3]")
+        path = str(f) if mesh == "list" else [str(f)]
+        status, result = run(command, {"mesh": path, "lambda": 1.0 / 16, "delta": 0.2,
+                                       "out": str(tmp_path)})
+        assert status == 1
+        assert "cannot load mesh" in result["error"]
+
+    @pytest.mark.parametrize("command", ["classify", "recover"])
+    @pytest.mark.parametrize("key, value", [
+        ("triangles", 0.7), ("heights", math.nan), ("vertices", math.inf),
+    ])
+    def test_mesh_values(self, tmp_path, command, key, value):
+        from helimag.continuum import build_example
+
+        doc = json.loads(build_example("vertical_wall").to_json())
+        row = doc[key] if key == "heights" else doc[key][0]
+        row[1] = value  # 0.7 would truncate to vertex 0
+        mesh = tmp_path / "m.json"
+        mesh.write_text(json.dumps(doc))
+        status, result = run(command, {"mesh": str(mesh), "lambda": 1.0 / 16, "delta": 0.2,
+                                       "out": str(tmp_path)})
+        assert status == 1
+        assert "cannot load mesh" in result["error"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+
+    @pytest.mark.parametrize("command, key, config", [
+        ("groundstate", "pair", {"n": 4, "lambda": 0.05, "delta": 0.2}),
+        ("minimize", "bc", {"n": 8, "lambda": 0.04, "delta": 0.2}),
+    ])
+    def test_sign_pair_that_is_a_list(self, tmp_path, command, key, config):
+        status, result = run(command, {**config, key: ["+", "-"], "out": str(tmp_path)})
+        assert status == 1
+        assert result["error"].startswith(f"{key} must be one of")
+
+    @pytest.mark.parametrize("out", ["existing_file", "list"])
+    def test_unusable_output_directory(self, tmp_path, out):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        status, result = run("groundstate", {
+            "n": 4, "lambda": 0.05, "delta": 0.2,
+            "out": str(taken) if out == "existing_file" else [str(tmp_path / "o")],
+        })
+        assert status == 1
+        assert "output directory" in result["error"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]

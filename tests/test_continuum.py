@@ -14,8 +14,8 @@ from helimag.continuum import (
     MeshPotential,
     build_example,
     classify_triple,
-    is_conforming,
     jump_set,
+    kink_edges,
     limit_energy,
     mesh_to_svg,
     sigma,
@@ -80,6 +80,24 @@ class TestMeshPotential:
                 heights=np.zeros(4),
                 domain=Domain(),
             )
+
+    @pytest.mark.parametrize("index", [0.7, np.nan])
+    def test_non_integral_triangle_index(self, index):
+        verts = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+        with pytest.raises(ValueError, match="integers"):
+            MeshPotential(verts, np.array([(0, 1, 2), (1, 3, index)]), np.zeros(4), Domain())
+        # integral floats are indices
+        m = MeshPotential(verts, np.array([(0.0, 1.0, 2.0), (1.0, 3.0, 2.0)]), np.zeros(4),
+                          Domain())
+        np.testing.assert_array_equal(m.triangles, [(0, 1, 2), (1, 3, 2)])
+
+    @pytest.mark.parametrize("field", ["vertices", "heights"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_mesh(self, field, value):
+        m = two_triangle_mesh()
+        getattr(m, field)[1] = value
+        with pytest.raises(ValueError, match="finite"):
+            MeshPotential(m.vertices, m.triangles, m.heights, m.domain)
 
     def test_json_roundtrip(self):
         m = build_example("four_quadrant")
@@ -325,16 +343,21 @@ def refined_mesh(kind, k, rng):
                          heights=h, domain=Domain())
 
 
+def edge_owners(m):
+    """Owner triangles of each edge (i, j), i < j, in triangle order."""
+    owners = {}
+    for t, tri in enumerate(m.triangles.tolist()):
+        for i, j in zip(tri, tri[1:] + tri[:1]):
+            owners.setdefault((min(i, j), max(i, j)), []).append(t)
+    return owners
+
+
 def with_three_owner_edge(m, rng):
     """m with a triangle next to a jump edge appended again, vertices rotated,
     so each of its interior edges has three owners; the domain grows by the
     triangle's area so the mesh still validates."""
     labels = validate_mesh(m)
-    owners = {}
-    for t, tri in enumerate(m.triangles.tolist()):
-        for i, j in zip(tri, tri[1:] + tri[:1]):
-            owners.setdefault((min(i, j), max(i, j)), []).append(t)
-    jumps = [ts[0] for ts in owners.values()
+    jumps = [ts[0] for ts in edge_owners(m).values()
              if len(ts) == 2 and labels[ts[0]] != labels[ts[1]]]
     t = jumps[rng.integers(len(jumps))]
     a, b, c = m.vertices[m.triangles[t]]
@@ -398,20 +421,31 @@ class TestJumpSetReference:
 
     @pytest.mark.parametrize("domain", DOMAINS, ids=["unit", "offset"])
     @pytest.mark.parametrize("kind", KINDS)
-    def test_example_meshes_conform(self, kind, domain):
-        assert is_conforming(build_example(kind, domain=domain, n=5))
-        assert is_conforming(refined_mesh(kind, 8, np.random.default_rng(KINDS.index(kind))))
+    def test_kink_edges_of_conforming_meshes_cover_the_jump_set(self, kind, domain):
+        rng = np.random.default_rng(KINDS.index(kind))
+        for m in (build_example(kind, domain=domain, n=5), refined_mesh(kind, 8, rng)):
+            p, q = kink_edges(m)
+            length = np.hypot(*(q - p).T).sum()
+            assert length == pytest.approx(sum(s.length for s in jump_set(m)), rel=1e-12)
 
     @pytest.mark.parametrize("make", [three_owner_mesh, hanging_node_mesh])
-    def test_meshes_whose_wall_is_missed_do_not_conform(self, make):
+    def test_meshes_whose_wall_jump_set_misses_have_kink_edges(self, make):
         m = make()
         validate_mesh(m)
         assert jump_set(m) == []
-        assert not is_conforming(m)
+        p, q = kink_edges(m)
+        assert p.shape == q.shape and len(p) > 0
 
-    def test_three_owner_edge_does_not_conform(self):
-        m = refined_mesh("vertical_wall", 4, np.random.default_rng(0))
-        assert not is_conforming(with_three_owner_edge(m, np.random.default_rng(1)))
+    def test_three_owner_edges_are_kink_edges(self):
+        # the duplicated triangle's diagonal has three owners of one label
+        m = with_three_owner_edge(refined_mesh("vertical_wall", 4, np.random.default_rng(0)),
+                                  np.random.default_rng(1))
+        v = m.vertices.tolist()
+        three = {tuple(sorted((tuple(v[i]), tuple(v[j]))))
+                 for (i, j), ts in edge_owners(m).items() if len(ts) == 3}
+        p, q = kink_edges(m)
+        kinks = {tuple(sorted((tuple(a), tuple(b)))) for a, b in zip(p.tolist(), q.tolist())}
+        assert len(three) >= 2 and three <= kinks
 
     def test_segments_keyword(self):
         m = build_example("four_quadrant")

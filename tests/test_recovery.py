@@ -7,7 +7,7 @@ import pytest
 from mesh_reference import double_sum_mollify, extension, hanging_node_mesh, three_owner_mesh
 
 from helimag import recovery
-from helimag.continuum import MeshError, MeshPotential, build_example, is_conforming, jump_set
+from helimag.continuum import MeshError, MeshPotential, build_example, jump_set, kink_edges
 from helimag.lattice import Domain, ModelParams
 from helimag.recovery import (
     DIAG_WALL_WIDTH,
@@ -275,11 +275,9 @@ class TestBuildRecovery:
         with pytest.raises(ValueError):
             build_recovery(m, ModelParams(lam=0.5, delta=0.6))
 
-    @pytest.mark.parametrize("mesh, banded", [
-        (lambda: build_example("laminate", n=2), True),
-        (hanging_node_mesh, False),
-    ], ids=["laminate", "hanging_node"])
-    def test_counts_quadrature_points(self, mesh, banded, monkeypatch):
+    @pytest.mark.parametrize("mesh", [lambda: build_example("laminate", n=2), hanging_node_mesh],
+                             ids=["laminate", "hanging_node"])
+    def test_counts_quadrature_points(self, mesh, monkeypatch):
         evaluated = []
         original = recovery.extend_potential
 
@@ -298,8 +296,7 @@ class TestBuildRecovery:
         res = build_recovery(m, ModelParams(lam=1.0 / 32, delta=(1.0 / 32) ** (2.0 / 3.0)))
         assert res.quadrature_points == sum(evaluated)
         full = 32 * 32 * 24 * 24  # the full rule, no extra pass at the points
-        assert (32 * 32 < res.quadrature_points < full) if banded else \
-            res.quadrature_points == full
+        assert 32 * 32 < res.quadrature_points < full
 
 
 def capture_masks(monkeypatch):
@@ -329,9 +326,9 @@ def lattice_axes(m, params):
     return x0 + lam * np.arange(nx), y0 + lam * np.arange(ny)
 
 
-def full_rule_phi(m, params, width):
+def full_rule_phi(m, params, width, kernel=Kernel()):
     xs, ys = lattice_axes(m, params)
-    return mollify(extend_potential(m), Kernel(), width * params.epsilon)(xs, ys)
+    return mollify(extend_potential(m), kernel, width * params.epsilon)(xs, ys)
 
 
 def two_label_points(m, xs, ys, eps, order=24):
@@ -407,48 +404,48 @@ class TestQuadratureBand:
         assert needs[:, 12].all()
         assert not np.any(needs & ~seen[0])
 
-    def test_segments_keyword(self, monkeypatch):
-        m = build_example("four_quadrant")
-        params = ModelParams(lam=1.0 / 32, delta=(1.0 / 32) ** (2.0 / 3.0))
-        calls = []
-        monkeypatch.setattr(recovery, "jump_set", lambda mesh: calls.append(mesh) or [])
-        with_segs = build_recovery(m, params, segments=jump_set(m)).phi.values
-        assert calls == []
-        monkeypatch.undo()
-        np.testing.assert_array_equal(with_segs, build_recovery(m, params).phi.values)
-
     def test_segments_box_test(self):
-        seg = jump_set(build_example("diagonal_wall"))  # x + y = 1
+        edges = kink_edges(build_example("diagonal_wall"))  # x + y = 1
         xs = np.array([0.0, 0.25, 0.5])
         ys = np.array([0.0, 0.5, 0.9])
         # the box of (x, y) meets the chord where |x + y - 1| <= 2 * reach
         np.testing.assert_array_equal(
-            quadrature_band(seg, xs, ys, 0.1),
+            quadrature_band(*edges, xs, ys, 0.1),
             [[False, False, False], [False, False, True], [True, True, False]],
         )
-        assert not quadrature_band([], xs, ys, 0.1).any()
+        none = np.empty((0, 2))
+        assert not quadrature_band(none, none, xs, ys, 0.1).any()
 
-    @pytest.mark.parametrize("make", [three_owner_mesh, hanging_node_mesh])
-    def test_non_conforming_mesh_takes_the_full_rule(self, make, monkeypatch):
-        m = make()
-        assert not is_conforming(m)
-        params = ModelParams(lam=1.0 / 32, delta=(1.0 / 32) ** (2.0 / 3.0))
+    @staticmethod
+    def assert_banded_full_rule(m, params, kernel, monkeypatch):
+        """build_recovery bands the lattice, covers every point whose
+        quadrature meets two labels and matches the full rule."""
+        width = pick_width(m)
         seen = capture_masks(monkeypatch)
-        phi = build_recovery(m, params).phi.values
-        assert seen == [None]
-        # jump_set misses the wall, so a band built from it would miss
-        # points whose quadrature meets two labels
+        phi = build_recovery(m, params, kernel=kernel, width=width).phi.values
+        (band,) = seen
+        assert band.any() and not band.all()
         xs, ys = lattice_axes(m, params)
-        eps = WALL_WIDTH * params.epsilon
-        assert np.any(two_label_points(m, xs, ys, eps) & ~quadrature_band(jump_set(m), xs, ys, eps))
-        np.testing.assert_array_equal(phi, full_rule_phi(m, params, WALL_WIDTH))
+        assert not np.any(two_label_points(m, xs, ys, width * params.epsilon) & ~band)
+        full = full_rule_phi(m, params, width, kernel)
+        np.testing.assert_allclose(phi, full, rtol=0.0, atol=1e-13 * np.abs(full).max())
 
-    def test_uneven_kernel_takes_the_full_rule(self, monkeypatch):
-        m = build_example("vertical_wall")
-        params = ModelParams(lam=1.0 / 16, delta=(1.0 / 16) ** (2.0 / 3.0))
-        seen = capture_masks(monkeypatch)
-        build_recovery(m, params, kernel=Kernel(profile=lambda t: recovery._bump(t) * (1.5 + t)))
-        assert seen == [None]
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("make", [three_owner_mesh, hanging_node_mesh])
+    def test_non_conforming_mesh_is_banded(self, make, n, monkeypatch):
+        # jump_set misses the wall of these meshes; kink_edges does not
+        m = make()
+        assert jump_set(m) == []
+        params = SweepSchedule.default(finest_n=n, levels=1).steps[0]
+        self.assert_banded_full_rule(m, params, Kernel(), monkeypatch)
+
+    @pytest.mark.parametrize("kind", ["vertical_wall", "diagonal_wall", "four_quadrant"])
+    def test_uneven_kernel_is_banded(self, kind, monkeypatch):
+        # off the band the rule's value is the extension at the point shifted
+        # by the rule's first moment, which this kernel moves off 0
+        kernel = Kernel(profile=lambda t: recovery._bump(t) * (1.5 + t))
+        params = SweepSchedule.default(finest_n=16, levels=1).steps[0]
+        self.assert_banded_full_rule(build_example(kind), params, kernel, monkeypatch)
 
     def test_invalid_mesh_raises(self):
         m = build_example("vertical_wall")
