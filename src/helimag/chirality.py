@@ -13,13 +13,13 @@ which equal +-1 exactly on the optimal helices.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
-from .lattice import ModelParams, ScalarGrid, SpinField
+from .lattice import ModelParams, ScalarGrid, SpinField, dumps
 
 TWO_PI = 2.0 * math.pi
 
@@ -48,20 +48,20 @@ class ChiralityPair:
         # w and z have different shapes; nx/ny refer to the underlying spin grid
         nx = self.w.nx + 1
         ny = self.z.ny + 1
-        return json.dumps(
+        return dumps(
             {
                 "nx": nx,
                 "ny": ny,
                 "lambda": self.w.spacing,
                 "delta": self.delta,
-                "w": self.w.values.ravel().tolist(),
-                "z": self.z.values.ravel().tolist(),
+                "w": self.w.values.ravel(),
+                "z": self.z.values.ravel(),
             }
         )
 
     @classmethod
     def from_json(cls, text: str) -> "ChiralityPair":
-        doc = json.loads(text)
+        doc = orjson.loads(text)
         nx, ny = int(doc["nx"]), int(doc["ny"])
         lam = float(doc["lambda"])
         w = np.array(doc["w"], dtype=float).reshape(ny, nx - 1)

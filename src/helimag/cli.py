@@ -106,11 +106,11 @@ def _cmd_groundstate(config: dict) -> dict:
     n = _int(config, "n", 64)
     if n < 2:
         raise ValidationError("n must be at least 2")
+    path = _outdir(config) / "groundstate.json"
     wsgn, zsgn = _PAIRS[pair]
     jj, ii = np.mgrid[0:n, 0:n]
     psi = p.helix_angle * (wsgn * ii + zsgn * jj)
     u = SpinField.from_angles(psi, p.lam)
-    path = _outdir(config) / "groundstate.json"
     path.write_text(u.to_json())
     return {"written": str(path), "pair": pair}
 
@@ -125,14 +125,14 @@ def _read_spin(config: dict) -> SpinField:
 def _cmd_energy(config: dict) -> dict:
     u = _read_spin(config)
     p = _params({**config, "lambda": u.spacing})
+    out = _outdir(config)
     dom = Domain(width=u.nx * u.spacing, height=u.ny * u.spacing)
     rep = energy_H(u, dom, p)
     try:
         dec = mm_decomposition(u, dom, p)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
-    out = _outdir(config)
-    doc = {"direct": json.loads(rep.to_json()), "decomposition": json.loads(dec.to_json())}
+    doc = {"direct": rep.to_dict(), "decomposition": dec.to_dict()}
     path = out / "energy.json"
     path.write_text(json.dumps(doc))
     if config.get("format") == "csv":
@@ -145,6 +145,7 @@ def _cmd_energy(config: dict) -> dict:
 def _cmd_transform(config: dict) -> dict:
     u = _read_spin(config)
     p = _params({**config, "lambda": u.spacing})
+    out = _outdir(config)
     try:
         theta, pair = transform(u, p)
     except ValueError as exc:
@@ -153,7 +154,6 @@ def _cmd_transform(config: dict) -> dict:
         vort = vorticity(theta)
     except ValueError as exc:
         raise NumericalError(str(exc)) from exc
-    out = _outdir(config)
     (out / "chirality.json").write_text(pair.to_json())
     (out / "vorticity.json").write_text(vort.to_json())
     return {
@@ -164,6 +164,7 @@ def _cmd_transform(config: dict) -> dict:
 
 def _cmd_classify(config: dict) -> dict:
     m = _load_mesh(config)
+    out = _outdir(config)
     try:
         segs = jump_set(m)
     except MeshError as exc:
@@ -187,7 +188,6 @@ def _cmd_classify(config: dict) -> dict:
         },
         "limit_energy": limit_energy(m, segments=segs),
     }
-    out = _outdir(config)
     path = out / "classify.json"
     path.write_text(json.dumps(doc))
     if config.get("format") == "svg":
@@ -198,12 +198,12 @@ def _cmd_classify(config: dict) -> dict:
 def _cmd_recover(config: dict) -> dict:
     m = _load_mesh(config)
     p = _params(config)
+    out = _outdir(config)
     try:
         segs = jump_set(m)
         res = build_recovery(m, p, kernel=Kernel())
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
-    out = _outdir(config)
     (out / "recovery_spin.json").write_text(res.spin.to_json())
     (out / "recovery_chirality.json").write_text(res.pair.to_json())
     (out / "recovery_energy.json").write_text(res.report.to_json())
@@ -237,11 +237,11 @@ def _schedule(config: dict) -> SweepSchedule:
 def _cmd_sweep(config: dict) -> dict:
     m = _load_mesh(config)
     sched = _schedule(config)
+    out = _outdir(config)
     try:
         table = gamma_sweep(m, sched, kernel=Kernel())
     except MeshError as exc:
         raise ValidationError(str(exc)) from exc
-    out = _outdir(config)
     path = out / "sweep.csv"
     path.write_text(table.to_csv())
     if any(r.failed for r in table.rows):
@@ -264,8 +264,8 @@ def _cmd_minimize(config: dict) -> dict:
         opts = MinimizeOptions(max_iter=_int(config, "max_iter", 5000))
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
-    res = minimize_H(psi0, Domain(width=n * p.lam, height=p.lam), p, bc, opts)
     out = _outdir(config)
+    res = minimize_H(psi0, Domain(width=n * p.lam, height=p.lam), p, bc, opts)
     (out / "minimize_psi.json").write_text(
         SpinField.from_angles(res.psi, p.lam).to_json()
     )
@@ -282,9 +282,9 @@ def _cmd_minimize(config: dict) -> dict:
 
 
 def _cmd_profile1d(config: dict) -> dict:
+    path = _outdir(config) / "profile1d.json"
     total, pot, grad = profile_transition_energy()
     doc = {"total": total, "potential": pot, "gradient": grad, "target": 8.0 / 3.0}
-    path = _outdir(config) / "profile1d.json"
     path.write_text(json.dumps(doc))
     if abs(total - 8.0 / 3.0) > 1e-6:
         raise NumericalError(f"transition energy {total} off 8/3 by more than 1e-6")
@@ -392,21 +392,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _read_config(path: str) -> dict:
+    """The JSON object of a --config file; anything else raises ValidationError."""
+    try:
+        config = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read config: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ValidationError("cannot read config: its JSON must be an object")
+    return config
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    config: dict = {}
-    if args.config:
-        try:
-            config.update(json.loads(Path(args.config).read_text()))
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return 1
-    # each flag's dest is its config key
-    config.update(
-        (key, val) for key, val in vars(args).items()
-        if val is not None and key not in ("command", "config", "json_errors")
-    )
-    status, result = run(args.command, config)
+    try:
+        config = _read_config(args.config) if args.config else {}
+    except ValidationError as exc:
+        status, result = 1, {"error": str(exc)}
+    else:
+        # each flag's dest is its config key
+        config.update(
+            (key, val) for key, val in vars(args).items()
+            if val is not None and key not in ("command", "config", "json_errors")
+        )
+        status, result = run(args.command, config)
     if status == 0:
         print(json.dumps(result))
     else:

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import orjson
 
 from .lattice import Domain
 
@@ -186,7 +187,7 @@ class MeshPotential:
 
     @classmethod
     def from_json(cls, text: str) -> "MeshPotential":
-        doc = json.loads(text)
+        doc = orjson.loads(text)
         dd = doc["domain"]
         return cls(
             vertices=np.array(doc["vertices"], dtype=float),

@@ -66,17 +66,18 @@ class EnergyReport:
     potential_part: Optional[float] = None
     gradient_part: Optional[float] = None
 
+    def to_dict(self) -> dict:
+        return {
+            "total": self.total,
+            "horizontal": self.horizontal,
+            "vertical": self.vertical,
+            "term_count": self.term_count,
+            "potential_part": self.potential_part,
+            "gradient_part": self.gradient_part,
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "total": self.total,
-                "horizontal": self.horizontal,
-                "vertical": self.vertical,
-                "term_count": self.term_count,
-                "potential_part": self.potential_part,
-                "gradient_part": self.gradient_part,
-            }
-        )
+        return json.dumps(self.to_dict())
 
     def csv_row(self, params: ModelParams) -> str:
         pot = "" if self.potential_part is None else repr(self.potential_part)

@@ -14,6 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 # absolute slack for cell-inclusion tests, scaled by the coordinate magnitude
 GEOM_TOL = 1e-12
@@ -152,6 +153,44 @@ def chain_keep(n: int, interval: tuple[float, float], lam: float) -> np.ndarray:
     return span_inside(i, a, b, lam, tol) & span_inside(i + 1, a, b, lam, tol)
 
 
+def _float_array_json(a: np.ndarray) -> str:
+    """``json.dumps(a.tolist())`` of a 1-D float64 array, written by orjson.
+
+    orjson writes the same shortest round-trip digits as ``float.__repr__``
+    but spells some tokens differently: ``0.00003``, ``1.5e-7`` and ``1e16``
+    where repr writes ``3e-05``, ``1.5e-07`` and ``1e+16``, and ``null`` for
+    the non-finite values json writes as ``NaN``/``Infinity``.  Only those
+    tokens (nonzero |x| < 1e-4, |x| >= 1e16, non-finite) are re-spelled, from
+    the comma positions; the others stay bytes of orjson's text.
+    """
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    raw = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)
+    mag = np.abs(a)
+    fix = np.flatnonzero(((mag < 1e-4) & (mag > 0.0)) | (mag >= 1e16) | np.isnan(a))
+    if fix.size:
+        commas = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord(","))
+        starts = (np.concatenate(([0], commas))[fix] + 1).tolist()
+        ends = np.append(commas, len(raw) - 1)[fix].tolist()
+        parts, prev = [], 0
+        for x, start, end in zip(a[fix].tolist(), starts, ends):
+            spelled = repr(x) if math.isfinite(x) else json.dumps(x)
+            parts += (raw[prev:start], spelled.encode())
+            prev = end
+        parts.append(raw[prev:])
+        raw = b"".join(parts)
+    return raw.replace(b",", b", ").decode()
+
+
+def dumps(doc: dict) -> str:
+    """``json.dumps(doc)`` of a flat dict whose array values are 1-D float
+    arrays: the arrays are written by orjson, the other values by json."""
+    return "{" + ", ".join(
+        json.dumps(key) + ": "
+        + (_float_array_json(val) if isinstance(val, np.ndarray) else json.dumps(val))
+        for key, val in doc.items()
+    ) + "}"
+
+
 @dataclass
 class ScalarGrid:
     """Real-valued grid function, one value per site (i, j)."""
@@ -177,18 +216,13 @@ class ScalarGrid:
         return cls(nx=nx, ny=ny, spacing=spacing, values=values)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "nx": self.nx,
-                "ny": self.ny,
-                "lambda": self.spacing,
-                "values": self.values.ravel().tolist(),
-            }
+        return dumps(
+            {"nx": self.nx, "ny": self.ny, "lambda": self.spacing, "values": self.values.ravel()}
         )
 
     @classmethod
     def from_json(cls, text: str) -> "ScalarGrid":
-        doc = json.loads(text)
+        doc = orjson.loads(text)
         nx, ny = int(doc["nx"]), int(doc["ny"])
         values = np.array(doc["values"], dtype=float).reshape(ny, nx)
         return cls(nx=nx, ny=ny, spacing=float(doc["lambda"]), values=values)
@@ -223,18 +257,13 @@ class SpinField:
         return np.cos(self.angles), np.sin(self.angles)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "nx": self.nx,
-                "ny": self.ny,
-                "lambda": self.spacing,
-                "angles": self.angles.ravel().tolist(),
-            }
+        return dumps(
+            {"nx": self.nx, "ny": self.ny, "lambda": self.spacing, "angles": self.angles.ravel()}
         )
 
     @classmethod
     def from_json(cls, text: str) -> "SpinField":
-        doc = json.loads(text)
+        doc = orjson.loads(text)
         nx, ny = int(doc["nx"]), int(doc["ny"])
         angles = np.array(doc["angles"], dtype=float).reshape(ny, nx)
         return cls(nx=nx, ny=ny, spacing=float(doc["lambda"]), angles=angles)

@@ -33,6 +33,26 @@ class TestPlumbing:
     def test_missing_config_file(self, capsys):
         assert main(["groundstate", "--config", "/nonexistent.json"]) == 1
 
+    @pytest.mark.parametrize("text", ["[1, 2]", '[["n", 4]]'])
+    def test_config_that_is_not_an_object(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        rc = main(["groundstate", "--config", str(cfg), "--lambda", "0.05",
+                   "--delta", "0.2", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "must be an object" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("text", [None, "{", "[1, 2]"])
+    def test_config_error_as_json(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        assert main(["groundstate", "--config", str(cfg), "--json-errors"]) == 1
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["status"] == 1
+        assert doc["error"].startswith("cannot read config")
+
     def test_flags_land_under_their_config_keys(self, monkeypatch):
         from helimag import cli
 
@@ -43,6 +63,21 @@ class TestPlumbing:
 
 
 class TestGroundstateEnergy:
+    def test_energy_json_is_the_two_reports(self, tmp_path):
+        from helimag.energy import energy_H, mm_decomposition
+        from helimag.lattice import Domain, ModelParams
+
+        psi = np.random.default_rng(3).uniform(-math.pi, math.pi, (9, 7))
+        u = SpinField.from_angles(psi, 0.05)
+        f = tmp_path / "u.json"
+        f.write_text(u.to_json())
+        status, _ = run("energy", {"in": str(f), "delta": 0.25, "out": str(tmp_path)})
+        assert status == 0
+        dom, p = Domain(width=7 * 0.05, height=9 * 0.05), ModelParams(lam=0.05, delta=0.25)
+        want = {"direct": json.loads(energy_H(u, dom, p).to_json()),
+                "decomposition": json.loads(mm_decomposition(u, dom, p).to_json())}
+        assert (tmp_path / "energy.json").read_text() == json.dumps(want)
+
     def test_groundstate_energy_zero(self, tmp_path):
         out = tmp_path
         rc = main([
@@ -383,6 +418,51 @@ class TestErrorContract:
         status, result = run(command, {**config, key: ["+", "-"], "out": str(tmp_path)})
         assert status == 1
         assert result["error"].startswith(f"{key} must be one of")
+
+    @pytest.mark.parametrize("text", ['{"nx": 2, "ny": 1, "lambda": 0.1, "angles": [0.0, NaN]}',
+                                      '{"nx": 2, "ny": 1, "lambda": 0.1, "angles": [0.0, 1e400]}'])
+    def test_spin_file_with_a_non_finite_angle(self, tmp_path, text):
+        f = tmp_path / "u.json"
+        f.write_text(text)
+        status, result = run("energy", {"in": str(f), "delta": 0.3, "out": str(tmp_path)})
+        assert status == 1
+        assert "cannot load spin field" in result["error"]
+
+    @pytest.mark.parametrize("command, work, config", [
+        ("sweep", "gamma_sweep", {"kind": "laminate", "n_walls": 8, "finest_n": 64,
+                                  "levels": 3}),
+        ("recover", "build_recovery", {"kind": "vertical_wall", "lambda": 1.0 / 16,
+                                       "delta": 0.2}),
+        ("minimize", "minimize_H", {"n": 30, "lambda": 0.04, "delta": 0.2}),
+        ("classify", "jump_set", {"kind": "laminate"}),
+        ("groundstate", "SpinField", {"n": 4, "lambda": 0.05, "delta": 0.2}),
+        ("profile1d", "profile_transition_energy", {}),
+    ])
+    def test_output_directory_checked_before_the_work(self, tmp_path, monkeypatch,
+                                                      command, work, config):
+        from helimag import cli
+
+        monkeypatch.setattr(cli, work, lambda *a, **k: pytest.fail(f"{work} ran"))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        status, result = run(command, {**config, "out": str(taken)})
+        assert status == 1
+        assert "output directory" in result["error"]
+
+    @pytest.mark.parametrize("command, work", [("energy", "energy_H"),
+                                               ("transform", "transform")])
+    def test_field_output_directory_checked_before_the_work(self, tmp_path, monkeypatch,
+                                                            command, work):
+        from helimag import cli
+
+        f = tmp_path / "u.json"
+        f.write_text(SpinField.from_angles(np.zeros((4, 4)), 0.1).to_json())
+        monkeypatch.setattr(cli, work, lambda *a, **k: pytest.fail(f"{work} ran"))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        status, result = run(command, {"in": str(f), "delta": 0.3, "out": str(taken)})
+        assert status == 1
+        assert "output directory" in result["error"]
 
     @pytest.mark.parametrize("out", ["existing_file", "list"])
     def test_unusable_output_directory(self, tmp_path, out):
