@@ -1,5 +1,5 @@
-"""Oriented bond angles, the chirality order parameter transform, discrete
-vorticity, and spin reconstruction from chirality data.
+"""Oriented bond angles, the chirality order parameter transform and
+discrete vorticity.
 
 The horizontal oriented angle between adjacent spins is
 theta = sign(u x v) * arccos(u . v) with the convention sign(0) = -1, so
@@ -23,8 +23,8 @@ from .lattice import ModelParams, ScalarGrid, SpinField, dumps
 
 TWO_PI = 2.0 * math.pi
 
-# plaquette sums of reconstructed bond angles must close to this tolerance
-CLOSURE_TOL = 1e-8
+# a plaquette's vorticity may sit this far from the nearest of {-2pi, 0, 2pi}
+SNAP_TOL = 1e-6
 
 
 @dataclass
@@ -119,59 +119,21 @@ def transform(u: SpinField, params: ModelParams) -> tuple[ThetaFields, Chirality
     return theta, pair
 
 
-def vorticity(theta: ThetaFields, snap_tol: float = 1e-6) -> ScalarGrid:
+def vorticity(theta: ThetaFields) -> ScalarGrid:
     """Plaquette vorticity V[j, i] = th[j,i] + tv[j,i+1] - th[j+1,i] - tv[j,i],
     snapped to the nearest of {-2pi, 0, 2pi}.
 
-    Raises when any plaquette value is farther than snap_tol from all three:
+    Raises when any plaquette value is farther than SNAP_TOL from all three:
     such theta fields were not generated from a single spin field.
     """
     th = theta.theta_hor.values
     tv = theta.theta_ver.values
     raw = th[:-1, :] + tv[:, 1:] - th[1:, :] - tv[:, :-1]
     snapped = TWO_PI * np.round(raw / TWO_PI)
-    bad = np.abs(raw - snapped) > snap_tol
-    if np.any(bad) or np.any(np.abs(snapped) > TWO_PI + snap_tol):
-        jj, ii = np.nonzero(bad | (np.abs(snapped) > TWO_PI + snap_tol))
+    bad = (np.abs(raw - snapped) > SNAP_TOL) | (np.abs(snapped) > TWO_PI + SNAP_TOL)
+    if np.any(bad):
+        jj, ii = np.nonzero(bad)
         plaq = [(int(i), int(j)) for i, j in zip(ii, jj)]
         raise ValueError(f"inconsistent theta fields at plaquettes {plaq[:20]}")
     return ScalarGrid.from_values(snapped, theta.theta_hor.spacing)
 
-
-def reconstruct_spin(
-    pair: ChiralityPair, params: ModelParams, anchor: float = 0.0
-) -> SpinField:
-    """Rebuild a spin field whose transform equals the given pair, with
-    psi[0, 0] = anchor; the pair determines the field up to this global
-    rotation.
-
-    The implied bond angles are theta = 2*arcsin(sqrt(delta/2)*w).  They must
-    be path independent: every plaquette sum of implied angles must vanish
-    exactly (values that close only modulo 2pi are rejected, since the row
-    then column integration below would produce a multivalued lifting).
-    """
-    delta = params.delta
-    bound = math.sqrt(2.0 / delta)
-    w = pair.w.values
-    z = pair.z.values
-    if np.any(np.abs(w) > bound) or np.any(np.abs(z) > bound):
-        raise ValueError("chirality values exceed the sqrt(2/delta) bound")
-    s = math.sqrt(delta / 2.0)
-    th = 2.0 * np.arcsin(np.clip(s * w, -1.0, 1.0))
-    tv = 2.0 * np.arcsin(np.clip(s * z, -1.0, 1.0))
-    closure = th[:-1, :] + tv[:, 1:] - th[1:, :] - tv[:, :-1]
-    bad = np.abs(closure) > CLOSURE_TOL
-    if np.any(bad):
-        jj, ii = np.nonzero(bad)
-        plaq = [(int(i), int(j)) for i, j in zip(ii, jj)]
-        raise ValueError(
-            f"plaquette closure violated (pair outside the transform's image "
-            f"for a single-valued lifting) at {plaq[:20]}"
-        )
-    ny, nx = th.shape[0], tv.shape[1]
-    psi = np.empty((ny, nx), dtype=float)
-    # integrate along row 0, then up each column
-    psi[0, 0] = anchor
-    psi[0, 1:] = anchor + np.cumsum(th[0, :])
-    psi[1:, :] = psi[0, :][None, :] + np.cumsum(tv, axis=0)
-    return SpinField.from_angles(psi, pair.w.spacing)

@@ -1,9 +1,9 @@
 """Command-line front end wiring the pipeline.
 
-Exit codes: 0 success, 1 validation failure (arguments, schemas, invalid
-meshes), 2 numerical failure (bond-angle overflow, line-search stall,
-failed sweep rows).  All structured IO is JSON, tables are CSV, images are
-SVG.
+Exit codes: 0 success, 1 validation failure (usage errors, arguments,
+schemas, invalid meshes), 2 numerical failure (bond-angle overflow,
+line-search stall, failed sweep rows).  All structured IO is JSON, tables
+are CSV, images are SVG.
 """
 
 from __future__ import annotations
@@ -22,20 +22,7 @@ from .continuum import MeshError, MeshPotential, build_example, classify_triple,
 from .energy import energy_H, mm_decomposition, rho
 from .lattice import Domain, ModelParams, SpinField
 from .optimize import MinimizeOptions, chain_bc, log_to_csv, minimize_H, profile_init
-from .recovery import Kernel, SweepSchedule, build_recovery, gamma_sweep, \
-    profile_transition_energy
-
-COMMANDS = (
-    "groundstate",
-    "energy",
-    "transform",
-    "classify",
-    "recover",
-    "sweep",
-    "minimize",
-    "profile1d",
-    "selftest",
-)
+from .recovery import SweepSchedule, build_recovery, gamma_sweep, profile_transition_energy
 
 _PAIRS = {"++": (1, 1), "+-": (1, -1), "-+": (-1, 1), "--": (-1, -1)}
 
@@ -201,7 +188,7 @@ def _cmd_recover(config: dict) -> dict:
     out = _outdir(config)
     try:
         segs = jump_set(m)
-        res = build_recovery(m, p, kernel=Kernel())
+        res = build_recovery(m, p)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
     (out / "recovery_spin.json").write_text(res.spin.to_json())
@@ -239,7 +226,7 @@ def _cmd_sweep(config: dict) -> dict:
     sched = _schedule(config)
     out = _outdir(config)
     try:
-        table = gamma_sweep(m, sched, kernel=Kernel())
+        table = gamma_sweep(m, sched)
     except MeshError as exc:
         raise ValidationError(str(exc)) from exc
     path = out / "sweep.csv"
@@ -368,12 +355,21 @@ def run(command: str, config: dict) -> tuple[int, dict]:
         return 2, {"error": str(exc)}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a validation failure (status 1) instead of
+    exiting with argparse's status 2."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="helimag", description=__doc__)
-    ap.add_argument("command", choices=COMMANDS)
+    ap = _Parser(prog="helimag", description=__doc__)
+    ap.add_argument("command", choices=_DISPATCH)
     ap.add_argument("--config", help="JSON config file; flags override its keys")
     ap.add_argument("--out", help="output directory (default .)")
-    ap.add_argument("--format", choices=("json", "csv", "svg"))
+    ap.add_argument("--format", choices=("csv", "svg"),
+                    help="also write energy.csv (energy) or mesh.svg (classify)")
     ap.add_argument("--json-errors", action="store_true",
                     help="emit machine-readable error JSON on stderr")
     ap.add_argument("--pair")
@@ -404,8 +400,11 @@ def _read_config(path: str) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    json_errors = "--json-errors" in argv  # a usage error leaves no parsed flags
     try:
+        args = _build_parser().parse_args(argv)
+        json_errors = args.json_errors
         config = _read_config(args.config) if args.config else {}
     except ValidationError as exc:
         status, result = 1, {"error": str(exc)}
@@ -419,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
     if status == 0:
         print(json.dumps(result))
     else:
-        if args.json_errors:
+        if json_errors:
             print(json.dumps({"status": status, **result}), file=sys.stderr)
         else:
             print(f"error: {result.get('error')}", file=sys.stderr)

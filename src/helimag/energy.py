@@ -28,7 +28,6 @@ from .chirality import transform
 from .lattice import (
     Domain,
     ModelParams,
-    ScalarGrid,
     SpinField,
     chain_keep,
     det_sum,
@@ -42,16 +41,6 @@ def W(s):
     """Double-well potential (1 - s^2)^2 with wells at s = +-1."""
     s = np.asarray(s, dtype=float)
     return (1.0 - s * s) ** 2
-
-
-def tilde_W_n(s, delta: float):
-    """n-dependent double-well (1 - (2/delta) sin^2(arccos(1-delta) s/2))^2.
-
-    Satisfies W(s) >= tilde_W_n(s) for all real s.
-    """
-    s = np.asarray(s, dtype=float)
-    beta = math.acos(1.0 - delta)
-    return (1.0 - (2.0 / delta) * np.sin(beta * s / 2.0) ** 2) ** 2
 
 
 @dataclass
@@ -337,29 +326,3 @@ def mm_decomposition(u: SpinField, domain: Domain, params: ModelParams) -> Energ
         gradient_part=grad,
     )
 
-
-def discrete_mm(g: ScalarGrid, epsilon: float, direction: int = 1) -> float:
-    """Diagnostic discrete Modica-Mortola energy of a scalar grid,
-
-        (1/2 eps) lam^2 sum [W(g) + W(g shifted)] + eps lam^2 sum |d_k g|^2,
-
-    summed over all stencils present in the grid (no domain restriction).
-    Nonnegative; used as a diagnostic and as the 1D minimization objective.
-    """
-    if direction not in (1, 2):
-        raise ValueError("direction must be 1 or 2")
-    if not epsilon > 0.0:
-        raise ValueError("epsilon must be positive")
-    lam = g.spacing
-    v = g.values
-    if direction == 1:
-        if g.nx < 2:
-            raise ValueError("grid too small for the stencil")
-        a, b = v[:, :-1], v[:, 1:]
-    else:
-        if g.ny < 2:
-            raise ValueError("grid too small for the stencil")
-        a, b = v[:-1, :], v[1:, :]
-    pot = (0.5 / epsilon) * lam * lam * det_sum(W(a) + W(b))
-    grad = epsilon * lam * lam * det_sum(((b - a) / lam) ** 2)
-    return pot + grad

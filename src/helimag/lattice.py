@@ -62,11 +62,6 @@ class Domain:
             span_inside(j, self.y0, self.y0 + self.height, lam, tol),
         )
 
-    def cell_inside(self, i: int, j: int, lam: float) -> bool:
-        """True when the closed cell Q(i, j) is contained in the closed domain."""
-        cols, rows = self.axes_inside(i, j, lam)
-        return bool(cols & rows)
-
     def corners(self) -> tuple[float, float, float, float]:
         return (self.x0, self.y0, self.x0 + self.width, self.y0 + self.height)
 

@@ -86,14 +86,13 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 class Kernel:
     """Tensor-product mollifier eta(z1, z2) = k(z1) k(z2) built from a 1D
     profile supported on [-1, 1]; each factor is normalized to integral 1
-    (within 1e-10 by high-order quadrature)."""
+    (within 1e-10 by 200-point Gauss-Legendre quadrature)."""
 
     profile: Callable[[np.ndarray], np.ndarray] = _bump
-    norm_order: int = 200
     _norm: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        nodes, wts = gauss_legendre(self.norm_order)
+        nodes, wts = gauss_legendre(200)
         vals = np.asarray(self.profile(nodes), dtype=float)
         self._norm = float((wts * vals).sum())
         if not self._norm > 0.0:
@@ -173,6 +172,10 @@ def extend_potential(m: MeshPotential) -> Callable:
     return ext
 
 
+# Gauss-Legendre order of build_recovery's product rule (order^2 points
+# per lattice point of the band)
+QUAD_ORDER = 24
+
 # Quadrature points per extension call in mollify: as many lattice rows of
 # the band (order^2 points per band column) as fit, at least one.  One full
 # row at n = 64 and order 24 is 36864 points; larger chunks cost resident
@@ -181,7 +184,7 @@ MOLLIFY_CHUNK = 2 ** 15
 
 
 def mollify(
-    ext: Callable, kernel: Kernel, epsilon: float, order: int = 24
+    ext: Callable, kernel: Kernel, epsilon: float, order: int = QUAD_ORDER
 ) -> Callable:
     """Smooth evaluator phi^eps(x) = int eta(z) phi_bar(x + eps z) dz by
     fixed-order Gauss-Legendre product quadrature on the kernel support
@@ -262,17 +265,25 @@ def quadrature_band(
 ) -> np.ndarray:
     """Boolean (ys.size, xs.size) mask of the grid points whose box
     [x - reach, x + reach] x [y - reach, y + reach] meets one of the
-    segments from p[k] to q[k] ((E, 2) arrays).  Box and segment meet unless
-    the x axis, the y axis or the segment's unit normal nu separates them."""
+    segments from p[k] to q[k] ((E, 2) arrays); xs and ys are ascending.
+    Box and segment meet unless the x axis, the y axis or the segment's unit
+    normal nu separates them.  The axes leave each segment the block of
+    columns and rows that its bounding box, grown by reach, spans (one
+    searchsorted per bound for all segments); only that block takes the
+    normal test."""
     band = np.zeros((ys.size, xs.size), dtype=bool)
     tang = q - p
     tang /= np.hypot(tang[:, 0], tang[:, 1])[:, None]
     nu = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
-    for (px, py), (qx, qy), (nux, nuy) in zip(p.tolist(), q.tolist(), nu.tolist()):
-        cols = (xs >= min(px, qx) - reach) & (xs <= max(px, qx) + reach)
-        rows = (ys >= min(py, qy) - reach) & (ys <= max(py, qy) + reach)
-        dist = np.abs(nux * (xs[None, :] - px) + nuy * (ys[:, None] - py))
-        band |= rows[:, None] & cols[None, :] & (dist <= reach * (abs(nux) + abs(nuy)))
+    lo = np.minimum(p, q) - reach
+    hi = np.maximum(p, q) + reach
+    blocks = np.stack([
+        np.searchsorted(xs, lo[:, 0]), np.searchsorted(xs, hi[:, 0], side="right"),
+        np.searchsorted(ys, lo[:, 1]), np.searchsorted(ys, hi[:, 1], side="right"),
+    ], axis=1)
+    for (px, py), (nux, nuy), (i0, i1, j0, j1) in zip(p.tolist(), nu.tolist(), blocks.tolist()):
+        dist = np.abs(nux * (xs[None, i0:i1] - px) + nuy * (ys[j0:j1, None] - py))
+        band[j0:j1, i0:i1] |= dist <= reach * (abs(nux) + abs(nuy))
     return band
 
 
@@ -293,7 +304,6 @@ def build_recovery(
     params: ModelParams,
     kernel: Optional[Kernel] = None,
     width: float = WALL_WIDTH,
-    order: int = 24,
 ) -> RecoveryResult:
     """Recovery spin field at one (lam, delta) with its chirality pair and
     energy report.
@@ -321,7 +331,7 @@ def build_recovery(
     xs = x0 + lam * np.arange(nx)
     ys = y0 + lam * np.arange(ny)
     eps = width * params.epsilon
-    nodes, _ = gauss_legendre(order)
+    nodes, _ = gauss_legendre(QUAD_ORDER)
     reach = eps * np.abs(nodes).max() + m.locate_pad().max()
     band = quadrature_band(*edges, xs, ys, reach)
     ext = extend_potential(m)
@@ -332,7 +342,7 @@ def build_recovery(
         evaluated.append(out.size)
         return out
 
-    phi = mollify(counted, kernel, eps, order=order)(xs, ys, band)
+    phi = mollify(counted, kernel, eps)(xs, ys, band)
     beta = params.helix_angle
     psi = beta * phi / lam
     u = SpinField.from_angles(psi, lam)
@@ -414,24 +424,18 @@ def pick_width(m: MeshPotential, *, segments: Optional[list[JumpSegment]] = None
     return WALL_WIDTH
 
 
-def gamma_sweep(
-    m: MeshPotential,
-    schedule: SweepSchedule,
-    kernel: Optional[Kernel] = None,
-    width: Optional[float] = None,
-    order: int = 24,
-) -> SweepTable:
-    """Energy of the recovery field at each schedule step against the limit
-    energy; ratio = H_n / H_limit (0 when the limit is 0).  Failed rows are
-    marked and the sweep continues."""
-    kernel = kernel if kernel is not None else Kernel()
+def gamma_sweep(m: MeshPotential, schedule: SweepSchedule) -> SweepTable:
+    """Energy of the recovery field (default kernel, pick_width's width) at
+    each schedule step against the limit energy; ratio = H_n / H_limit (0
+    when the limit is 0).  Failed rows are marked and the sweep continues."""
+    kernel = Kernel()
     segs = jump_set(m)
     h_lim = limit_energy(m, segments=segs)
-    w = width if width is not None else pick_width(m, segments=segs)
+    w = pick_width(m, segments=segs)
     rows: list[SweepRow] = []
     for params in schedule.steps:
         try:
-            res = build_recovery(m, params, kernel=kernel, width=w, order=order)
+            res = build_recovery(m, params, kernel=kernel, width=w)
         except (ValueError, ArithmeticError) as exc:
             rows.append(
                 SweepRow(
@@ -457,16 +461,13 @@ def gamma_sweep(
     return SweepTable(rows=rows, segments=len(segs))
 
 
-def profile_transition_energy(
-    a: float = -20.0, b: float = 20.0, order: int = 400
-) -> tuple[float, float, float]:
-    """(total, potential, gradient) of the optimal profile on [a, b] by
-    Gauss-Legendre quadrature; total = 8/3 within 1e-6, the two parts
-    equipartition at 4/3 each."""
-    nodes, wts = gauss_legendre(order)
-    t = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-    scale = 0.5 * (b - a)
-    s = np.tanh(t)
+def profile_transition_energy() -> tuple[float, float, float]:
+    """(total, potential, gradient) of the optimal profile tanh on [-20, 20]
+    by 400-point Gauss-Legendre quadrature; total = 8/3 within 1e-6, the two
+    parts equipartition at 4/3 each."""
+    nodes, wts = gauss_legendre(400)
+    scale = 20.0  # half the interval
+    s = np.tanh(scale * nodes)
     ds = 1.0 - s * s  # derivative of tanh
     pot = scale * float((wts * (1.0 - s * s) ** 2).sum())
     grad = scale * float((wts * ds * ds).sum())

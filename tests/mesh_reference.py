@@ -1,8 +1,8 @@
 """Loop-level references for the mesh evaluation path: the first-match loop
 over every triangle, the clipped extension built on its barycentric values,
 the mollifier as a per-shift double sum, and the jump set built from a dict
-of edges; and two valid meshes on the unit square whose wall jump_set
-cannot see."""
+of edges; the example potentials on refined grids; and two valid meshes on
+the unit square whose wall jump_set cannot see."""
 
 import numpy as np
 
@@ -148,3 +148,30 @@ def hanging_node_mesh():
         heights=verts[:, 1] + np.abs(verts[:, 0] - 0.5),
         domain=Domain(),
     )
+
+
+def refined_mesh(kind, k, rng):
+    """Example potential of one of the five kinds on a k x k grid of the unit
+    square split into 2k^2 triangles, with its walls on seeded grid lines."""
+    g = np.arange(k + 1) / k
+    x, y = (a.ravel() for a in np.meshgrid(g, g))
+    c, cy = g[np.sort(rng.choice(np.arange(1, k), 2, replace=False))]
+    if kind == "vertical_wall":
+        h = y + np.abs(x - c)
+    elif kind == "horizontal_wall":
+        h = x + np.abs(y - c)
+    elif kind == "four_quadrant":
+        h = np.abs(x - c) + np.abs(y - cy)
+    elif kind == "diagonal_wall":
+        h = np.abs(x + y - rng.integers(1, 2 * k) / k)
+    else:  # laminate: the slope in x flips at up to three walls
+        walls = g[np.sort(rng.choice(np.arange(1, k), min(3, k - 1), replace=False))]
+        flips = (x[:, None] > walls[None, :]).sum(axis=1)
+        h = y + x * (-1.0) ** flips
+        h += 2.0 * ((-1.0) ** np.arange(walls.size) * walls
+                    * (x[:, None] > walls[None, :])).sum(axis=1)
+    j, i = (a.ravel() for a in np.mgrid[0:k, 0:k])
+    v00 = j * (k + 1) + i
+    tris = np.stack([v00, v00 + 1, v00 + k + 1, v00 + 1, v00 + k + 2, v00 + k + 1], axis=1)
+    return MeshPotential(vertices=np.stack([x, y], axis=1), triangles=tris.reshape(-1, 3),
+                         heights=h, domain=Domain())

@@ -1,4 +1,4 @@
-"""Order-parameter transform, vorticity and spin reconstruction."""
+"""Order-parameter transform and vorticity."""
 
 import math
 
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from helimag.chirality import (
     ChiralityPair,
     oriented_angle,
-    reconstruct_spin,
     transform,
     vorticity,
 )
@@ -132,45 +131,3 @@ class TestVorticity:
 
         with pytest.raises(ValueError):
             vorticity(ThetaFields(theta_hor=th, theta_ver=tv))
-
-
-class TestReconstruct:
-    def test_roundtrip_transform(self):
-        rng = np.random.default_rng(21)
-        p = ModelParams(lam=0.05, delta=0.3)
-        psi = 0.5 * rng.normal(size=(5, 5))
-        u = SpinField.from_angles(psi, p.lam)
-        _, pair = transform(u, p)
-        u2 = reconstruct_spin(pair, p, anchor=psi[0, 0])
-        _, pair2 = transform(u2, p)
-        np.testing.assert_allclose(pair2.w.values, pair.w.values, atol=1e-10)
-        np.testing.assert_allclose(pair2.z.values, pair.z.values, atol=1e-10)
-
-    def test_anchor_sets_global_rotation(self):
-        p = ModelParams(lam=0.05, delta=0.3)
-        _, pair = transform(make_helix(4, p, 1, 1), p)
-        u = reconstruct_spin(pair, p, anchor=0.7)
-        assert u.angles[0, 0] == pytest.approx(0.7)
-
-    def test_rejects_bound_violation(self):
-        p = ModelParams(lam=0.05, delta=0.3)
-        big = 2.0 * math.sqrt(2.0 / p.delta)
-        pair = ChiralityPair(
-            w=ScalarGrid.from_values(np.full((3, 2), big), p.lam),
-            z=ScalarGrid.from_values(np.zeros((2, 3)), p.lam),
-            delta=p.delta,
-        )
-        with pytest.raises(ValueError):
-            reconstruct_spin(pair, p)
-
-    def test_rejects_open_plaquettes(self):
-        p = ModelParams(lam=0.05, delta=0.3)
-        w = np.zeros((2, 1))
-        w[0, 0] = 0.5
-        pair = ChiralityPair(
-            w=ScalarGrid.from_values(w, p.lam),
-            z=ScalarGrid.from_values(np.zeros((1, 2)), p.lam),
-            delta=p.delta,
-        )
-        with pytest.raises(ValueError):
-            reconstruct_spin(pair, p)

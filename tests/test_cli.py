@@ -53,6 +53,27 @@ class TestPlumbing:
         assert doc["status"] == 1
         assert doc["error"].startswith("cannot read config")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["nosuch"], "invalid choice: 'nosuch'"),
+        (["groundstate", "--n", "abc"], "invalid int value: 'abc'"),
+        (["energy", "--format", "json"], "invalid choice: 'json'"),
+        ([], "required: command"),
+        (["selftest", "--bogus"], "unrecognized arguments: --bogus"),
+    ])
+    def test_usage_error_is_status_1(self, capsys, argv, message):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert main(argv + ["--json-errors"]) == 1
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["status"] == 1 and message in doc["error"]
+
+    def test_help_is_status_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        assert "selftest" in capsys.readouterr().out
+
     def test_flags_land_under_their_config_keys(self, monkeypatch):
         from helimag import cli
 

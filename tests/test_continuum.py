@@ -5,7 +5,8 @@ import math
 
 import numpy as np
 import pytest
-from mesh_reference import dict_jump_set, first_match, hanging_node_mesh, three_owner_mesh
+from mesh_reference import dict_jump_set, first_match, hanging_node_mesh, refined_mesh, \
+    three_owner_mesh
 
 from helimag.continuum import (
     SIGMA_AXIS,
@@ -23,7 +24,7 @@ from helimag.continuum import (
     validate_mesh,
 )
 from helimag.lattice import Domain
-from helimag.recovery import WALL_WIDTH, SweepSchedule, gauss_legendre
+from helimag.recovery import WALL_WIDTH, SweepSchedule, extend_potential, gauss_legendre
 
 LABELS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 
@@ -60,16 +61,12 @@ class TestMeshPotential:
     def test_evaluate_matches_heights(self):
         m = two_triangle_mesh()
         v = m.vertices
-        np.testing.assert_allclose(m.evaluate(v[:, 0], v[:, 1]), m.heights, atol=1e-12)
+        np.testing.assert_allclose(extend_potential(m)(v[:, 0], v[:, 1]), m.heights, atol=1e-12)
 
     def test_evaluate_affine_inside(self):
-        m = two_triangle_mesh(h3=0.0)
-        assert m.evaluate(0.25, 0.25) == pytest.approx(0.5)
-        assert m.evaluate(0.75, 0.75) == pytest.approx(0.5)
-
-    def test_evaluate_outside_raises(self):
-        with pytest.raises(ValueError):
-            two_triangle_mesh().evaluate(1.5, 0.5)
+        ext = extend_potential(two_triangle_mesh(h3=0.0))
+        assert ext(0.25, 0.25) == pytest.approx(0.5)
+        assert ext(0.75, 0.75) == pytest.approx(0.5)
 
     @pytest.mark.parametrize("bad", [-1, 4])
     def test_triangle_index_out_of_range(self, bad):
@@ -314,33 +311,6 @@ class TestJumpSet:
         m = build_example("vertical_wall")
         segs = jump_set(m)
         assert len(segs) == 1
-
-
-def refined_mesh(kind, k, rng):
-    """Example potential of one of the five kinds on a k x k grid of the unit
-    square split into 2k^2 triangles, with its walls on seeded grid lines."""
-    g = np.arange(k + 1) / k
-    x, y = (a.ravel() for a in np.meshgrid(g, g))
-    c, cy = g[np.sort(rng.choice(np.arange(1, k), 2, replace=False))]
-    if kind == "vertical_wall":
-        h = y + np.abs(x - c)
-    elif kind == "horizontal_wall":
-        h = x + np.abs(y - c)
-    elif kind == "four_quadrant":
-        h = np.abs(x - c) + np.abs(y - cy)
-    elif kind == "diagonal_wall":
-        h = np.abs(x + y - rng.integers(1, 2 * k) / k)
-    else:  # laminate: the slope in x flips at up to three walls
-        walls = g[np.sort(rng.choice(np.arange(1, k), min(3, k - 1), replace=False))]
-        flips = (x[:, None] > walls[None, :]).sum(axis=1)
-        h = y + x * (-1.0) ** flips
-        h += 2.0 * ((-1.0) ** np.arange(walls.size) * walls
-                    * (x[:, None] > walls[None, :])).sum(axis=1)
-    j, i = (a.ravel() for a in np.mgrid[0:k, 0:k])
-    v00 = j * (k + 1) + i
-    tris = np.stack([v00, v00 + 1, v00 + k + 1, v00 + 1, v00 + k + 2, v00 + k + 1], axis=1)
-    return MeshPotential(vertices=np.stack([x, y], axis=1), triangles=tris.reshape(-1, 3),
-                         heights=h, domain=Domain())
 
 
 def edge_owners(m):

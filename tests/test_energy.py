@@ -12,15 +12,13 @@ from hypothesis import strategies as st
 from helimag.energy import (
     EnergyReport,
     W,
-    discrete_mm,
     energy_E,
     energy_H,
     energy_H_1d,
     mm_decomposition,
     rho,
-    tilde_W_n,
 )
-from helimag.lattice import Domain, ModelParams, ScalarGrid, SpinField, index_set
+from helimag.lattice import Domain, ModelParams, SpinField, index_set
 
 
 def oracle_H(u, domain, params):
@@ -60,15 +58,6 @@ class TestWells:
         assert W(1.0) == 0.0
         assert W(-1.0) == 0.0
         assert W(0.0) == 1.0
-
-    @given(st.floats(-3.0, 3.0), st.floats(0.01, 0.99))
-    @settings(max_examples=200, deadline=None)
-    def test_w_dominates_lattice_well(self, s, delta):
-        assert W(s) >= tilde_W_n(s, delta) - 1e-12
-
-    def test_lattice_well_zeros_at_unit_chirality(self):
-        assert tilde_W_n(1.0, 0.37) == pytest.approx(0.0, abs=1e-14)
-        assert tilde_W_n(-1.0, 0.37) == pytest.approx(0.0, abs=1e-14)
 
 
 class TestEnergyE:
@@ -306,26 +295,3 @@ class TestDecomposition:
                     want += pf * (W(z[j, i]) + W(z[j + 1, i]))
         rep = mm_decomposition(u, d, p)
         assert rep.potential_part == pytest.approx(want, rel=1e-10)
-
-
-class TestDiscreteMM:
-    def test_nonnegative_and_zero_on_constants(self):
-        g = ScalarGrid.from_values(np.ones((4, 4)), 0.25)
-        assert discrete_mm(g, 0.1) == 0.0
-        g2 = ScalarGrid.from_values(np.random.default_rng(0).normal(size=(4, 4)), 0.25)
-        assert discrete_mm(g2, 0.1) >= 0.0
-
-    def test_direction_on_transpose(self):
-        vals = np.random.default_rng(3).normal(size=(4, 6))
-        g = ScalarGrid.from_values(vals, 0.2)
-        gt = ScalarGrid.from_values(vals.T, 0.2)
-        assert discrete_mm(g, 0.3, direction=1) == pytest.approx(
-            discrete_mm(gt, 0.3, direction=2)
-        )
-
-    def test_validation(self):
-        g = ScalarGrid.from_values(np.zeros((3, 3)), 1.0)
-        with pytest.raises(ValueError):
-            discrete_mm(g, -1.0)
-        with pytest.raises(ValueError):
-            discrete_mm(g, 0.1, direction=3)

@@ -12,6 +12,7 @@ from helimag.lattice import (
     ScalarGrid,
     SpinField,
     det_sum,
+    GEOM_TOL,
     index_mask,
     index_set,
 )
@@ -29,20 +30,6 @@ class TestDomain:
             Domain(width=0.0)
         with pytest.raises(ValueError):
             Domain(height=-1.0)
-
-    def test_cell_inside_rectangle(self):
-        d = Domain(width=1.0, height=1.0)
-        lam = 0.25
-        assert d.cell_inside(0, 0, lam)
-        assert d.cell_inside(3, 3, lam)
-        assert not d.cell_inside(4, 0, lam)
-        assert not d.cell_inside(-1, 0, lam)
-
-    def test_cell_inside_boundary_tolerance(self):
-        # cell touching the boundary exactly counts as inside
-        d = Domain(width=0.75, height=0.75)
-        assert d.cell_inside(2, 2, 0.25)
-        assert not d.cell_inside(3, 2, 0.25)
 
 
 class TestModelParams:
@@ -98,11 +85,21 @@ class TestIndexSet:
                 assert mask[j, i] == ((i, j) in pairs)
 
 
+def cell_inside(domain, i, j, lam):
+    """The closed cell Q(i, j) = [lam*i, lam*(i+1)] x [lam*j, lam*(j+1)] lies
+    in the domain's rectangle, each side widened by GEOM_TOL times the
+    largest coordinate magnitude (at least 1)."""
+    x0, y0, x1, y1 = domain.x0, domain.y0, domain.x0 + domain.width, domain.y0 + domain.height
+    tol = GEOM_TOL * max(1.0, abs(x0) + domain.width, abs(y0) + domain.height)
+    return (x0 - tol <= lam * i and lam * (i + 1) <= x1 + tol
+            and y0 - tol <= lam * j and lam * (j + 1) <= y1 + tol)
+
+
 def per_cell_interior(domain, lam, i_range, j_range):
     """Loop reference: (len(j_range), len(i_range)) mask of the indices whose
-    cells Q(i,j), Q(i+1,j), Q(i,j+1) pass Domain.cell_inside one by one."""
+    cells Q(i,j), Q(i+1,j), Q(i,j+1) pass cell_inside one by one."""
     inside = {
-        (i, j): domain.cell_inside(i, j, lam)
+        (i, j): cell_inside(domain, i, j, lam)
         for j in range(j_range.start, j_range.stop + 1)
         for i in range(i_range.start, i_range.stop + 1)
     }

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from mesh_reference import double_sum_mollify, extension, hanging_node_mesh, three_owner_mesh
+from mesh_reference import double_sum_mollify, extension, hanging_node_mesh, refined_mesh, \
+    three_owner_mesh
 
 from helimag import recovery
 from helimag.continuum import MeshError, MeshPotential, build_example, jump_set, kink_edges
@@ -125,7 +126,7 @@ class TestExtension:
         rng = np.random.default_rng(1)
         x = rng.uniform(0.0, 1.0, 50)
         y = rng.uniform(0.0, 1.0, 50)
-        np.testing.assert_allclose(ext(x, y), m.evaluate(x, y), atol=1e-12)
+        np.testing.assert_allclose(ext(x, y), extension(m)(x, y), atol=1e-12)
 
     def test_lipschitz_sqrt2(self):
         m = build_example("four_quadrant")
@@ -415,6 +416,28 @@ class TestQuadratureBand:
         )
         none = np.empty((0, 2))
         assert not quadrature_band(none, none, xs, ys, 0.1).any()
+
+    @pytest.mark.parametrize("kind", ["four_quadrant", "diagonal_wall", "laminate"])
+    def test_refined_mesh_matches_per_edge_formula(self, kind):
+        # a grid on part of the domain whose spacing puts box sides on grid
+        # points; some edges' boxes miss it
+        p, q = kink_edges(refined_mesh(kind, 16, np.random.default_rng(4)))
+        xs = 0.125 + np.arange(48) / 64
+        ys = 0.25 + np.arange(40) / 64
+        reach = 1.0 / 32
+        want = np.zeros((ys.size, xs.size), dtype=bool)
+        misses = 0
+        for (px, py), (qx, qy) in zip(p.tolist(), q.tolist()):
+            length = np.hypot(qx - px, qy - py)
+            nux, nuy = (qy - py) / length, -((qx - px) / length)
+            cols = (xs >= min(px, qx) - reach) & (xs <= max(px, qx) + reach)
+            rows = (ys >= min(py, qy) - reach) & (ys <= max(py, qy) + reach)
+            dist = np.abs(nux * (xs[None, :] - px) + nuy * (ys[:, None] - py))
+            want |= rows[:, None] & cols[None, :] & (dist <= reach * (abs(nux) + abs(nuy)))
+            misses += not (cols.any() and rows.any())
+        assert 0 < misses < len(p)
+        assert want.any() and not want.all()
+        np.testing.assert_array_equal(quadrature_band(p, q, xs, ys, reach), want)
 
     @staticmethod
     def assert_banded_full_rule(m, params, kernel, monkeypatch):
