@@ -68,6 +68,12 @@ class TestMeshPotential:
         assert ext(0.25, 0.25) == pytest.approx(0.5)
         assert ext(0.75, 0.75) == pytest.approx(0.5)
 
+    def test_evaluate_outside_raises(self):
+        # the mesh interpolant is defined on the mesh only; extend_potential
+        # clips to the domain before it locates
+        with pytest.raises(ValueError, match="outside the mesh"):
+            two_triangle_mesh().locate(1.5, 0.5)
+
     @pytest.mark.parametrize("bad", [-1, 4])
     def test_triangle_index_out_of_range(self, bad):
         with pytest.raises(ValueError, match="indices"):

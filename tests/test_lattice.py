@@ -31,6 +31,26 @@ class TestDomain:
         with pytest.raises(ValueError):
             Domain(height=-1.0)
 
+    def test_cell_inside_rectangle(self):
+        d = Domain(width=1.0, height=1.0)
+        lam = 0.25
+
+        def inside(i, j):
+            cols, rows = d.axes_inside(i, j, lam)
+            return bool(cols & rows)
+
+        assert inside(0, 0)
+        assert inside(3, 3)
+        assert not inside(4, 0)
+        assert not inside(-1, 0)
+
+    def test_cell_inside_boundary_tolerance(self):
+        # cell touching the boundary exactly counts as inside
+        d = Domain(width=0.75, height=0.75)
+        assert all(d.axes_inside(2, 2, 0.25))
+        cols, rows = d.axes_inside(3, 2, 0.25)
+        assert not cols and rows
+
 
 class TestModelParams:
     def test_derived_quantities(self):
