@@ -19,7 +19,7 @@ import numpy as np
 from .chirality import transform, vorticity
 from .continuum import MeshError, MeshPotential, build_example, classify_triple, \
     jump_set, limit_energy, mesh_to_svg, total_variations
-from .energy import energy_H, mm_decomposition, rho
+from .energy import energy_H, mm_decomposition, prefactor, rho
 from .lattice import Domain, ModelParams, SpinField
 from .optimize import MinimizeOptions, chain_bc, log_to_csv, minimize_H, profile_init
 from .recovery import SweepSchedule, build_recovery, gamma_sweep, profile_transition_energy
@@ -45,10 +45,19 @@ def _outdir(config: dict) -> Path:
 
 
 def _params(config: dict) -> ModelParams:
+    """Model parameters whose plane and chain energy prefactors are finite;
+    anything else raises ValidationError."""
     try:
-        return ModelParams(lam=float(config["lambda"]), delta=float(config["delta"]))
+        p = ModelParams(lam=float(config["lambda"]), delta=float(config["delta"]))
     except (KeyError, ValueError, TypeError) as exc:
         raise ValidationError(f"bad model parameters: {exc}") from exc
+    try:  # lam * delta ** 1.5 can underflow to 0
+        finite = all(math.isfinite(prefactor(p, p.lam, one_d)) for one_d in (False, True))
+    except ZeroDivisionError:
+        finite = False
+    if not finite:
+        raise ValidationError("bad model parameters: the energy prefactor is not finite")
+    return p
 
 
 def _int(config: dict, key: str, default: int) -> int:

@@ -214,9 +214,12 @@ def _mesh_labels(m: MeshPotential) -> np.ndarray:
     as validate_mesh does."""
     grads = m.gradients()
     labels = np.round(grads).astype(int)
-    bad = np.abs(grads - labels).max(axis=1) > GRAD_TOL
-    bad |= np.abs(np.abs(labels)).max(axis=1) != 1
-    bad |= np.abs(labels).min(axis=1) != 1
+    # column by column, as in _edges: a reduction over an axis of length 2
+    # costs many times as much
+    err = np.abs(grads - labels)
+    size = np.abs(labels)
+    bad = (err[:, 0] > GRAD_TOL) | (err[:, 1] > GRAD_TOL)
+    bad |= (size[:, 0] != 1) | (size[:, 1] != 1)
     if np.any(bad):
         idx = [int(t) for t in np.nonzero(bad)[0]]
         raise MeshError(f"gradients off the {{+-1}}^2 lattice on triangles {idx}", idx)
@@ -275,7 +278,8 @@ def kink_edges(m: MeshPotential) -> tuple[np.ndarray, np.ndarray]:
     # (N, 4): vertex on the side x = x0, x = x1, y = y0, y = y1
     sides = np.abs(v[:, [0, 0, 1, 1]] - np.array(corners)[[0, 2, 1, 3]]) <= tol
     on_side = (sides[lo] & sides[hi]).any(axis=1)
-    kink = (labels[t1] != labels[t2]).any(axis=1)
+    d = labels[t1] != labels[t2]
+    kink = d[:, 0] | d[:, 1]
     kink |= (count > 2) | ((count == 1) & ~on_side)
     return v[lo[kink]], v[hi[kink]]
 
@@ -297,7 +301,8 @@ def jump_set(m: MeshPotential) -> list[JumpSegment]:
     labels = _mesh_labels(m)
     v = m.vertices
     lo, hi, first, t1, t2, count = _edges(m)
-    jump = np.flatnonzero((count == 2) & (labels[t1] != labels[t2]).any(axis=1))
+    d = labels[t1] != labels[t2]
+    jump = np.flatnonzero((count == 2) & (d[:, 0] | d[:, 1]))
     jump = jump[np.argsort(first[jump])]  # order of first appearance
     t1, t2 = t1[jump], t2[jump]
     p = v[lo[jump]]

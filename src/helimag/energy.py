@@ -130,13 +130,13 @@ def squared_stencil(ux: np.ndarray, uy: np.ndarray, half_alpha: float) -> np.nda
 
 @dataclass
 class StencilState:
-    """One angle array's cos/sin, its unsquared three-point stencils (hx, hy)
-    per direction with the stencil axis last (the vertical ones are those of
-    the transpose), and the energy each direction contributes."""
+    """One angle array's stacked (cos, sin) ``cs`` of shape (2, ny, nx), its
+    stacked unsquared three-point stencils of shape (2, rows, n - 2) per
+    direction with the stencil axis last (the vertical ones are those of
+    ``cs.transpose(0, 2, 1)``), and the energy each direction contributes."""
 
-    cosp: np.ndarray
-    sinp: np.ndarray
-    stencils: list[tuple[np.ndarray, np.ndarray]]
+    cs: np.ndarray
+    stencils: list[np.ndarray]
     parts: list[float]
 
     @property
@@ -147,12 +147,13 @@ class StencilState:
 class StencilEnergy:
     """The renormalized energy of angle arrays of one shape.
 
-    The index set and the prefactor are computed once.  ``evaluate`` takes
-    one cos/sin and one set of stencils per angle array and sums them;
+    The index set and the prefactor are computed once.  ``evaluate`` checks
+    an angle array is finite, takes its stacked cos/sin and stacked stencils
+    (one ufunc call per step for both spin components) and sums them;
     ``gradient`` reuses that state.  On a plane the stencils are masked by
     the interior index set of ``domain``; a single row over ``interval``
     sums only the kept terms, because zero padding would regroup the
-    pairwise sum.
+    pairwise sum.  A mask that keeps every term is skipped.
     """
 
     def __init__(
@@ -174,23 +175,30 @@ class StencilEnergy:
             self.masks = [mask[:, : max(nx - 2, 0)], mask[: max(ny - 2, 0), :].T]
         self.prefactor = prefactor(params, lam, one_d=self.one_d)
         self.term_count = sum(int(np.count_nonzero(m)) for m in self.masks)
+        self.masks = [None if m.all() else m for m in self.masks]
 
-    def evaluate(self, u: SpinField) -> StencilState:
-        cosp, sinp = u.vectors()
+    def evaluate(self, psi: np.ndarray) -> StencilState:
+        """The stencils and energy of the angle array ``psi``."""
+        if not np.isfinite(psi).all():
+            raise ValueError("spin angles must be finite")
+        cs = np.empty((2,) + psi.shape)
+        np.cos(psi, out=cs[0])
+        np.sin(psi, out=cs[1])
         half_alpha = self.alpha / 2.0
-        state = StencilState(cosp, sinp, [], [])
+        state = StencilState(cs, [], [])
         for vertical, mask in enumerate(self.masks):
-            c, s = (cosp.T, sinp.T) if vertical else (cosp, sinp)
-            hx = three_point(c, half_alpha)
-            hy = three_point(s, half_alpha)
-            sq = hx * hx + hy * hy
-            if self.one_d:
-                terms = sq[:, mask]
-            else:
-                # sum in the grid's row-major order
-                terms = (sq * mask).T if vertical else sq * mask
-            state.stencils.append((hx, hy))
-            state.parts.append(self.prefactor * det_sum(terms))
+            a = cs.transpose(0, 2, 1) if vertical else cs
+            # the rounding sequence of three_point, both components at once
+            h = half_alpha * a[..., 1:-1]
+            np.subtract(a[..., 2:], h, out=h)
+            h += a[..., :-2]
+            h2 = h * h
+            sq = h2[0] + h2[1]
+            if mask is not None:
+                sq = sq[:, mask] if self.one_d else sq * mask
+            state.stencils.append(h)
+            # sum in the grid's row-major order
+            state.parts.append(self.prefactor * det_sum(sq.T if vertical else sq))
         return state
 
     def report(self, state: StencilState) -> EnergyReport:
@@ -202,19 +210,20 @@ class StencilEnergy:
 
     def gradient(self, state: StencilState) -> np.ndarray:
         """Angle gradient of the energy of ``state``."""
-        g = np.zeros_like(state.cosp)
-        for vertical, ((hx, hy), mask) in enumerate(zip(state.stencils, self.masks)):
-            c, s, gv = (
-                (state.cosp.T, state.sinp.T, g.T)
-                if vertical
-                else (state.cosp, state.sinp, g)
-            )
-            hx = hx * mask
-            hy = hy * mask
+        cs = state.cs
+        g = np.zeros(cs.shape[1:])
+        # the perpendicular spin (-sin, cos), stacked like cs
+        r = cs[::-1].copy()
+        r[0] *= -1.0
+        for vertical, (h, mask) in enumerate(zip(state.stencils, self.masks)):
+            rv, gv = (r.transpose(0, 2, 1), g.T) if vertical else (r, g)
+            if mask is not None:
+                h = h * mask
+            n = h.shape[-1]
             # d|v|^2/dpsi_k = 2 v . u_perp(k) * coefficient of u_k in v
-            gv[..., :-2] += 2.0 * (-hx * s[..., :-2] + hy * c[..., :-2])
-            gv[..., 1:-1] += -self.alpha * (-hx * s[..., 1:-1] + hy * c[..., 1:-1])
-            gv[..., 2:] += 2.0 * (-hx * s[..., 2:] + hy * c[..., 2:])
+            for j, c in enumerate((2.0, -self.alpha, 2.0)):
+                p = h * rv[..., j : j + n]
+                gv[..., j : j + n] += c * (p[0] + p[1])
         g *= self.prefactor
         return g
 
@@ -223,7 +232,7 @@ def energy_H(u: SpinField, domain: Domain, params: ModelParams) -> EnergyReport:
     """Renormalized energy over the interior index set; zero exactly on the
     four helical ground states."""
     model = StencilEnergy((u.ny, u.nx), params, u.spacing, domain=domain)
-    return model.report(model.evaluate(u))
+    return model.report(model.evaluate(u.angles))
 
 
 def energy_H_1d(
@@ -237,7 +246,7 @@ def energy_H_1d(
     if not b > a:
         raise ValueError("empty interval")
     model = StencilEnergy((1, chain.nx), params, chain.spacing, interval=interval)
-    return model.evaluate(chain).total
+    return model.evaluate(chain.angles).total
 
 
 _RHO_METHODS = ("definition", "closed_form")

@@ -138,7 +138,7 @@ def energy_gradient(
     if bc is not None and bc.mask.shape != u.angles.shape:
         raise ValueError("boundary condition shape mismatch")
     model = _stencil_energy(u.angles.shape, domain, params, lam)
-    g = model.gradient(model.evaluate(u))
+    g = model.gradient(model.evaluate(u.angles))
     if bc is not None:
         g[bc.mask] = 0.0
     return g
@@ -190,15 +190,15 @@ def minimize_H(
     max_backtracks reductions returns the best iterate with ``stalled`` set.
 
     The index set and the prefactor are computed once per call.  Each trial
-    gets one cos/sin and one set of stencils (and the finite-angle check of
-    ``SpinField``); the gradient at an accepted point and the final report
-    reuse the accepted trial's.
+    is one ``StencilEnergy.evaluate`` of its angle array, with no spin field
+    built; the gradient at an accepted point and the final report reuse the
+    accepted trial's.
     """
     opts = opts if opts is not None else MinimizeOptions()
     psi = bc.apply(np.asarray(psi0, dtype=float))
     lam = params.lam
     model = _stencil_energy(psi.shape, domain, params, lam)
-    state = model.evaluate(SpinField.from_angles(psi, lam))
+    state = model.evaluate(psi)
     e = state.total
     evals, accepted, backtracks = 1, 0, 0
     step = opts.init_step
@@ -216,7 +216,7 @@ def minimize_H(
         step = min(step * 2.0, 1e6)  # optimistic growth, then backtrack
         for _ in range(opts.max_backtracks):
             trial = psi - step * g
-            trial_state = model.evaluate(SpinField.from_angles(trial, lam))
+            trial_state = model.evaluate(trial)
             evals += 1
             if trial_state.total <= e - opts.armijo * step * gsq:
                 break

@@ -46,7 +46,7 @@ import numpy as np
 from .chirality import ChiralityPair, ThetaFields, transform
 from .continuum import JumpSegment, MeshPotential, classify_triple, jump_set, \
     kink_edges, limit_energy
-from .energy import EnergyReport, energy_H
+from .energy import EnergyReport, W, energy_H
 from .lattice import ModelParams, ScalarGrid, SpinField
 
 # Width multiplier a for the smoothing scale a*eps.  The mollified step has
@@ -324,8 +324,10 @@ def build_recovery(
     edges = kink_edges(m)
     lam = params.lam
     x0, y0, _, _ = m.domain.corners()
-    nx = int(round(m.domain.width / lam))
-    ny = int(round(m.domain.height / lam))
+    sides = (m.domain.width / lam, m.domain.height / lam)
+    if not all(map(math.isfinite, sides)):
+        raise ValueError("lattice size is not finite")
+    nx, ny = (int(round(s)) for s in sides)
     if nx < 3 or ny < 3:
         raise ValueError("lattice too coarse for the domain")
     xs = x0 + lam * np.arange(nx)
@@ -467,9 +469,10 @@ def profile_transition_energy() -> tuple[float, float, float]:
     parts equipartition at 4/3 each."""
     nodes, wts = gauss_legendre(400)
     scale = 20.0  # half the interval
-    s = np.tanh(scale * nodes)
-    ds = 1.0 - s * s  # derivative of tanh
-    pot = scale * float((wts * (1.0 - s * s) ** 2).sum())
+    t = scale * nodes
+    pot = scale * float((wts * W(np.tanh(t))).sum())
+    # tanh' = 1/cosh^2, not 1 - tanh^2, so the parts are two formulas
+    ds = 1.0 / np.cosh(t) ** 2
     grad = scale * float((wts * ds * ds).sum())
     return pot + grad, pot, grad
 

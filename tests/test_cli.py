@@ -402,6 +402,33 @@ class TestErrorContract:
         assert "model parameters" in result["error"]
         assert not (tmp_path / "groundstate.json").exists()
 
+    @pytest.mark.parametrize("command, config", [
+        ("energy", {}),
+        ("minimize", {"n": 8, "lambda": 0.05}),
+        ("recover", {"kind": "vertical_wall", "lambda": 0.0625}),
+    ])
+    def test_delta_whose_prefactor_underflows(self, tmp_path, command, config):
+        # delta ** 1.5 is 0.0, so the energy prefactor would divide by zero
+        main(["groundstate", "--delta", "0.2", "--lambda", "0.05", "--n", "4",
+              "--out", str(tmp_path)])
+        config = {"in": str(tmp_path / "groundstate.json"), **config}
+        status, result = run(command, {**config, "delta": 1e-300, "out": str(tmp_path)})
+        assert status == 1
+        assert result["error"] == "bad model parameters: the energy prefactor is not finite"
+
+    def test_minimize_lambda_whose_plane_prefactor_overflows(self, tmp_path):
+        # profile_init would make NaN angles from lam * n overflowing
+        status, result = run("minimize", {"lambda": 1e308, "delta": 0.5, "out": str(tmp_path)})
+        assert status == 1
+        assert result["error"] == "bad model parameters: the energy prefactor is not finite"
+        assert not (tmp_path / "minimize_report.json").exists()
+
+    def test_recover_lattice_size_not_finite(self, tmp_path):
+        status, result = run("recover", {"kind": "vertical_wall", "lambda": 1e-320,
+                                         "delta": 0.5, "out": str(tmp_path)})
+        assert status == 1
+        assert result["error"] == "lattice size is not finite"
+
     @pytest.mark.parametrize("command", ["classify", "recover"])
     @pytest.mark.parametrize("mesh", ["list", "path_list"])
     def test_mesh_that_is_a_list(self, tmp_path, command, mesh):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from helimag.energy import (
     EnergyReport,
+    StencilEnergy,
     W,
     energy_E,
     energy_H,
@@ -170,6 +171,8 @@ class TestEnergyH:
         ((11, 17), Domain(width=17 / 17, height=11 / 17)),
         ((17, 14), Domain(x0=0.03, y0=0.05, width=0.6, height=0.85)),
         ((2, 17), Domain(width=1.0, height=1.0)),
+        ((17, 2), Domain(width=1.0, height=1.0)),
+        ((9, 9), Domain(width=2.0, height=2.0)),
     ])
     def test_summation_order_is_the_masked_row_major_one(self, shape, domain):
         # bit-identical, not approximate: the descent references depend on it
@@ -187,6 +190,16 @@ class TestEnergyH:
         p = ModelParams(lam=0.05, delta=0.3)
         u = SpinField.from_angles(rng.uniform(-math.pi, math.pi, (1, 20)), p.lam)
         assert energy_H_1d(u, interval, p) == descent_reference.chain_energy(u, interval, p)
+
+    def test_non_finite_angle_outside_every_kept_stencil(self):
+        # [0.2, 0.7] keeps stencils 2..5 of a 10-site chain: none reads site 0,
+        # so the check cannot rely on NaN reaching the sum
+        p = ModelParams(lam=0.1, delta=0.3)
+        model = StencilEnergy((1, 10), p, p.lam, interval=(0.2, 0.7))
+        psi = np.zeros((1, 10))
+        psi[0, 0] = math.nan
+        with pytest.raises(ValueError, match="spin angles must be finite"):
+            model.evaluate(psi)
 
 
 class TestRho:

@@ -115,6 +115,20 @@ class TestGradient:
         # sites outside every kept stencil do not move the energy
         assert np.all(g[0, [0, 1, 8, 9]] == 0.0)
 
+    @pytest.mark.parametrize("shape, domain", [
+        ((9, 9), Domain(width=9 / 17, height=9 / 17)),
+        ((11, 17), Domain(width=1.0, height=11 / 17)),
+        ((17, 14), Domain(x0=0.03, y0=0.05, width=0.6, height=0.85)),
+        ((1, 17), Domain(width=1.0, height=1 / 17)),
+        ((1, 17), Domain(x0=0.12, width=0.71, height=1 / 17)),
+    ], ids=["square", "non_square", "offset_cut", "chain", "chain_cut"])
+    def test_bit_identical_to_loop_reference(self, shape, domain):
+        rng = np.random.default_rng(38)
+        p = ModelParams(lam=1.0 / 17, delta=0.3)
+        psi = rng.uniform(-math.pi, math.pi, shape)
+        g = energy_gradient(psi, domain, p, None, p.lam)
+        assert g.tobytes() == descent_reference.gradient(psi, domain, p, None, p.lam).tobytes()
+
     def test_zero_at_frozen_sites(self):
         p = ModelParams(lam=0.1, delta=0.3)
         bc = chain_bc(8, p, 1, -1)
