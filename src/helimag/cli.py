@@ -1,9 +1,9 @@
 """Command-line front end wiring the pipeline.
 
 Exit codes: 0 success, 1 validation failure (usage errors, arguments,
-schemas, invalid meshes), 2 numerical failure (bond-angle overflow,
-line-search stall, failed sweep rows).  All structured IO is JSON, tables
-are CSV, images are SVG.
+schemas, invalid meshes, lattices too large to allocate), 2 numerical
+failure (bond-angle overflow, line-search stall, failed sweep rows).  All
+structured IO is JSON, tables are CSV, images are SVG.
 """
 
 from __future__ import annotations
@@ -44,13 +44,9 @@ def _outdir(config: dict) -> Path:
     return out
 
 
-def _params(config: dict) -> ModelParams:
-    """Model parameters whose plane and chain energy prefactors are finite;
-    anything else raises ValidationError."""
-    try:
-        p = ModelParams(lam=float(config["lambda"]), delta=float(config["delta"]))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ValidationError(f"bad model parameters: {exc}") from exc
+def _finite_prefactor(p: ModelParams) -> ModelParams:
+    """p if its plane and chain energy prefactors are finite; otherwise
+    raises ValidationError."""
     try:  # lam * delta ** 1.5 can underflow to 0
         finite = all(math.isfinite(prefactor(p, p.lam, one_d)) for one_d in (False, True))
     except ZeroDivisionError:
@@ -58,6 +54,16 @@ def _params(config: dict) -> ModelParams:
     if not finite:
         raise ValidationError("bad model parameters: the energy prefactor is not finite")
     return p
+
+
+def _params(config: dict) -> ModelParams:
+    """Model parameters whose energy prefactors are finite; anything else
+    raises ValidationError."""
+    try:
+        p = ModelParams(lam=float(config["lambda"]), delta=float(config["delta"]))
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ValidationError(f"bad model parameters: {exc}") from exc
+    return _finite_prefactor(p)
 
 
 def _int(config: dict, key: str, default: int) -> int:
@@ -198,10 +204,11 @@ def _cmd_recover(config: dict) -> dict:
     try:
         segs = jump_set(m)
         res = build_recovery(m, p)
+        _, pair = transform(res.spin, p)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
     (out / "recovery_spin.json").write_text(res.spin.to_json())
-    (out / "recovery_chirality.json").write_text(res.pair.to_json())
+    (out / "recovery_chirality.json").write_text(pair.to_json())
     (out / "recovery_energy.json").write_text(res.report.to_json())
     if res.overflow_count > 0:
         raise NumericalError(
@@ -213,21 +220,24 @@ def _cmd_recover(config: dict) -> dict:
 
 
 def _schedule(config: dict) -> SweepSchedule:
+    """The default schedule or the [[lambda, delta], ...] steps of a JSON
+    file; every step's energy prefactors must be finite."""
     spec = config.get("schedule", "default")
-    if spec == "default":
-        try:
-            return SweepSchedule.default(
+    try:
+        if spec == "default":
+            sched = SweepSchedule.default(
                 finest_n=_int(config, "finest_n", 256), levels=_int(config, "levels", 4)
             )
-        except ValueError as exc:
-            raise ValidationError(f"bad schedule: {exc}") from exc
-    try:
-        steps = json.loads(Path(spec).read_text())
-        return SweepSchedule(
-            steps=[ModelParams(lam=float(a), delta=float(b)) for a, b in steps]
-        )
+        else:
+            steps = json.loads(Path(spec).read_text())
+            sched = SweepSchedule(
+                steps=[ModelParams(lam=float(a), delta=float(b)) for a, b in steps]
+            )
     except (OSError, ValueError, TypeError) as exc:
         raise ValidationError(f"bad schedule: {exc}") from exc
+    for p in sched.steps:
+        _finite_prefactor(p)
+    return sched
 
 
 def _cmd_sweep(config: dict) -> dict:
@@ -240,8 +250,11 @@ def _cmd_sweep(config: dict) -> dict:
         raise ValidationError(str(exc)) from exc
     path = out / "sweep.csv"
     path.write_text(table.to_csv())
-    if any(r.failed for r in table.rows):
-        raise NumericalError("one or more sweep rows failed; see " + str(path))
+    failed = next((r for r in table.rows if r.failed), None)
+    if failed is not None:
+        raise NumericalError(
+            f"sweep row lambda={failed.params.lam!r} failed: {failed.error}; see {path}"
+        )
     points = sum(r.quadrature_points for r in table.rows)
     return {"written": str(path), "final_ratio": table.rows[-1].ratio,
             "segments": table.segments, "quadrature_points": points}
@@ -362,6 +375,8 @@ def run(command: str, config: dict) -> tuple[int, dict]:
         return 1, {"error": str(exc)}
     except NumericalError as exc:
         return 2, {"error": str(exc)}
+    except MemoryError as exc:  # a lattice too large to allocate
+        return 1, {"error": f"out of memory: {exc}"}
 
 
 class _Parser(argparse.ArgumentParser):

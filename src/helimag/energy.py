@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -56,14 +56,7 @@ class EnergyReport:
     gradient_part: Optional[float] = None
 
     def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "horizontal": self.horizontal,
-            "vertical": self.vertical,
-            "term_count": self.term_count,
-            "potential_part": self.potential_part,
-            "gradient_part": self.gradient_part,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -117,8 +110,12 @@ def prefactor(params: ModelParams, lam: float, one_d: bool = False) -> float:
 
 def three_point(a: np.ndarray, half_alpha: float) -> np.ndarray:
     """Three-point stencil a[k+2] - (alpha/2) a[k+1] + a[k] along the last
-    axis; the vertical stencil of a grid is the stencil of its transpose."""
-    return a[..., 2:] - half_alpha * a[..., 1:-1] + a[..., :-2]
+    axis, rounded in that order into one new array; the vertical stencil of
+    a grid is the stencil of its transpose."""
+    h = half_alpha * a[..., 1:-1]
+    np.subtract(a[..., 2:], h, out=h)
+    h += a[..., :-2]
+    return h
 
 
 def squared_stencil(ux: np.ndarray, uy: np.ndarray, half_alpha: float) -> np.ndarray:
@@ -184,14 +181,10 @@ class StencilEnergy:
         cs = np.empty((2,) + psi.shape)
         np.cos(psi, out=cs[0])
         np.sin(psi, out=cs[1])
-        half_alpha = self.alpha / 2.0
         state = StencilState(cs, [], [])
         for vertical, mask in enumerate(self.masks):
-            a = cs.transpose(0, 2, 1) if vertical else cs
-            # the rounding sequence of three_point, both components at once
-            h = half_alpha * a[..., 1:-1]
-            np.subtract(a[..., 2:], h, out=h)
-            h += a[..., :-2]
+            # both spin components at once
+            h = three_point(cs.transpose(0, 2, 1) if vertical else cs, self.alpha / 2.0)
             h2 = h * h
             sq = h2[0] + h2[1]
             if mask is not None:

@@ -13,15 +13,14 @@ carries a width multiplier a chosen so that the smoothed-step chirality
 profile nearly attains the optimal interfacial energy (see WALL_WIDTH
 below).  The bond angles of the lifted field satisfy
 theta_hor = arccos(1-delta) * d1 phi_n exactly wherever that value stays in
-[-pi, pi]; violations are reported as overflows.
+[-pi, pi]; build_recovery counts the bonds where it leaves that range.
 
 phi^eps is evaluated on the whole lattice at once, with the quadrature
 only on a band.  The extension changes its affine map only across the
-mesh's kink edges (continuum.kink_edges), and the rule has mass 1, so at
-every lattice point whose kernel support box misses those edges phi^eps is
-the extension at the point shifted by the rule's first moment (the point
-itself for an even kernel).  build_recovery marks the points whose box
-meets a kink edge (quadrature_band), for every mesh and kernel.  The
+mesh's kink edges (continuum.kink_edges), and the rule is even with mass
+1, so at every lattice point whose kernel support box misses those edges
+phi^eps is the extension at the point itself.  build_recovery marks the
+points whose box meets a kink edge (quadrature_band).  The
 quadrature points form a tensor grid: the x-values lam*i + a*eps*node are
 shared by every lattice row, and each row j adds its own column of
 y-values.  mollify calls the extension on runs of band rows restricted to
@@ -36,23 +35,22 @@ RecoveryResult counts the points passed to the extension.
 from __future__ import annotations
 
 import functools
-import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .chirality import ChiralityPair, ThetaFields, transform
+from .chirality import ChiralityPair
 from .continuum import JumpSegment, MeshPotential, classify_triple, jump_set, \
     kink_edges, limit_energy
 from .energy import EnergyReport, W, energy_H
-from .lattice import ModelParams, ScalarGrid, SpinField
+from .lattice import ModelParams, SpinField
 
 # Width multiplier a for the smoothing scale a*eps.  The mollified step has
 # chirality profile s(t) = 2K(t) - 1 (K the kernel CDF); the wall energy per
 # unit length is a*int W(s) + (1/a)*int |s'|^2, minimized at
-# a = sqrt(int |s'|^2 / int W(s)).  For the default bump this lands within
+# a = sqrt(int |s'|^2 / int W(s)).  For the bump kernel this lands within
 # 2.7% of the optimal 8/3.
 WALL_WIDTH = 1.9724746408616411
 
@@ -82,25 +80,18 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, wts
 
 
-@dataclass
 class Kernel:
-    """Tensor-product mollifier eta(z1, z2) = k(z1) k(z2) built from a 1D
-    profile supported on [-1, 1]; each factor is normalized to integral 1
-    (within 1e-10 by 200-point Gauss-Legendre quadrature)."""
+    """Tensor-product mollifier eta(z1, z2) = k(z1) k(z2) whose factor k is
+    the bump on [-1, 1] normalized to integral 1 (within 1e-10 by 200-point
+    Gauss-Legendre quadrature)."""
 
-    profile: Callable[[np.ndarray], np.ndarray] = _bump
-    _norm: float = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
+    def __init__(self) -> None:
         nodes, wts = gauss_legendre(200)
-        vals = np.asarray(self.profile(nodes), dtype=float)
-        self._norm = float((wts * vals).sum())
-        if not self._norm > 0.0:
-            raise ValueError("kernel profile must have positive integral")
+        self._norm = float((wts * _bump(nodes)).sum())
 
     def k1(self, t: np.ndarray) -> np.ndarray:
         """Normalized 1D factor."""
-        return np.asarray(self.profile(t), dtype=float) / self._norm
+        return _bump(t) / self._norm
 
 
 @dataclass
@@ -184,23 +175,20 @@ MOLLIFY_CHUNK = 2 ** 15
 
 
 def mollify(
-    ext: Callable, kernel: Kernel, epsilon: float, order: int = QUAD_ORDER
-) -> Callable:
-    """Smooth evaluator phi^eps(x) = int eta(z) phi_bar(x + eps z) dz by
-    fixed-order Gauss-Legendre product quadrature on the kernel support
-    square (deterministic).  Exact on affine inputs; on kinked piecewise
-    affine inputs the quadrature error decays algebraically in the order
-    (about 5e-5 at the default order 24).
+    ext: Callable, kernel: Kernel, epsilon: float, xs, ys, mask=None
+) -> np.ndarray:
+    """phi^eps(x) = int eta(z) phi_bar(x + eps z) dz on the tensor grid of
+    the axes xs and ys, an array of shape ys.shape + xs.shape, by
+    QUAD_ORDER-point Gauss-Legendre product quadrature on the kernel
+    support square (deterministic).  Exact on affine inputs; on kinked
+    piecewise affine inputs the quadrature error is below 1e-4 (about 5e-5).
 
-    The returned phi_eps(xs, ys, mask=None) evaluates the tensor grid of the
-    two axes and returns an array of shape ys.shape + xs.shape.  mask, a
-    boolean (ys.size, xs.size) array, marks the points that need
+    mask, a boolean (ys.size, xs.size) array, marks the points that need
     quadrature; None is the all-True mask, the full rule.  Unless every
-    point is masked, ext is first evaluated once on the grid points shifted
-    along both axes by the rule's first moment eps * sum_a w_a node_a (0.0
-    for an even kernel).  That is the rule's value wherever ext is affine on
-    the point's support box, for any kernel, and the quadrature then
-    overwrites the masked points.
+    point is masked, ext is first evaluated once on the grid points
+    themselves.  The rule is even with mass 1, so that is its value
+    wherever ext is affine on the point's support box, and the quadrature
+    then overwrites the masked points.
 
     The quadrature points form the tensor grid of xs[i] + eps*node[a] by
     ys[j] + eps*node[b].  They are evaluated over runs of consecutive rows
@@ -213,51 +201,43 @@ def mollify(
     """
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
+    order = QUAD_ORDER
     nodes, wts = gauss_legendre(order)
     wk = wts * kernel.k1(nodes)
     # renormalize at this order so the discrete rule has total mass exactly
-    # 1: affine inputs are then reproduced exactly and the order dependence
-    # drops below 1e-8
+    # 1: affine inputs are then reproduced exactly
     wk = wk / wk.sum()
-    # the rule's first moment times eps, from the antisymmetric part of the
-    # weights (the nodes are antisymmetric): exactly 0.0 for an even kernel,
-    # where the plain wk @ nodes leaves rounding of order 1e-17
-    shift = epsilon * 0.5 * float((wk - wk[::-1]) @ nodes)
     per_point = order * order
-
-    def phi_eps(xs, ys, mask=None):
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        out_shape = ys.shape + xs.shape
-        xs, ys = xs.ravel(), ys.ravel()
-        nx, ny = xs.size, ys.size
-        band = np.ones((ny, nx), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-        if band.shape != (ny, nx):
-            raise ValueError(f"mask shape {band.shape} != (ny, nx) = {(ny, nx)}")
-        out = np.empty((ny, nx)) if band.all() else ext(xs[None, :] + shift, ys[:, None] + shift)
-        sx = xs[:, None] + epsilon * nodes  # (nx, order)
-        sy = (ys[:, None] + epsilon * nodes).ravel()
-        busy = band.any(axis=1)
-        j = 0
-        while j < ny:
-            if not busy[j]:
-                j += 1
-                continue
-            cols, k = band[j], 1
-            while j + k < ny and busy[j + k]:
-                grown = cols | band[j + k]
-                if (k + 1) * per_point * np.count_nonzero(grown) > MOLLIFY_CHUNK:
-                    break
-                cols, k = grown, k + 1
-            ci = np.flatnonzero(cols)
-            g = ext(sx[ci].reshape(1, -1), sy[j * order:(j + k) * order, None])
-            out[j:j + k, ci] = np.einsum(
-                "jbia,b,a->ji", g.reshape(k, order, ci.size, order), wk, wk
-            )
-            j += k
-        return out.reshape(out_shape)
-
-    return phi_eps
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    out_shape = ys.shape + xs.shape
+    xs, ys = xs.ravel(), ys.ravel()
+    nx, ny = xs.size, ys.size
+    band = np.ones((ny, nx), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if band.shape != (ny, nx):
+        raise ValueError(f"mask shape {band.shape} != (ny, nx) = {(ny, nx)}")
+    out = np.empty((ny, nx)) if band.all() else ext(xs[None, :], ys[:, None])
+    sx = xs[:, None] + epsilon * nodes  # (nx, order)
+    sy = (ys[:, None] + epsilon * nodes).ravel()
+    busy = band.any(axis=1)
+    j = 0
+    while j < ny:
+        if not busy[j]:
+            j += 1
+            continue
+        cols, k = band[j], 1
+        while j + k < ny and busy[j + k]:
+            grown = cols | band[j + k]
+            if (k + 1) * per_point * np.count_nonzero(grown) > MOLLIFY_CHUNK:
+                break
+            cols, k = grown, k + 1
+        ci = np.flatnonzero(cols)
+        g = ext(sx[ci].reshape(1, -1), sy[j * order:(j + k) * order, None])
+        out[j:j + k, ci] = np.einsum(
+            "jbia,b,a->ji", g.reshape(k, order, ci.size, order), wk, wk
+        )
+        j += k
+    return out.reshape(out_shape)
 
 
 def quadrature_band(
@@ -290,12 +270,9 @@ def quadrature_band(
 @dataclass
 class RecoveryResult:
     spin: SpinField
-    theta: ThetaFields
-    pair: ChiralityPair
     report: EnergyReport
-    phi: ScalarGrid
-    overflow_count: int
-    overflow_bonds: list[tuple[str, int, int]]
+    phi: np.ndarray  # (ny, nx) mollified potential at the lattice points
+    overflow_count: int  # bonds whose angle difference leaves [-pi, pi]
     quadrature_points: int  # points passed to the extension
 
 
@@ -305,20 +282,20 @@ def build_recovery(
     kernel: Optional[Kernel] = None,
     width: float = WALL_WIDTH,
 ) -> RecoveryResult:
-    """Recovery spin field at one (lam, delta) with its chirality pair and
-    energy report.
+    """Recovery spin field at one (lam, delta) with its energy report.
 
     The mollifier runs its quadrature only on the band of lattice points
     whose kernel support box (half-width width*eps*max|node| plus
     MeshPotential.locate's pad) meets a kink edge of the mesh (kink_edges,
     which raises MeshError on a non-admissible mesh).  Off the band the
     extension is one affine map on the box, so the rule's value there is
-    the extension at the point shifted by the rule's first moment (see
-    mollify), for every mesh and kernel.
+    the extension at the point itself (see mollify).
 
     Bond angles where |arccos(1-delta) * d phi_n| would exceed pi are
-    counted and listed as overflows (the lifting identity fails there;
-    a nonzero count signals eps too large for the mesh's gradient scale).
+    counted as overflows (the lifting identity fails there).  The count is
+    a guard: the extension's partial derivatives lie in {-1, 0, 1} and the
+    rule is a convex combination of its shifts, so |d phi_n| <= lam and
+    every bond angle stays within arccos(1-delta) < pi/2 up to rounding.
     """
     kernel = kernel if kernel is not None else Kernel()
     edges = kink_edges(m)
@@ -344,30 +321,18 @@ def build_recovery(
         evaluated.append(out.size)
         return out
 
-    phi = mollify(counted, kernel, eps)(xs, ys, band)
-    beta = params.helix_angle
-    psi = beta * phi / lam
+    phi = mollify(counted, kernel, eps, xs, ys, band)
+    psi = params.helix_angle * phi / lam
     u = SpinField.from_angles(psi, lam)
-    theta, pair = transform(u, params)
-    # overflow: discrete derivative of psi leaves [-pi, pi]
-    tol = 1e-12
-    over: list[tuple[str, int, int]] = []
-    dpsi_h = psi[:, 1:] - psi[:, :-1]
-    dpsi_v = psi[1:, :] - psi[:-1, :]
-    for jjj, iii in zip(*np.nonzero(np.abs(dpsi_h) > math.pi + tol)):
-        over.append(("hor", int(iii), int(jjj)))
-    for jjj, iii in zip(*np.nonzero(np.abs(dpsi_v) > math.pi + tol)):
-        over.append(("ver", int(iii), int(jjj)))
-    report = energy_H(u, m.domain, params)
-    phi_grid = ScalarGrid.from_values(phi, lam)
+    over = sum(
+        int(np.count_nonzero(np.abs(np.diff(psi, axis=axis)) > math.pi + 1e-12))
+        for axis in (1, 0)
+    )
     return RecoveryResult(
         spin=u,
-        theta=theta,
-        pair=pair,
-        report=report,
-        phi=phi_grid,
-        overflow_count=len(over),
-        overflow_bonds=over,
+        report=energy_H(u, m.domain, params),
+        phi=phi,
+        overflow_count=over,
         quadrature_points=sum(evaluated),
     )
 
@@ -397,21 +362,16 @@ class SweepTable:
     segments: int  # merged jump segments of the mesh
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(SWEEP_CSV_HEADER + "\n")
+        lines = [SWEEP_CSV_HEADER]
         for r in self.rows:
-            if r.failed:
-                buf.write(
-                    f"{r.params.epsilon!r},{r.params.lam!r},{r.params.delta!r},"
-                    f"failed,failed,failed,{r.h_limit!r},failed,0\n"
-                )
-            else:
-                buf.write(
-                    f"{r.params.epsilon!r},{r.params.lam!r},{r.params.delta!r},"
-                    f"{r.h_total!r},{r.h_hor!r},{r.h_ver!r},{r.h_limit!r},"
-                    f"{r.ratio!r},{r.overflow_count}\n"
-                )
-        return buf.getvalue()
+            # a failed row has no energies and no ratio
+            values = (r.h_total, r.h_hor, r.h_ver, r.ratio)
+            tot, hor, ver, ratio = ["failed"] * 4 if r.failed else map(repr, values)
+            lines.append(
+                f"{r.params.epsilon!r},{r.params.lam!r},{r.params.delta!r},"
+                f"{tot},{hor},{ver},{r.h_limit!r},{ratio},{r.overflow_count}"
+            )
+        return "\n".join(lines) + "\n"
 
 
 def pick_width(m: MeshPotential, *, segments: Optional[list[JumpSegment]] = None) -> float:

@@ -249,7 +249,7 @@ def test_acceptance_10_vorticity_and_curl(capsys):
         w = pick_width(m)
         sched = SweepSchedule.default(finest_n=64, levels=3)
         res = [
-            abs(curl_residual(build_recovery(m, p, width=w).pair, probe))
+            abs(curl_residual(transform(build_recovery(m, p, width=w).spin, p)[1], probe))
             for p in sched.steps
         ]
         factors.append(res[0] / res[-1])

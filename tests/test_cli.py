@@ -254,6 +254,19 @@ class TestRecoverSweepMinimize:
         assert sweep["segments"] == 2
         assert sweep["quadrature_points"] == want
 
+    def test_failed_sweep_row_names_its_cause(self, tmp_path):
+        # the first step's lattice has 2 columns, too few for a stencil
+        sched = tmp_path / "schedule.json"
+        sched.write_text(json.dumps([[0.5, 0.3], [0.0625, 0.0625 ** (2.0 / 3.0)]]))
+        status, result = run("sweep", {"kind": "vertical_wall", "schedule": str(sched),
+                                       "out": str(tmp_path)})
+        assert status == 2
+        assert "lambda=0.5 failed: lattice too coarse for the domain" in result["error"]
+        lines = (tmp_path / "sweep.csv").read_text().split("\n")
+        assert lines[1] == "0.6454972243679028,0.5,0.3,failed,failed,failed,2.6666666666666665,failed,0"
+        assert len(lines) == 4 and lines[3] == ""
+        assert "failed" not in lines[2]
+
     def test_minimize_writes_artifacts(self, tmp_path):
         rc = main(["minimize", "--n", "30", "--lambda", "0.04", "--delta",
                    str(0.04 ** (2.0 / 3.0)), "--bc", "+-", "--max-iter", "400",
@@ -428,6 +441,25 @@ class TestErrorContract:
                                          "delta": 0.5, "out": str(tmp_path)})
         assert status == 1
         assert result["error"] == "lattice size is not finite"
+
+    def test_sweep_step_whose_prefactor_underflows(self, tmp_path):
+        # lam * delta ** 1.5 is 0.0: the row's energy would be NaN
+        sched = tmp_path / "schedule.json"
+        sched.write_text(json.dumps([[0.0625, 1e-210]]))
+        status, result = run("sweep", {"kind": "vertical_wall", "schedule": str(sched),
+                                       "out": str(tmp_path)})
+        assert status == 1
+        assert result["error"] == "bad model parameters: the energy prefactor is not finite"
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_lattice_too_large_to_allocate(self, tmp_path):
+        # the (2, n, n) index grid would take 1.4 PiB, more than a process
+        # can map, so numpy refuses it before touching any memory
+        status, result = run("groundstate", {"lambda": 0.01, "delta": 0.1, "n": 10**7,
+                                             "out": str(tmp_path)})
+        assert status == 1
+        assert result["error"].startswith("out of memory: ")
+        assert not (tmp_path / "groundstate.json").exists()
 
     @pytest.mark.parametrize("command", ["classify", "recover"])
     @pytest.mark.parametrize("mesh", ["list", "path_list"])
