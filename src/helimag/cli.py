@@ -1,9 +1,10 @@
 """Command-line front end wiring the pipeline.
 
 Exit codes: 0 success, 1 validation failure (usage errors, arguments,
-schemas, invalid meshes, lattices too large to allocate), 2 numerical
-failure (bond-angle overflow, line-search stall, failed sweep rows).  All
-structured IO is JSON, tables are CSV, images are SVG.
+schemas, invalid meshes, lattices too large to allocate, and any other
+ValueError a layer raises on its input), 2 numerical failure (bond-angle
+overflow, line-search stall, failed sweep rows).  All structured IO is
+JSON, tables are CSV, images are SVG.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .chirality import transform, vorticity
-from .continuum import MeshError, MeshPotential, build_example, classify_triple, \
-    jump_set, limit_energy, mesh_to_svg, total_variations
+from .continuum import MeshPotential, build_example, classify_triple, jump_set, \
+    limit_energy, mesh_to_svg, total_variations
 from .energy import energy_H, mm_decomposition, prefactor, rho
 from .lattice import Domain, ModelParams, SpinField
 from .optimize import MinimizeOptions, chain_bc, log_to_csv, minimize_H, profile_init
@@ -96,10 +97,7 @@ def _load_mesh(config: dict) -> MeshPotential:
     kind = config.get("kind")
     if not kind:
         raise ValidationError("either a mesh file or a built-in kind is required")
-    try:
-        return build_example(kind, n=_int(config, "n_walls", 3))
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    return build_example(kind, n=_int(config, "n_walls", 3))
 
 
 def _cmd_groundstate(config: dict) -> dict:
@@ -130,10 +128,7 @@ def _cmd_energy(config: dict) -> dict:
     out = _outdir(config)
     dom = Domain(width=u.nx * u.spacing, height=u.ny * u.spacing)
     rep = energy_H(u, dom, p)
-    try:
-        dec = mm_decomposition(u, dom, p)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    dec = mm_decomposition(u, dom, p)
     doc = {"direct": rep.to_dict(), "decomposition": dec.to_dict()}
     path = out / "energy.json"
     path.write_text(json.dumps(doc))
@@ -148,10 +143,7 @@ def _cmd_transform(config: dict) -> dict:
     u = _read_spin(config)
     p = _params({**config, "lambda": u.spacing})
     out = _outdir(config)
-    try:
-        theta, pair = transform(u, p)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    theta, pair = transform(u, p)
     try:
         vort = vorticity(theta)
     except ValueError as exc:
@@ -167,10 +159,7 @@ def _cmd_transform(config: dict) -> dict:
 def _cmd_classify(config: dict) -> dict:
     m = _load_mesh(config)
     out = _outdir(config)
-    try:
-        segs = jump_set(m)
-    except MeshError as exc:
-        raise ValidationError(str(exc)) from exc
+    segs = jump_set(m)
     tvs = total_variations(m, segments=segs)
     doc = {
         "segments": [
@@ -201,12 +190,9 @@ def _cmd_recover(config: dict) -> dict:
     m = _load_mesh(config)
     p = _params(config)
     out = _outdir(config)
-    try:
-        segs = jump_set(m)
-        res = build_recovery(m, p)
-        _, pair = transform(res.spin, p)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    segs = jump_set(m)
+    res = build_recovery(m, p)
+    _, pair = transform(res.spin, p)
     (out / "recovery_spin.json").write_text(res.spin.to_json())
     (out / "recovery_chirality.json").write_text(pair.to_json())
     (out / "recovery_energy.json").write_text(res.report.to_json())
@@ -244,10 +230,7 @@ def _cmd_sweep(config: dict) -> dict:
     m = _load_mesh(config)
     sched = _schedule(config)
     out = _outdir(config)
-    try:
-        table = gamma_sweep(m, sched)
-    except MeshError as exc:
-        raise ValidationError(str(exc)) from exc
+    table = gamma_sweep(m, sched)
     path = out / "sweep.csv"
     path.write_text(table.to_csv())
     failed = next((r for r in table.rows if r.failed), None)
@@ -264,15 +247,9 @@ def _cmd_minimize(config: dict) -> dict:
     p = _params(config)
     n = _int(config, "n", 64)
     left, right = _PAIRS[_pair(config, "bc", "+-")]
-    try:
-        bc = chain_bc(n, p, left, right)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    bc = chain_bc(n, p, left, right)
     psi0 = profile_init(n, p, left, right)
-    try:
-        opts = MinimizeOptions(max_iter=_int(config, "max_iter", 5000))
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    opts = MinimizeOptions(max_iter=_int(config, "max_iter", 5000))
     out = _outdir(config)
     res = minimize_H(psi0, Domain(width=n * p.lam, height=p.lam), p, bc, opts)
     (out / "minimize_psi.json").write_text(
@@ -371,7 +348,9 @@ def run(command: str, config: dict) -> tuple[int, dict]:
         return 1, {"error": f"unknown command {command!r}"}
     try:
         return 0, _DISPATCH[command](config)
-    except ValidationError as exc:
+    # every layer rejects a bad input with ValueError; ValidationError is no
+    # subclass, so the handlers that prefix a layer's message never catch it
+    except (ValidationError, ValueError) as exc:
         return 1, {"error": str(exc)}
     except NumericalError as exc:
         return 2, {"error": str(exc)}

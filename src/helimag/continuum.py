@@ -29,11 +29,7 @@ SIGMA_DIAG = math.sqrt(2.0) * 8.0 / 3.0
 
 
 class MeshError(ValueError):
-    """Raised for invalid meshes; carries the offending triangle indices."""
-
-    def __init__(self, message: str, triangles: list[int]):
-        super().__init__(message)
-        self.triangles = triangles
+    """Raised for invalid meshes."""
 
 
 @dataclass
@@ -79,10 +75,7 @@ class MeshPotential:
         e2 = v[c] - v[a]
         det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
         if np.any(np.abs(det) < 1e-15):
-            raise MeshError(
-                "degenerate triangle(s)",
-                [int(t) for t in np.nonzero(np.abs(det) < 1e-15)[0]],
-            )
+            raise MeshError("degenerate triangle(s)")
         d1 = h[b] - h[a]
         d2 = h[c] - h[a]
         gx = (d1 * e2[:, 1] - d2 * e1[:, 1]) / det
@@ -222,7 +215,7 @@ def _mesh_labels(m: MeshPotential) -> np.ndarray:
     bad |= (size[:, 0] != 1) | (size[:, 1] != 1)
     if np.any(bad):
         idx = [int(t) for t in np.nonzero(bad)[0]]
-        raise MeshError(f"gradients off the {{+-1}}^2 lattice on triangles {idx}", idx)
+        raise MeshError(f"gradients off the {{+-1}}^2 lattice on triangles {idx}")
     v = m.vertices
     a, b, c = (m.triangles[:, k] for k in range(3))
     e1 = v[b] - v[a]
@@ -230,9 +223,7 @@ def _mesh_labels(m: MeshPotential) -> np.ndarray:
     area = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]).sum()
     target = m.domain.width * m.domain.height
     if abs(area - target) > 1e-9 * max(1.0, target):
-        raise MeshError(
-            f"mesh area {area} does not cover the domain area {target}", []
-        )
+        raise MeshError(f"mesh area {area} does not cover the domain area {target}")
     return labels
 
 
@@ -420,16 +411,18 @@ def total_variations(
 ) -> tuple[float, float, float, float]:
     """(|D1 w|, |D2 w|, |D1 z|, |D2 z|) over the domain, from the jump set
     (``segments``, or jump_set(m) when None)."""
-    d1w = d2w = d1z = d2z = 0.0
+    d1w, d2w, d1z, d2z = [], [], [], []
     for s in jump_set(m) if segments is None else segments:
         dw = abs(s.plus[0] - s.minus[0])
         dz = abs(s.plus[1] - s.minus[1])
         ln = s.length
-        d1w += dw * abs(s.nu[0]) * ln
-        d2w += dw * abs(s.nu[1]) * ln
-        d1z += dz * abs(s.nu[0]) * ln
-        d2z += dz * abs(s.nu[1]) * ln
-    return d1w, d2w, d1z, d2z
+        d1w.append(dw * abs(s.nu[0]) * ln)
+        d2w.append(dw * abs(s.nu[1]) * ln)
+        d1z.append(dz * abs(s.nu[0]) * ln)
+        d2z.append(dz * abs(s.nu[1]) * ln)
+    # exact sums: a running sum over a long jump set drifts past
+    # limit_energy's 1e-12 cross-check
+    return math.fsum(d1w), math.fsum(d2w), math.fsum(d1z), math.fsum(d2z)
 
 
 def limit_energy(m: MeshPotential, *, segments: list[JumpSegment] | None = None) -> float:
@@ -439,7 +432,7 @@ def limit_energy(m: MeshPotential, *, segments: list[JumpSegment] | None = None)
     segs = jump_set(m) if segments is None else segments
     d1w, _, _, d2z = total_variations(m, segments=segs)
     via_tv = (4.0 / 3.0) * (d1w + d2z)
-    via_sigma = sum(sigma(s.plus, s.minus, s.nu) * s.length for s in segs)
+    via_sigma = math.fsum(sigma(s.plus, s.minus, s.nu) * s.length for s in segs)
     if abs(via_tv - via_sigma) > 1e-12 * max(1.0, abs(via_tv)):
         raise AssertionError(
             f"limit energy mismatch: {via_tv} (total variation) vs {via_sigma} (sigma)"
@@ -527,6 +520,11 @@ def build_example(kind: str, domain: Domain | None = None, n: int = 3) -> MeshPo
     # laminate
     if n < 1:
         raise ValueError("laminate needs n >= 1 walls")
+    if n + 1 > d.width * SNAP:  # narrower strips would snap onto each other
+        raise ValueError(
+            f"laminate strips must be at least 1/{SNAP} wide: n must be at most "
+            f"{math.floor(d.width * SNAP) - 1}"
+        )
     xs = [_snap(x0 + k * d.width / (n + 1)) for k in range(n + 2)]
     xs[0], xs[-1] = x0, x1
     # triangle-wave heights: slope alternates between the n+1 strips

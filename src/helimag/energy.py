@@ -118,13 +118,6 @@ def three_point(a: np.ndarray, half_alpha: float) -> np.ndarray:
     return h
 
 
-def squared_stencil(ux: np.ndarray, uy: np.ndarray, half_alpha: float) -> np.ndarray:
-    """|u[k+2] - (alpha/2) u[k+1] + u[k]|^2 along the last axis."""
-    hx = three_point(ux, half_alpha)
-    hy = three_point(uy, half_alpha)
-    return hx * hx + hy * hy
-
-
 @dataclass
 class StencilState:
     """One angle array's stacked (cos, sin) ``cs`` of shape (2, ny, nx), its

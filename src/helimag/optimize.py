@@ -18,10 +18,14 @@ from typing import Optional
 
 import numpy as np
 
-from .energy import EnergyReport, StencilEnergy, energy_H_1d, prefactor, squared_stencil
+from .energy import EnergyReport, StencilEnergy, energy_H_1d, prefactor, three_point
 from .lattice import Domain, ModelParams, SpinField, det_sum
 
 LOG_CSV_HEADER = "iter,energy,grad_norm,step"
+
+STOP_GRAD_NORM = 1e-8  # max-norm of the gradient at which descent converges
+ARMIJO = 1e-4  # sufficient-decrease factor of the line search
+BACKTRACK = 0.5  # step factor per line-search backtrack
 
 
 @dataclass
@@ -96,9 +100,6 @@ def two_sided_bc(
 @dataclass
 class MinimizeOptions:
     max_iter: int = 20000
-    grad_tol: float = 1e-8  # max-norm of the gradient
-    armijo: float = 1e-4
-    backtrack: float = 0.5
     max_backtracks: int = 60
     init_step: float = 1.0
 
@@ -107,12 +108,8 @@ class MinimizeOptions:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.max_backtracks < 1:
             raise ValueError(f"max_backtracks must be at least 1, got {self.max_backtracks}")
-        for name in ("grad_tol", "armijo", "init_step"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        if not (0 < self.backtrack < 1):
-            raise ValueError(f"backtrack must lie in (0, 1), got {self.backtrack}")
+        if not (math.isfinite(self.init_step) and self.init_step > 0):
+            raise ValueError(f"init_step must be positive and finite, got {self.init_step}")
 
 
 def _stencil_energy(
@@ -209,7 +206,7 @@ def minimize_H(
         g[bc.mask] = 0.0
         gnorm = float(np.abs(g).max())
         log.append((it, e, gnorm, step))
-        if gnorm <= opts.grad_tol:
+        if gnorm <= STOP_GRAD_NORM:
             reason = "converged"
             break
         gsq = float(det_sum(g * g))
@@ -218,10 +215,10 @@ def minimize_H(
             trial = psi - step * g
             trial_state = model.evaluate(trial)
             evals += 1
-            if trial_state.total <= e - opts.armijo * step * gsq:
+            if trial_state.total <= e - ARMIJO * step * gsq:
                 break
             backtracks += 1
-            step *= opts.backtrack
+            step *= BACKTRACK
         else:
             reason = "stalled"
             break
@@ -334,5 +331,6 @@ def _chain_energies(
     psis: np.ndarray, params: ModelParams, lam: float, n_sites: int
 ) -> np.ndarray:
     """Vectorized 1D energies of many chains at once (all interior stencils)."""
-    terms = squared_stencil(np.cos(psis), np.sin(psis), params.alpha / 2.0)
+    h = three_point(np.stack([np.cos(psis), np.sin(psis)]), params.alpha / 2.0)
+    terms = h[0] * h[0] + h[1] * h[1]
     return prefactor(params, lam, one_d=True) * terms.sum(axis=1)

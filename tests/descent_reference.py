@@ -13,10 +13,17 @@ from helimag.energy import (
     energy_H,
     energy_H_1d,
     prefactor,
-    squared_stencil,
     three_point,
 )
 from helimag.lattice import SpinField, chain_keep, det_sum, index_mask
+from helimag.optimize import ARMIJO, BACKTRACK, STOP_GRAD_NORM
+
+
+def squared_stencil(ux, uy, half_alpha):
+    """|u[k+2] - (alpha/2) u[k+1] + u[k]|^2 along the last axis."""
+    hx = three_point(ux, half_alpha)
+    hy = three_point(uy, half_alpha)
+    return hx * hx + hy * hy
 
 
 def _interval(domain):
@@ -72,7 +79,7 @@ def minimize(psi0, domain, params, bc, opts):
         g = gradient(psi, domain, params, bc, lam)
         gnorm = float(np.abs(g).max())
         log.append((it, e, gnorm, step))
-        if gnorm <= opts.grad_tol:
+        if gnorm <= STOP_GRAD_NORM:
             converged = True
             break
         gsq = float(det_sum(g * g))
@@ -81,11 +88,11 @@ def minimize(psi0, domain, params, bc, opts):
         for _ in range(opts.max_backtracks):
             trial = psi - step * g
             e_trial = objective(trial, domain, params, lam)
-            if e_trial <= e - opts.armijo * step * gsq:
+            if e_trial <= e - ARMIJO * step * gsq:
                 psi, e = trial, e_trial
                 accepted = True
                 break
-            step *= opts.backtrack
+            step *= BACKTRACK
         if not accepted:
             stalled = True
             break

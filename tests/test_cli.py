@@ -340,6 +340,9 @@ class TestErrorContract:
     @pytest.mark.parametrize("command, key, config", [
         ("groundstate", "n", {"lambda": 0.05, "delta": 0.2}),
         ("minimize", "max_iter", {"n": 8, "lambda": 0.04, "delta": 0.2}),
+        # read inside _schedule's handler, which must not prefix the message
+        ("sweep", "finest_n", {"kind": "vertical_wall"}),
+        ("sweep", "levels", {"kind": "vertical_wall"}),
     ])
     def test_non_integer_config_value(self, tmp_path, command, key, config, value):
         status, result = run(command, {**config, key: value, "out": str(tmp_path)})
@@ -543,6 +546,34 @@ class TestErrorContract:
         status, result = run(command, {"in": str(f), "delta": 0.3, "out": str(taken)})
         assert status == 1
         assert "output directory" in result["error"]
+
+    @pytest.mark.parametrize("nx, ny", [(0, 0), (3, 0)])
+    def test_energy_on_an_empty_spin_file(self, tmp_path, nx, ny):
+        f = tmp_path / "u.json"
+        f.write_text(json.dumps({"nx": nx, "ny": ny, "lambda": 0.1, "angles": [0.0] * (nx * ny)}))
+        status, result = run("energy", {"in": str(f), "delta": 0.3, "out": str(tmp_path)})
+        assert (status, result) == (1, {"error": "domain width and height must be positive"})
+
+    def test_any_value_error_of_a_layer_is_status_1(self, tmp_path, monkeypatch):
+        from helimag import cli
+
+        def boom(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(cli, "energy_H", boom)
+        f = tmp_path / "u.json"
+        f.write_text(SpinField.from_angles(np.zeros((4, 4)), 0.1).to_json())
+        status, result = run("energy", {"in": str(f), "delta": 0.3, "out": str(tmp_path)})
+        assert (status, result) == (1, {"error": "boom"})
+
+    @pytest.mark.parametrize("n_walls", [1e300, 2**20])
+    def test_laminate_strips_narrower_than_the_snap_grid(self, tmp_path, n_walls):
+        # 1e300 walls would build a list of 1e300 breakpoints; at 2**20 the
+        # snapped breakpoints of the unit domain collide
+        status, result = run("classify", {"kind": "laminate", "n_walls": n_walls,
+                                          "out": str(tmp_path)})
+        assert status == 1
+        assert result["error"].startswith("laminate strips must be at least 1/1048576 wide")
 
     @pytest.mark.parametrize("out", ["existing_file", "list"])
     def test_unusable_output_directory(self, tmp_path, out):

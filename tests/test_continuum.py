@@ -459,6 +459,14 @@ class TestLimitEnergy:
         got = limit_energy(build_example("vertical_wall", d))
         assert got == pytest.approx(3.0 * 8.0 / 3.0)
 
+    def test_long_jump_set_passes_the_cross_check(self):
+        # a running sum of 100,000 rounded 8/3 drifts by about 1.3e-12
+        # relative, past the 1e-12 agreement the two sums must show
+        m = build_example("vertical_wall")
+        (seg,) = jump_set(m)
+        got = limit_energy(m, segments=[seg] * 100_000)
+        assert got == pytest.approx(8.0 / 3.0 * 100_000, rel=1e-12, abs=0.0)
+
     def test_bootstrap_inequalities(self):
         # |D2 w| <= |D2 z| and |D1 z| <= |D1 w| for curl-free label fields
         kinds = [("vertical_wall", {}), ("horizontal_wall", {}), ("diagonal_wall", {}),
