@@ -10,9 +10,11 @@ JSON, tables are CSV, images are SVG.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -57,14 +59,27 @@ def _finite_prefactor(p: ModelParams) -> ModelParams:
     return p
 
 
+@contextlib.contextmanager
+def _warnings_if_accepted():
+    """Hold back the warnings raised in the block and issue them only when
+    it completes, so that rejected input reports its error alone."""
+    with warnings.catch_warnings(record=True) as held:
+        warnings.simplefilter("always")
+        yield
+    for w in held:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+
+
 def _params(config: dict) -> ModelParams:
     """Model parameters whose energy prefactors are finite; anything else
-    raises ValidationError."""
-    try:
-        p = ModelParams(lam=float(config["lambda"]), delta=float(config["delta"]))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ValidationError(f"bad model parameters: {exc}") from exc
-    return _finite_prefactor(p)
+    raises ValidationError.  ModelParams' regime warning is issued only for
+    parameters that pass."""
+    with _warnings_if_accepted():
+        try:
+            p = ModelParams(lam=float(config["lambda"]), delta=float(config["delta"]))
+        except (KeyError, ValueError, TypeError) as exc:
+            raise ValidationError(f"bad model parameters: {exc}") from exc
+        return _finite_prefactor(p)
 
 
 def _int(config: dict, key: str, default: int) -> int:
@@ -127,6 +142,11 @@ def _cmd_energy(config: dict) -> dict:
     p = _params({**config, "lambda": u.spacing})
     out = _outdir(config)
     dom = Domain(width=u.nx * u.spacing, height=u.ny * u.spacing)
+    if u.nx < 2 or u.ny < 2:
+        raise ValidationError(
+            f"energy needs a spin field of at least 2x2 sites; {config['in']} holds "
+            f"{u.ny}x{u.nx} (rows x columns)"
+        )
     rep = energy_H(u, dom, p)
     dec = mm_decomposition(u, dom, p)
     doc = {"direct": rep.to_dict(), "decomposition": dec.to_dict()}
@@ -207,22 +227,24 @@ def _cmd_recover(config: dict) -> dict:
 
 def _schedule(config: dict) -> SweepSchedule:
     """The default schedule or the [[lambda, delta], ...] steps of a JSON
-    file; every step's energy prefactors must be finite."""
+    file; every step's energy prefactors must be finite.  The steps' regime
+    warnings are issued only when the whole schedule passes."""
     spec = config.get("schedule", "default")
-    try:
-        if spec == "default":
-            sched = SweepSchedule.default(
-                finest_n=_int(config, "finest_n", 256), levels=_int(config, "levels", 4)
-            )
-        else:
-            steps = json.loads(Path(spec).read_text())
-            sched = SweepSchedule(
-                steps=[ModelParams(lam=float(a), delta=float(b)) for a, b in steps]
-            )
-    except (OSError, ValueError, TypeError) as exc:
-        raise ValidationError(f"bad schedule: {exc}") from exc
-    for p in sched.steps:
-        _finite_prefactor(p)
+    with _warnings_if_accepted():
+        try:
+            if spec == "default":
+                sched = SweepSchedule.default(
+                    finest_n=_int(config, "finest_n", 256), levels=_int(config, "levels", 4)
+                )
+            else:
+                steps = json.loads(Path(spec).read_text())
+                sched = SweepSchedule(
+                    steps=[ModelParams(lam=float(a), delta=float(b)) for a, b in steps]
+                )
+        except (OSError, ValueError, TypeError) as exc:
+            raise ValidationError(f"bad schedule: {exc}") from exc
+        for p in sched.steps:
+            _finite_prefactor(p)
     return sched
 
 

@@ -3,7 +3,7 @@ lattice, lift to spins, and sweep the lattice energy against the limit.
 
 The pipeline is
 
-    phi (mesh)  ->  phi_bar (Lipschitz extension to the plane)
+    phi (mesh)  ->  phi_bar (piecewise affine extension to the plane)
                 ->  phi^eps(x) = int eta(z) phi_bar(x + a*eps*z) dz
                 ->  phi_n(i,j) = phi^eps(lam*i, lam*j)
                 ->  psi = arccos(1-delta) * phi_n / lam  ->  u = (cos, sin)(psi)
@@ -20,16 +20,15 @@ only on a band.  The extension changes its affine map only across the
 mesh's kink edges (continuum.kink_edges), and the rule is even with mass
 1, so at every lattice point whose kernel support box misses those edges
 phi^eps is the extension at the point itself.  build_recovery marks the
-points whose box meets a kink edge (quadrature_band).  The
-quadrature points form a tensor grid: the x-values lam*i + a*eps*node are
-shared by every lattice row, and each row j adds its own column of
-y-values.  mollify calls the extension on runs of band rows restricted to
-their band columns (about MOLLIFY_CHUNK points, at least one row) and
-contracts each run with the quadrature weights.  The extension locates
-every point's triangle once (MeshPotential.locate: one bounding-box block
-per triangle, decided by a barycentric test whose terms are computed on
-the grid's axes) and evaluates that triangle's affine map there.
-RecoveryResult counts the points passed to the extension.
+points whose box meets a kink edge (quadrature_band); mollify evaluates
+the extension once at the lattice points and on the band sums the rule
+line by line: the quadrature points of lattice row j lie on the lines
+y = lam*j + a*eps*node, each line is affine between its crossings with
+the kink edges, and one MeshPotential.locate call per run of rows finds
+the map of every piece at its midpoint.  Each column's 24-node x-rule is
+then a sum over the pieces it reaches, taken from prefix sums of the
+weights, and the y-rule contracts the lines.  RecoveryResult counts the
+rule's points, QUAD_ORDER^2 per lattice point of the band.
 """
 
 from __future__ import annotations
@@ -133,16 +132,20 @@ class SweepSchedule:
 
 
 def extend_potential(m: MeshPotential) -> Callable:
-    """Extend the mesh potential to the whole plane, Lipschitz with constant
-    at most sqrt(2).
+    """Extend the mesh potential to the whole plane.
 
     Each point maps to its nearest point of the closed (rectangular) domain;
     the affine map of the triangle located there is continued outward, so
     the extension is again piecewise affine with gradients in {+-1}^2.
-    Inside the domain the evaluator agrees with the mesh interpolant.  The
-    evaluator takes broadcasting inputs; a grid given as a row of x-values
-    and a column of y-values is located block by block on the compact axes
-    (see MeshPotential.locate).
+    Inside the domain the evaluator agrees with the mesh interpolant, which
+    is Lipschitz with constant at most sqrt(2).  Outside it the extension
+    is not Lipschitz where a wall meets a domain side at a slant: across the
+    outward ray from that point the two triangles' maps differ by their
+    gradient jump times the distance from the side.  On diagonal_wall the
+    chord ends at the corner (x0, y1), and above it the extension jumps by
+    2 (y - y1) across x = x0.  The evaluator takes broadcasting inputs; a
+    grid given as a row of x-values and a column of y-values is located
+    block by block on the compact axes (see MeshPotential.locate).
     """
     x0, y0, x1, y1 = m.domain.corners()
     c0, gx, gy = m.affine_coefficients()
@@ -151,7 +154,7 @@ def extend_potential(m: MeshPotential) -> Callable:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         t = m.locate(np.clip(x, x0, x1), np.clip(y, y0, y1))
-        # c0 + gx*x + gy*y, in place to keep fewer chunk-sized arrays alive
+        # c0 + gx*x + gy*y, in place to keep fewer grid-sized arrays alive
         out = gx[t]
         out *= x
         out += c0[t]
@@ -167,37 +170,113 @@ def extend_potential(m: MeshPotential) -> Callable:
 # per lattice point of the band)
 QUAD_ORDER = 24
 
-# Quadrature points per extension call in mollify: as many lattice rows of
-# the band (order^2 points per band column) as fit, at least one.  One full
-# row at n = 64 and order 24 is 36864 points; larger chunks cost resident
-# memory and gain little.
+# Elements of every (quadrature lines x columns x crossings) array of
+# mollify's row-piece sums: chunks split lines and columns until they fit.
+# A run of lattice rows whose pieces are located together holds at most
+# 16 * MOLLIFY_CHUNK booleans in MeshPotential.locate's bounding-box pass.
 MOLLIFY_CHUNK = 2 ** 15
 
 
+class _RowPieces:
+    """extend_potential along horizontal lines, piece by piece.
+
+    On the line y = Y the extension is c0 + gx*x + gy*Y with the triangle
+    located at (clip(x), clip(Y)).  Between two consecutive crossings of
+    the clipped line with the kink edges that map does not change, and the
+    first and last pieces continue past the domain's sides.  A crossing
+    counts at an edge's ends too, and an edge lying on the line adds both
+    of its ends, so a vertex on the line where the map changes is always a
+    crossing."""
+
+    def __init__(self, m: MeshPotential) -> None:
+        self.mesh = m
+        self.corners = m.domain.corners()
+        p, q = kink_edges(m)
+        up = p[:, 1] <= q[:, 1]
+        self.lo = np.where(up[:, None], p, q)  # lower end of every edge
+        self.hi = np.where(up[:, None], q, p)
+        rise = self.hi[:, 1] - self.lo[:, 1]
+        self.slope = (self.hi[:, 0] - self.lo[:, 0]) / np.where(rise > 0.0, rise, 1.0)
+        self.slope[rise == 0.0] = 0.0
+        self.flat = np.sort(self.lo[rise == 0.0, 1])
+        self.lo_y = np.sort(self.lo[:, 1])
+        self.hi_y = np.sort(self.hi[:, 1])
+        self.c0, self.gx, self.gy = m.affine_coefficients()
+
+    def _clip_y(self, y: np.ndarray) -> np.ndarray:
+        _, y0, _, y1 = self.corners
+        return np.clip(y, y0, y1)
+
+    def counts(self, y: np.ndarray) -> np.ndarray:
+        """Number of crossings of each line y (any shape), counted on the
+        sorted edge ends alone."""
+        yc = self._clip_y(y)
+        return (
+            np.searchsorted(self.lo_y, yc, "right") - np.searchsorted(self.hi_y, yc, "left")
+            + np.searchsorted(self.flat, yc, "right") - np.searchsorted(self.flat, yc, "left")
+        )
+
+    def pieces(self, y: np.ndarray):
+        """The pieces of the lines y (R,): bounds (R, K+1), each line's
+        ascending crossings between -inf and +inf, padded with +inf, and the
+        maps a + g*x of the pieces between consecutive bounds, (R, K) each.
+        One MeshPotential.locate call finds every piece's triangle at its
+        clipped midpoint (padding pieces sit at x1 and weigh nothing)."""
+        x0, _, x1, _ = self.corners
+        yc = self._clip_y(y)
+        order = np.argsort(yc, kind="stable")
+        first = np.searchsorted(yc[order], self.lo[:, 1], "left")
+        hits = np.searchsorted(yc[order], self.hi[:, 1], "right") - first
+        e = np.repeat(np.arange(hits.size), hits)
+        rows = order[np.arange(e.size) - np.repeat(np.cumsum(hits) - hits - first, hits)]
+        x = self.lo[e, 0] + (yc[rows] - self.lo[e, 1]) * self.slope[e]
+        on_line = self.hi[e, 1] == self.lo[e, 1]
+        rows = np.concatenate([rows, rows[on_line]])
+        x = np.clip(np.concatenate([x, self.hi[e[on_line], 0]]), x0, x1)
+        by_row = np.lexsort((x, rows))
+        rows, x = rows[by_row], x[by_row]
+        per_row = np.bincount(rows, minlength=y.size)
+        k = int(per_row.max(initial=0)) + 1
+        bounds = np.full((y.size, k + 1), np.inf)
+        bounds[:, 0] = -np.inf
+        bounds[rows, np.arange(x.size) - np.repeat(np.cumsum(per_row) - per_row, per_row) + 1] = x
+        clipped = np.clip(bounds, x0, x1)
+        mid = 0.5 * (clipped[:, :-1] + clipped[:, 1:])
+        t = self.mesh.locate(mid, yc[:, None])
+        return bounds, self.c0[t] + self.gy[t] * y[:, None], self.gx[t]
+
+
 def mollify(
-    ext: Callable, kernel: Kernel, epsilon: float, xs, ys, mask=None
+    m: MeshPotential, kernel: Kernel, epsilon: float, xs, ys, mask=None
 ) -> np.ndarray:
-    """phi^eps(x) = int eta(z) phi_bar(x + eps z) dz on the tensor grid of
-    the axes xs and ys, an array of shape ys.shape + xs.shape, by
+    """phi^eps(x) = int eta(z) phi_bar(x + eps z) dz of the extension
+    phi_bar of m (extend_potential) on the tensor grid of the ascending
+    axis xs and the axis ys, an array of shape ys.shape + xs.shape, by
     QUAD_ORDER-point Gauss-Legendre product quadrature on the kernel
     support square (deterministic).  Exact on affine inputs; on kinked
     piecewise affine inputs the quadrature error is below 1e-4 (about 5e-5).
+    Raises MeshError on a non-admissible mesh (kink_edges).
 
     mask, a boolean (ys.size, xs.size) array, marks the points that need
     quadrature; None is the all-True mask, the full rule.  Unless every
-    point is masked, ext is first evaluated once on the grid points
-    themselves.  The rule is even with mass 1, so that is its value
-    wherever ext is affine on the point's support box, and the quadrature
-    then overwrites the masked points.
+    point is masked, the extension is first evaluated once on the grid
+    points themselves.  The rule is even with mass 1, so that is its value
+    wherever the extension is affine on the point's support box, and the
+    quadrature then overwrites the masked points.
 
-    The quadrature points form the tensor grid of xs[i] + eps*node[a] by
-    ys[j] + eps*node[b].  They are evaluated over runs of consecutive rows
-    that hold masked points: a run grows while rows * order^2 * (number of
-    columns masked in any of its rows) stays within MOLLIFY_CHUNK, and is
-    one ext call on a row of x-values (those columns) and a column of
-    y-values, contracted with the weights.  For sorted xs and ys the shifted
-    axes are sorted up to overlaps of width 2*eps, so each triangle's block
-    in MeshPotential.locate stays close to its bounding box.
+    The quadrature points of lattice row j lie on the order lines
+    y = ys[j] + eps*node[b], and on each line the extension is affine
+    between its crossings with the kink edges (_RowPieces), so a line's
+    x-rule at column c sums whole pieces: a piece with map a + g*x that
+    holds the nodes xs[c] + eps*node[i], i in [lo, hi), adds
+    W0*(a + g*xs[c]) + g*W1, W0 and W1 the sums of wk and wk*eps*node over
+    [lo, hi) (see _sum_lines).  The y-rule then contracts each row's lines
+    with wk.  Runs of consecutive rows holding masked points take their
+    lines' pieces from one locate call; a run grows while M triangles *
+    order * rows * (most pieces on a line) stays within 16 * MOLLIFY_CHUNK
+    and at least half of its rows x (columns masked in any of them) is
+    masked.  Every masked point is in its run's rectangle, and the rule
+    there overwrites the extension's value.
     """
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
@@ -207,37 +286,105 @@ def mollify(
     # renormalize at this order so the discrete rule has total mass exactly
     # 1: affine inputs are then reproduced exactly
     wk = wk / wk.sum()
-    per_point = order * order
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     out_shape = ys.shape + xs.shape
     xs, ys = xs.ravel(), ys.ravel()
     nx, ny = xs.size, ys.size
+    if np.any(xs[1:] < xs[:-1]):
+        raise ValueError("xs must be ascending")
     band = np.ones((ny, nx), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     if band.shape != (ny, nx):
         raise ValueError(f"mask shape {band.shape} != (ny, nx) = {(ny, nx)}")
-    out = np.empty((ny, nx)) if band.all() else ext(xs[None, :], ys[:, None])
-    sx = xs[:, None] + epsilon * nodes  # (nx, order)
-    sy = (ys[:, None] + epsilon * nodes).ravel()
-    busy = band.any(axis=1)
+    rule = _RowPieces(m)
+    out = np.empty((ny, nx)) if band.all() else extend_potential(m)(xs[None, :], ys[:, None])
+    shift = epsilon * nodes
+    lines = ys[:, None] + shift  # (ny, order)
+    x0, _, x1, _ = rule.corners
+    # far above the rounding of x + shift and crossing - x
+    slack = 1e-9 * (abs(x0) + abs(x1) + np.abs(xs).max(initial=0.0) + epsilon)
+    per_line = rule.counts(lines).max(axis=1, initial=0) + 1  # most pieces per row
+    owned = np.count_nonzero(band, axis=1)
+    budget = 16 * MOLLIFY_CHUNK // max(1, rule.c0.size)
     j = 0
     while j < ny:
-        if not busy[j]:
+        if not owned[j]:
             j += 1
             continue
-        cols, k = band[j], 1
-        while j + k < ny and busy[j + k]:
+        cols, k, most, held = band[j], 1, per_line[j], owned[j]
+        while j + k < ny and owned[j + k]:
             grown = cols | band[j + k]
-            if (k + 1) * per_point * np.count_nonzero(grown) > MOLLIFY_CHUNK:
+            more = max(most, per_line[j + k])
+            if ((k + 1) * order * more > budget
+                    or 2 * (held + owned[j + k]) < (k + 1) * np.count_nonzero(grown)):
                 break
-            cols, k = grown, k + 1
+            cols, k, most, held = grown, k + 1, more, held + owned[j + k]
         ci = np.flatnonzero(cols)
-        g = ext(sx[ci].reshape(1, -1), sy[j * order:(j + k) * order, None])
-        out[j:j + k, ci] = np.einsum(
-            "jbia,b,a->ji", g.reshape(k, order, ci.size, order), wk, wk
-        )
+        pieces = rule.pieces(lines[j:j + k].ravel())
+        out[j:j + k, ci] = _sum_lines(pieces, xs[ci], shift, wk, slack)
         j += k
     return out.reshape(out_shape)
+
+
+def _sum_lines(pieces, xc, shift, wk, slack) -> np.ndarray:
+    """The product rule at the ascending columns xc for the rows whose
+    quadrature lines (wk.size per row, in order) carry the given pieces
+    (_RowPieces.pieces), shape (rows, xc.size).
+
+    The piece sums are taken by parts: a line's x-rule at column c is the
+    map of the first piece within the column's reach summed over all
+    nodes, plus each later crossing's jump in the map summed over the nodes
+    right of it, the tails of wk and wk*shift (shift = eps*node) from the
+    first such node on.  For a chunk of columns the first piece and the
+    number of crossings within reach come from comparisons widened by
+    slack, so that they cover every node: a crossing admitted left of all
+    nodes adds its whole jump, one right of all nodes adds nothing.
+    Chunks of columns keep (lines x columns x crossings) within
+    MOLLIFY_CHUNK, and split the lines too where a single column does not
+    fit."""
+    bounds, a, g = pieces
+    order = wk.size
+    # tails[:, i]: sums of wk and wk*shift over the nodes i, i+1, ...
+    tails = np.zeros((2, order + 1))
+    tails[:, :order] = np.cumsum(np.stack([wk, wk * shift])[:, ::-1], axis=1)[:, ::-1]
+    nl, npc = a.shape
+    crossing = bounds[:, 1:]  # the +inf in the last column closes every line
+    jump_a = np.diff(a, axis=1, append=a[:, -1:])
+    jump_g = np.diff(g, axis=1, append=g[:, -1:])
+    line = np.arange(nl)
+    weight = wk[line % order, None]
+    total = np.zeros((nl // order, xc.size))
+    s, width = 0, xc.size
+    while s < xc.size:
+        width = min(width, xc.size - s)
+        while True:
+            cx = xc[s:s + width]
+            first = np.count_nonzero(crossing < cx[0] + shift[0] - slack, axis=1)
+            cuts = int((np.count_nonzero(crossing < cx[-1] + shift[-1] + slack, axis=1)
+                        - first).max())
+            if width == 1 or nl * width * max(cuts, 1) <= MOLLIFY_CHUNK:
+                break
+            width //= 2
+        sums = (a[line, first][:, None] + g[line, first][:, None] * cx) * tails[0, 0]
+        sums += g[line, first][:, None] * tails[1, 0]
+        if cuts:
+            at = np.minimum(first[:, None] + np.arange(cuts), npc - 1)
+            step = max(1, MOLLIFY_CHUNK // (width * cuts))
+            for r in range(0, nl, step):
+                part = slice(r, r + step)
+                rows = line[part, None]
+                right = np.searchsorted(
+                    shift, crossing[rows, at[part]][:, None, :] - cx[:, None], "right")
+                t0, t1 = tails[0, right], tails[1, right]
+                ja, jg = jump_a[rows, at[part]], jump_g[rows, at[part]]
+                sums[part] += (np.einsum("rck,rk->rc", t0, ja)
+                               + cx * np.einsum("rck,rk->rc", t0, jg)
+                               + np.einsum("rck,rk->rc", t1, jg))
+        total[:, s:s + width] = (sums * weight).reshape(-1, order, width).sum(axis=1)
+        s += width
+        if nl * 2 * width * max(cuts, 1) <= MOLLIFY_CHUNK:
+            width *= 2
+    return total
 
 
 def quadrature_band(
@@ -273,7 +420,7 @@ class RecoveryResult:
     report: EnergyReport
     phi: np.ndarray  # (ny, nx) mollified potential at the lattice points
     overflow_count: int  # bonds whose angle difference leaves [-pi, pi]
-    quadrature_points: int  # points passed to the extension
+    quadrature_points: int  # QUAD_ORDER^2 per lattice point of the band
 
 
 def build_recovery(
@@ -313,15 +460,7 @@ def build_recovery(
     nodes, _ = gauss_legendre(QUAD_ORDER)
     reach = eps * np.abs(nodes).max() + m.locate_pad().max()
     band = quadrature_band(*edges, xs, ys, reach)
-    ext = extend_potential(m)
-    evaluated = []
-
-    def counted(x, y):
-        out = ext(x, y)
-        evaluated.append(out.size)
-        return out
-
-    phi = mollify(counted, kernel, eps, xs, ys, band)
+    phi = mollify(m, kernel, eps, xs, ys, band)
     psi = params.helix_angle * phi / lam
     u = SpinField.from_angles(psi, lam)
     over = sum(
@@ -333,7 +472,7 @@ def build_recovery(
         report=energy_H(u, m.domain, params),
         phi=phi,
         overflow_count=over,
-        quadrature_points=sum(evaluated),
+        quadrature_points=QUAD_ORDER ** 2 * int(np.count_nonzero(band)),
     )
 
 

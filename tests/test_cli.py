@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import helimag
 from helimag.cli import main, run
 from helimag.lattice import SpinField
 
@@ -553,6 +558,40 @@ class TestErrorContract:
         f.write_text(json.dumps({"nx": nx, "ny": ny, "lambda": 0.1, "angles": [0.0] * (nx * ny)}))
         status, result = run("energy", {"in": str(f), "delta": 0.3, "out": str(tmp_path)})
         assert (status, result) == (1, {"error": "domain width and height must be positive"})
+
+    @pytest.mark.parametrize("nx, ny", [(5, 1), (1, 4)])
+    def test_energy_on_a_spin_file_of_one_row_or_column(self, tmp_path, nx, ny):
+        f = tmp_path / "u.json"
+        f.write_text(SpinField.from_angles(np.zeros((ny, nx)), 0.1).to_json())
+        status, result = run("energy", {"in": str(f), "delta": 0.3, "out": str(tmp_path)})
+        assert (status, result) == (1, {"error": (
+            f"energy needs a spin field of at least 2x2 sites; {f} holds {ny}x{nx} "
+            "(rows x columns)")})
+
+    @pytest.mark.parametrize("command, delta, status, warned", [
+        ("energy", 1e-300, 1, False), ("energy", 1e-3, 0, True), ("sweep", 1e-210, 1, False),
+    ])
+    def test_regime_warning_only_for_accepted_parameters(self, tmp_path, command, delta,
+                                                         status, warned):
+        # epsilon = lam / sqrt(2 delta) >= 1 in every case; at the smaller
+        # deltas the energy prefactor is not finite and the input is rejected
+        f = tmp_path / "u.json"
+        f.write_text(SpinField.from_angles(np.zeros((4, 4)), 0.1).to_json())
+        sched = tmp_path / "schedule.json"
+        sched.write_text(json.dumps([[0.0625, delta]]))
+        config = {"in": str(f), "delta": delta, "kind": "vertical_wall",
+                  "schedule": str(sched), "out": str(tmp_path / "o")}
+        src = str(Path(helimag.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"from helimag.cli import run; print(run({command!r}, {config!r})[0])"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                [src, *filter(None, [os.environ.get("PYTHONPATH")])])},
+        )
+        assert proc.stdout.strip() == str(status)
+        assert ("UserWarning: epsilon = lam/sqrt(2*delta) >= 1" in proc.stderr) is warned
+        assert warned or proc.stderr == ""
 
     def test_any_value_error_of_a_layer_is_status_1(self, tmp_path, monkeypatch):
         from helimag import cli

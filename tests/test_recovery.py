@@ -1,6 +1,9 @@
 """Extension, mollification and the recovery construction."""
 
+import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,11 +12,11 @@ from mesh_reference import double_sum_mollify, extension, hanging_node_mesh, ref
 
 from helimag import recovery
 from helimag.chirality import transform
-from helimag.continuum import MeshError, MeshPotential, build_example, jump_set, kink_edges
+from helimag.continuum import MeshError, MeshPotential, build_example, jump_set, kink_edges, \
+    limit_energy
 from helimag.lattice import Domain, ModelParams
 from helimag.recovery import (
     DIAG_WALL_WIDTH,
-    MOLLIFY_CHUNK,
     WALL_WIDTH,
     CurlProbe,
     Kernel,
@@ -27,6 +30,7 @@ from helimag.recovery import (
     pick_width,
     profile_transition_energy,
     quadrature_band,
+    _RowPieces,
 )
 
 
@@ -135,6 +139,16 @@ class TestExtension:
         rhs = math.sqrt(2.0) * np.hypot(p[:, 0] - q[:, 0], p[:, 1] - q[:, 1])
         assert np.all(lhs <= rhs + 1e-10)
 
+    def test_jumps_where_a_diagonal_wall_ends(self):
+        # the chord x + y = 1 ends at the corner (0, 1); above it the two
+        # sides of x = 0 continue the maps 1 - x - y and x + y - 1, which
+        # differ by 2 (y - 1) there
+        ext = extend_potential(build_example("diagonal_wall"))
+        assert float(ext(-1e-6, 1.05)) == pytest.approx(-0.05, abs=2e-6)
+        assert float(ext(1e-6, 1.05)) == pytest.approx(0.05, abs=2e-6)
+        y = np.array([1.0, 1.01, 1.05, 1.5])
+        np.testing.assert_allclose(ext(1e-6, y) - ext(-1e-6, y), 2.0 * (y - 1.0), atol=1e-12)
+
     def test_continuous_across_boundary(self):
         m = build_example("vertical_wall")
         ext = extend_potential(m)
@@ -144,14 +158,22 @@ class TestExtension:
         )
 
 
+def affine_mesh():
+    """phi = x - y + 0.5 on the unit square: one label, no kink edges."""
+    verts = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+    return MeshPotential(vertices=verts, triangles=np.array([(0, 1, 2), (1, 3, 2)]),
+                         heights=verts[:, 0] - verts[:, 1] + 0.5, domain=Domain())
+
+
 class TestMollify:
     def test_preserves_affine(self):
-        # mollifying an affine function reproduces it exactly
-        x = np.array([0.3, 0.5])
-        y = np.array([0.2, 0.8])
+        # mollifying an affine function reproduces it exactly, also where
+        # the rule reaches past the domain
+        x = np.array([0.05, 0.3, 0.5])
+        y = np.array([0.2, 0.8, 0.97])
         np.testing.assert_allclose(
-            mollify(lambda x, y: 2.0 * x - y + 0.5, Kernel(), 0.1, x, y),
-            2.0 * x[None, :] - y[:, None] + 0.5, atol=1e-10,
+            mollify(affine_mesh(), Kernel(), 0.1, x, y),
+            x[None, :] - y[:, None] + 0.5, atol=1e-14,
         )
 
     def test_quadrature_error_on_a_kink(self):
@@ -164,14 +186,14 @@ class TestMollify:
         x = np.linspace(0.1, 0.9, 13)
         y = np.array([0.5])
         ref = double_sum_mollify(ext, Kernel(), 0.05, order=96)(x[None, :], y[:, None])
-        err = np.abs(mollify(ext, Kernel(), 0.05, x, y) - ref).max()
+        err = np.abs(mollify(build_example("vertical_wall"), Kernel(), 0.05, x, y) - ref).max()
         assert 0.0 < err < 1e-4
 
     def test_smooths_the_kink(self):
         m = build_example("vertical_wall")
         ext = extend_potential(m)
         # strictly above the kink value at the wall
-        assert mollify(ext, Kernel(), 0.1, 0.5, 0.5) > ext(0.5, 0.5) + 1e-4
+        assert mollify(m, Kernel(), 0.1, 0.5, 0.5) > ext(0.5, 0.5) + 1e-4
 
     def test_mask_selects_the_quadrature_points(self):
         m = build_example("vertical_wall")
@@ -181,14 +203,59 @@ class TestMollify:
         mask = np.zeros((3, 9), dtype=bool)
         mask[1, 3:6] = True
         mask[2, 4] = True
-        got = mollify(ext, Kernel(), 0.1, x, y, mask)
-        full = mollify(ext, Kernel(), 0.1, x, y)
+        got = mollify(m, Kernel(), 0.1, x, y, mask)
+        full = mollify(m, Kernel(), 0.1, x, y)
         np.testing.assert_allclose(got[mask], full[mask], rtol=1e-14)
         # rows 1 and 2 form one run over columns 3-5; away from the wall the
         # rule there gives the extension's value up to rounding
         np.testing.assert_allclose(got[~mask], ext(x[None, :], y[:, None])[~mask], rtol=1e-14)
         with pytest.raises(ValueError):
-            mollify(ext, Kernel(), 0.1, x, y, mask.T)
+            mollify(m, Kernel(), 0.1, x, y, mask.T)
+
+    def test_rejects_descending_columns(self):
+        with pytest.raises(ValueError, match="ascending"):
+            mollify(affine_mesh(), Kernel(), 0.1, np.array([0.5, 0.3]), np.array([0.2]))
+
+    def test_invalid_mesh_raises(self):
+        m = build_example("vertical_wall")
+        m.heights[0] += 0.25
+        with pytest.raises(MeshError):
+            mollify(m, Kernel(), 0.1, np.array([0.3]), np.array([0.2]), np.zeros((1, 1), bool))
+
+
+class TestRowPieces:
+    """Each line's pieces against the extension itself, on lines through
+    the mesh's vertices (along its horizontal edges, walls included), past
+    the domain and in between."""
+
+    @pytest.mark.parametrize("mesh", [
+        *(lambda kind=kind: build_example(kind, n=3) for kind in (
+            "vertical_wall", "horizontal_wall", "diagonal_wall", "four_quadrant", "laminate")),
+        hanging_node_mesh, three_owner_mesh,
+        lambda: refined_mesh("four_quadrant", 8, np.random.default_rng(5)),
+    ], ids=["vertical_wall", "horizontal_wall", "diagonal_wall", "four_quadrant", "laminate",
+            "hanging_node", "three_owner", "refined"])
+    def test_pieces_reproduce_the_extension(self, mesh):
+        m = mesh()
+        rng = np.random.default_rng(6)
+        y = np.r_[np.unique(m.vertices[:, 1]), -0.3, 1.25, rng.uniform(-0.2, 1.2, 12)]
+        rule = _RowPieces(m)
+        bounds, a, g = rule.pieces(y)
+        assert bounds.shape == (y.size, a.shape[1] + 1) == (y.size, rule.counts(y).max() + 2)
+        x = np.r_[np.linspace(-0.5, 1.5, 401), np.unique(m.vertices[:, 0]), rng.uniform(0, 1, 50)]
+        # a point on a crossing belongs to the piece on its left
+        piece = np.count_nonzero(bounds[:, None, 1:] < x[:, None], axis=2)
+        rows = np.arange(y.size)[:, None]
+        got = a[rows, piece] + g[rows, piece] * x
+        want = extend_potential(m)(x[None, :], y[:, None])
+        # past the domain the extension can jump at a crossing (where a wall
+        # ends on a side at a slant), and there it takes the first located
+        # triangle's side; quadrature nodes land on such a point with
+        # probability 0
+        _, y0, _, y1 = m.domain.corners()
+        off = ((y < y0) | (y > y1))[:, None] & np.any(bounds[:, None, 1:] == x[:, None], axis=2)
+        assert not off.all()
+        np.testing.assert_allclose(got[~off], want[~off], rtol=0.0, atol=1e-8)
 
 
 class TestMollifyReference:
@@ -213,6 +280,29 @@ class TestMollifyReference:
         # triangles overlap along shared edges: the first match decides
         self.assert_matches_double_sum(mesh())
 
+    @pytest.mark.parametrize("chunk", [1, 500])
+    @pytest.mark.parametrize("kind", ["diagonal_wall", "four_quadrant", "laminate"])
+    def test_split_chunks_match_double_sum(self, kind, chunk, monkeypatch):
+        # 1 splits every run down to single rows and every chunk down to
+        # single lines and columns; 500 splits the columns of each run
+        monkeypatch.setattr(recovery, "MOLLIFY_CHUNK", chunk)
+        self.assert_matches_double_sum(build_example(kind, n=8))
+
+    def test_matches_double_sum_where_a_diagonal_wall_ends(self):
+        # n = 64 lattice points below the corner (0, 1) where the chord
+        # x + y = 1 ends: their upper quadrature lines run above y = 1 and
+        # cross x = 0, where the extension jumps by 2 (y - 1)
+        m = build_example("diagonal_wall")
+        lam = 1.0 / 64
+        eps = DIAG_WALL_WIDTH * ModelParams(lam=lam, delta=lam ** (2.0 / 3.0)).epsilon
+        nodes, _ = gauss_legendre(24)
+        xs = lam * np.arange(5)
+        ys = lam * np.arange(59, 64)
+        assert ys[-1] + eps * nodes[-1] > 1.0 and xs[0] + eps * nodes[0] < 0.0
+        got = mollify(m, Kernel(), eps, xs, ys)
+        ref = double_sum_mollify(extension(m), Kernel(), eps)(xs[None, :], ys[:, None])
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13 * np.abs(ref).max())
+
     @staticmethod
     def assert_matches_double_sum(m):
         domain = m.domain
@@ -221,20 +311,17 @@ class TestMollifyReference:
         xs = domain.x0 + lam * np.arange(n)
         ys = domain.y0 + lam * np.arange(n)
         eps = 3.0 * lam  # shifts reach 3 lattice steps past the boundary
-        # several chunks, the last one partial
-        assert MOLLIFY_CHUNK // (24 * 24 * n) < n
-        got = mollify(extend_potential(m), Kernel(), eps, xs, ys)
+        got = mollify(m, Kernel(), eps, xs, ys)
         ref = double_sum_mollify(extension(m), Kernel(), eps)(xs[None, :], ys[:, None])
         np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13 * np.abs(ref).max())
 
     def test_scalar_and_empty_axes(self):
         m = build_example("four_quadrant")
-        ext = extend_potential(m)
         ref = double_sum_mollify(extension(m), Kernel(), 0.1)(0.3, 0.6)
-        got = mollify(ext, Kernel(), 0.1, 0.3, 0.6)
+        got = mollify(m, Kernel(), 0.1, 0.3, 0.6)
         assert np.shape(got) == ()
         assert float(got) == pytest.approx(ref, rel=1e-13)
-        assert mollify(ext, Kernel(), 0.1, np.array([0.2, 0.4]), np.array([])).shape == (0, 2)
+        assert mollify(m, Kernel(), 0.1, np.array([0.2, 0.4]), np.array([])).shape == (0, 2)
 
 
 class TestProfile:
@@ -293,24 +380,12 @@ class TestBuildRecovery:
     @pytest.mark.parametrize("mesh", [lambda: build_example("laminate", n=2), hanging_node_mesh],
                              ids=["laminate", "hanging_node"])
     def test_counts_quadrature_points(self, mesh, monkeypatch):
-        evaluated = []
-        original = recovery.extend_potential
-
-        def counting(m):
-            ext = original(m)
-
-            def counted(x, y):
-                out = ext(x, y)
-                evaluated.append(out.size)
-                return out
-
-            return counted
-
-        monkeypatch.setattr(recovery, "extend_potential", counting)
-        m = mesh()
-        res = build_recovery(m, ModelParams(lam=1.0 / 32, delta=(1.0 / 32) ** (2.0 / 3.0)))
-        assert res.quadrature_points == sum(evaluated)
-        full = 32 * 32 * 24 * 24  # the full rule, no extra pass at the points
+        # the rule's points: order^2 per lattice point of the band
+        seen = capture_masks(monkeypatch)
+        res = build_recovery(mesh(), ModelParams(lam=1.0 / 32, delta=(1.0 / 32) ** (2.0 / 3.0)))
+        (band,) = seen
+        assert res.quadrature_points == 24 * 24 * np.count_nonzero(band)
+        full = 32 * 32 * 24 * 24  # the full rule
         assert 32 * 32 < res.quadrature_points < full
 
 
@@ -320,9 +395,9 @@ def capture_masks(monkeypatch):
     seen = []
     original = recovery.mollify
 
-    def recording(ext, kernel, epsilon, xs, ys, mask=None):
+    def recording(m, kernel, epsilon, xs, ys, mask=None):
         seen.append(mask)
-        return original(ext, kernel, epsilon, xs, ys, mask)
+        return original(m, kernel, epsilon, xs, ys, mask)
 
     monkeypatch.setattr(recovery, "mollify", recording)
     return seen
@@ -338,7 +413,7 @@ def lattice_axes(m, params):
 
 def full_rule_phi(m, params, width):
     xs, ys = lattice_axes(m, params)
-    return mollify(extend_potential(m), Kernel(), width * params.epsilon, xs, ys)
+    return mollify(m, Kernel(), width * params.epsilon, xs, ys)
 
 
 def two_label_points(m, xs, ys, eps, order=24):
@@ -472,6 +547,49 @@ class TestQuadratureBand:
         m.heights[0] += 0.25  # one gradient off the {+-1}^2 lattice
         with pytest.raises(MeshError):
             build_recovery(m, ModelParams(lam=1.0 / 16, delta=0.2))
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+RECOVER_REFERENCES = json.loads(REFERENCE.read_text())["recover"]
+
+
+class TestRecoverReferences:
+    """The benchmark's recorded recover ratios (read, never written),
+    recomputed as its recover jobs compute them: the limit energy,
+    pick_width's width and build_recovery with a fresh kernel, on the
+    schedule ending at n = 64 in three levels."""
+
+    STEPS = {round(1.0 / p.lam): p for p in SweepSchedule.default(finest_n=64, levels=3).steps}
+
+    def test_all_rows_present(self):
+        assert len(RECOVER_REFERENCES) == 36
+
+    @pytest.mark.parametrize("key", sorted(RECOVER_REFERENCES))
+    def test_ratio_matches_the_reference(self, key):
+        name, n = key.split("@")
+        kind = name.rstrip("0123456789")
+        m = build_example(kind, n=int(name[len(kind):] or 3))
+        h_lim = limit_energy(m)
+        res = build_recovery(m, self.STEPS[int(n)], kernel=Kernel(), width=pick_width(m))
+        want = RECOVER_REFERENCES[key]
+        assert res.overflow_count == 0
+        assert abs(res.report.total / h_lim - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def test_build_recovery_memory_peak():
+    # traced allocation peak of one recovery on 40 walls at n = 128, where
+    # every lattice point is in the band and every quadrature line crosses
+    # 40 walls
+    m = build_example("laminate", n=40)
+    params = SweepSchedule.default(finest_n=128, levels=1).steps[0]
+    kernel, width = Kernel(), pick_width(m)
+    tracemalloc.start()
+    try:
+        build_recovery(m, params, kernel=kernel, width=width)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 class TestPickWidth:
