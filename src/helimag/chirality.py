@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 import orjson
 
-from .lattice import ModelParams, ScalarGrid, SpinField, dumps
+from .lattice import ModelParams, ScalarGrid, SpinField, dump, dumps, json_int, json_number, \
+    json_numbers
 
 TWO_PI = 2.0 * math.pi
 
@@ -44,32 +45,35 @@ class ChiralityPair:
     z: ScalarGrid
     delta: float
 
-    def to_json(self) -> str:
+    def _document(self) -> dict:
         # w and z have different shapes; nx/ny refer to the underlying spin grid
-        nx = self.w.nx + 1
-        ny = self.z.ny + 1
-        return dumps(
-            {
-                "nx": nx,
-                "ny": ny,
-                "lambda": self.w.spacing,
-                "delta": self.delta,
-                "w": self.w.values.ravel(),
-                "z": self.z.values.ravel(),
-            }
-        )
+        return {
+            "nx": self.w.nx + 1,
+            "ny": self.z.ny + 1,
+            "lambda": self.w.spacing,
+            "delta": self.delta,
+            "w": self.w.values.ravel(),
+            "z": self.z.values.ravel(),
+        }
+
+    def to_json(self) -> str:
+        return dumps(self._document())
+
+    def write_json(self, path) -> None:
+        """Write to_json()'s text to ``path`` as bytes, in chunks."""
+        dump(self._document(), path)
 
     @classmethod
-    def from_json(cls, text: str) -> "ChiralityPair":
+    def from_json(cls, text: str | bytes) -> "ChiralityPair":
         doc = orjson.loads(text)
-        nx, ny = int(doc["nx"]), int(doc["ny"])
-        lam = float(doc["lambda"])
-        w = np.array(doc["w"], dtype=float).reshape(ny, nx - 1)
-        z = np.array(doc["z"], dtype=float).reshape(ny - 1, nx)
+        nx, ny = json_int(doc, "nx"), json_int(doc, "ny")
+        lam = json_number(doc, "lambda")
+        w = json_numbers(doc, "w").reshape(ny, nx - 1)
+        z = json_numbers(doc, "z").reshape(ny - 1, nx)
         return cls(
             w=ScalarGrid.from_values(w, lam),
             z=ScalarGrid.from_values(z, lam),
-            delta=float(doc["delta"]),
+            delta=json_number(doc, "delta"),
         )
 
 

@@ -1,10 +1,10 @@
 """Command-line front end wiring the pipeline.
 
 Exit codes: 0 success, 1 validation failure (usage errors, arguments,
-schemas, invalid meshes, lattices too large to allocate, and any other
-ValueError a layer raises on its input), 2 numerical failure (bond-angle
-overflow, line-search stall, failed sweep rows).  All structured IO is
-JSON, tables are CSV, images are SVG.
+schemas, invalid meshes, lattices too large to allocate, artefact files
+that cannot be written, and any other ValueError a layer raises on its
+input), 2 numerical failure (bond-angle overflow, line-search stall, failed
+sweep rows).  All structured IO is JSON, tables are CSV, images are SVG.
 """
 
 from __future__ import annotations
@@ -45,6 +45,20 @@ def _outdir(config: dict) -> Path:
     except (OSError, TypeError) as exc:
         raise ValidationError(f"cannot use output directory: {exc}") from exc
     return out
+
+
+def _write(path: Path, artefact) -> str:
+    """Write one artefact file and return its path as a string: text as
+    it is, a grid by its write_json.  An OSError (the name is a directory,
+    no permission, a full disk) becomes a ValidationError naming the file."""
+    try:
+        if isinstance(artefact, str):
+            path.write_text(artefact)
+        else:
+            artefact.write_json(path)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    return str(path)
 
 
 def _finite_prefactor(p: ModelParams) -> ModelParams:
@@ -106,7 +120,7 @@ def _pair(config: dict, key: str, default: str) -> str:
 def _load_mesh(config: dict) -> MeshPotential:
     if "mesh" in config and config["mesh"]:
         try:
-            return MeshPotential.from_json(Path(config["mesh"]).read_text())
+            return MeshPotential.from_json(Path(config["mesh"]).read_bytes())
         except (OSError, KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"cannot load mesh: {exc}") from exc
     kind = config.get("kind")
@@ -121,18 +135,17 @@ def _cmd_groundstate(config: dict) -> dict:
     n = _int(config, "n", 64)
     if n < 2:
         raise ValidationError("n must be at least 2")
-    path = _outdir(config) / "groundstate.json"
+    out = _outdir(config)
     wsgn, zsgn = _PAIRS[pair]
     jj, ii = np.mgrid[0:n, 0:n]
     psi = p.helix_angle * (wsgn * ii + zsgn * jj)
     u = SpinField.from_angles(psi, p.lam)
-    path.write_text(u.to_json())
-    return {"written": str(path), "pair": pair}
+    return {"written": _write(out / "groundstate.json", u), "pair": pair}
 
 
 def _read_spin(config: dict) -> SpinField:
     try:
-        return SpinField.from_json(Path(config["in"]).read_text())
+        return SpinField.from_json(Path(config["in"]).read_bytes())
     except (KeyError, OSError, TypeError, ValueError) as exc:
         raise ValidationError(f"cannot load spin field: {exc}") from exc
 
@@ -150,13 +163,12 @@ def _cmd_energy(config: dict) -> dict:
     rep = energy_H(u, dom, p)
     dec = mm_decomposition(u, dom, p)
     doc = {"direct": rep.to_dict(), "decomposition": dec.to_dict()}
-    path = out / "energy.json"
-    path.write_text(json.dumps(doc))
+    written = _write(out / "energy.json", json.dumps(doc))
     if config.get("format") == "csv":
         from .energy import CSV_HEADER
 
-        (out / "energy.csv").write_text(CSV_HEADER + "\n" + dec.csv_row(p) + "\n")
-    return {"written": str(path), "total": rep.total}
+        _write(out / "energy.csv", CSV_HEADER + "\n" + dec.csv_row(p) + "\n")
+    return {"written": written, "total": rep.total}
 
 
 def _cmd_transform(config: dict) -> dict:
@@ -168,10 +180,8 @@ def _cmd_transform(config: dict) -> dict:
         vort = vorticity(theta)
     except ValueError as exc:
         raise NumericalError(str(exc)) from exc
-    (out / "chirality.json").write_text(pair.to_json())
-    (out / "vorticity.json").write_text(vort.to_json())
     return {
-        "written": [str(out / "chirality.json"), str(out / "vorticity.json")],
+        "written": [_write(out / "chirality.json", pair), _write(out / "vorticity.json", vort)],
         "vortex_count": int(np.count_nonzero(vort.values)),
     }
 
@@ -199,11 +209,10 @@ def _cmd_classify(config: dict) -> dict:
         },
         "limit_energy": limit_energy(m, segments=segs),
     }
-    path = out / "classify.json"
-    path.write_text(json.dumps(doc))
+    written = _write(out / "classify.json", json.dumps(doc))
     if config.get("format") == "svg":
-        (out / "mesh.svg").write_text(mesh_to_svg(m, segments=segs))
-    return {"written": str(path), "limit_energy": doc["limit_energy"]}
+        _write(out / "mesh.svg", mesh_to_svg(m, segments=segs))
+    return {"written": written, "limit_energy": doc["limit_energy"]}
 
 
 def _cmd_recover(config: dict) -> dict:
@@ -213,9 +222,9 @@ def _cmd_recover(config: dict) -> dict:
     segs = jump_set(m)
     res = build_recovery(m, p)
     _, pair = transform(res.spin, p)
-    (out / "recovery_spin.json").write_text(res.spin.to_json())
-    (out / "recovery_chirality.json").write_text(pair.to_json())
-    (out / "recovery_energy.json").write_text(res.report.to_json())
+    _write(out / "recovery_spin.json", res.spin)
+    _write(out / "recovery_chirality.json", pair)
+    _write(out / "recovery_energy.json", res.report.to_json())
     if res.overflow_count > 0:
         raise NumericalError(
             f"bond-angle overflow on {res.overflow_count} bonds "
@@ -254,7 +263,7 @@ def _cmd_sweep(config: dict) -> dict:
     out = _outdir(config)
     table = gamma_sweep(m, sched)
     path = out / "sweep.csv"
-    path.write_text(table.to_csv())
+    _write(path, table.to_csv())
     failed = next((r for r in table.rows if r.failed), None)
     if failed is not None:
         raise NumericalError(
@@ -274,11 +283,9 @@ def _cmd_minimize(config: dict) -> dict:
     opts = MinimizeOptions(max_iter=_int(config, "max_iter", 5000))
     out = _outdir(config)
     res = minimize_H(psi0, Domain(width=n * p.lam, height=p.lam), p, bc, opts)
-    (out / "minimize_psi.json").write_text(
-        SpinField.from_angles(res.psi, p.lam).to_json()
-    )
-    (out / "minimize_log.csv").write_text(log_to_csv(res.log))
-    (out / "minimize_report.json").write_text(res.report.to_json())
+    _write(out / "minimize_psi.json", SpinField.from_angles(res.psi, p.lam))
+    _write(out / "minimize_log.csv", log_to_csv(res.log))
+    _write(out / "minimize_report.json", res.report.to_json())
     if res.stalled:
         raise NumericalError("line search stalled; best iterate written")
     return {
@@ -290,10 +297,10 @@ def _cmd_minimize(config: dict) -> dict:
 
 
 def _cmd_profile1d(config: dict) -> dict:
-    path = _outdir(config) / "profile1d.json"
+    out = _outdir(config)
     total, pot, grad = profile_transition_energy()
     doc = {"total": total, "potential": pot, "gradient": grad, "target": 8.0 / 3.0}
-    path.write_text(json.dumps(doc))
+    _write(out / "profile1d.json", json.dumps(doc))
     if abs(total - 8.0 / 3.0) > 1e-6:
         raise NumericalError(f"transition energy {total} off 8/3 by more than 1e-6")
     return doc

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import orjson
 
-from .lattice import Domain
+from .lattice import Domain, json_number, json_numbers
 
 GRAD_TOL = 1e-9  # per-component slack for the {+-1}^2 gradient labels
 MERGE_TOL = 1e-9  # collinearity/endpoint tolerance for segment merging
@@ -170,19 +170,14 @@ class MeshPotential:
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "MeshPotential":
+    def from_json(cls, text: str | bytes) -> "MeshPotential":
         doc = orjson.loads(text)
         dd = doc["domain"]
         return cls(
-            vertices=np.array(doc["vertices"], dtype=float),
+            vertices=json_numbers(doc, "vertices"),
             triangles=np.array(doc["triangles"]),
-            heights=np.array(doc["heights"], dtype=float),
-            domain=Domain(
-                x0=float(dd["x0"]),
-                y0=float(dd["y0"]),
-                width=float(dd["width"]),
-                height=float(dd["height"]),
-            ),
+            heights=json_numbers(doc, "heights"),
+            domain=Domain(**{k: json_number(dd, k) for k in ("x0", "y0", "width", "height")}),
         )
 
 

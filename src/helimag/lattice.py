@@ -12,6 +12,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 import orjson
@@ -148,15 +149,22 @@ def chain_keep(n: int, interval: tuple[float, float], lam: float) -> np.ndarray:
     return span_inside(i, a, b, lam, tol) & span_inside(i + 1, a, b, lam, tol)
 
 
-def _float_array_json(a: np.ndarray) -> str:
-    """``json.dumps(a.tolist())`` of a 1-D float64 array, written by orjson.
+# values per orjson call when a float array is written; bounds the encoder's
+# working memory at a few hundred kB whatever the array's size
+ENCODE_CHUNK = 8192
+
+
+def _float_array_json(a: np.ndarray) -> bytes:
+    """``json.dumps(a.tolist()).encode()`` of a 1-D float64 array, written
+    by orjson.
 
     orjson writes the same shortest round-trip digits as ``float.__repr__``
     but spells some tokens differently: ``0.00003``, ``1.5e-7`` and ``1e16``
     where repr writes ``3e-05``, ``1.5e-07`` and ``1e+16``, and ``null`` for
     the non-finite values json writes as ``NaN``/``Infinity``.  Only those
     tokens (nonzero |x| < 1e-4, |x| >= 1e16, non-finite) are re-spelled, from
-    the comma positions; the others stay bytes of orjson's text.
+    the comma positions, which are looked up only in an array that holds
+    such a token; the others stay bytes of orjson's text.
     """
     a = np.ascontiguousarray(a, dtype=np.float64)
     raw = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)
@@ -173,17 +181,67 @@ def _float_array_json(a: np.ndarray) -> str:
             prev = end
         parts.append(raw[prev:])
         raw = b"".join(parts)
-    return raw.replace(b",", b", ").decode()
+    return raw.replace(b",", b", ")
+
+
+def _document_parts(doc: dict) -> Iterator[bytes | memoryview]:
+    """``json.dumps(doc).encode()`` of a flat dict, in parts: the values
+    that are 1-D float arrays are written ENCODE_CHUNK values at a time by
+    _float_array_json, the others by json."""
+    yield b"{"
+    for n, (key, val) in enumerate(doc.items()):
+        yield (b", " if n else b"") + json.dumps(key).encode() + b": "
+        if not isinstance(val, np.ndarray):
+            yield json.dumps(val).encode()
+            continue
+        yield b"["
+        for start in range(0, val.size, ENCODE_CHUNK):
+            if start:
+                yield b", "
+            yield memoryview(_float_array_json(val[start:start + ENCODE_CHUNK]))[1:-1]
+        yield b"]"
+    yield b"}"
 
 
 def dumps(doc: dict) -> str:
     """``json.dumps(doc)`` of a flat dict whose array values are 1-D float
-    arrays: the arrays are written by orjson, the other values by json."""
-    return "{" + ", ".join(
-        json.dumps(key) + ": "
-        + (_float_array_json(val) if isinstance(val, np.ndarray) else json.dumps(val))
-        for key, val in doc.items()
-    ) + "}"
+    arrays, joined from _document_parts."""
+    return b"".join(_document_parts(doc)).decode()
+
+
+def dump(doc: dict, path) -> None:
+    """Write ``dumps(doc)`` to the file at ``path`` as bytes, part by part,
+    so that no copy of the whole text is ever held."""
+    with open(path, "wb") as f:
+        f.writelines(_document_parts(doc))
+
+
+def json_int(doc: dict, key: str) -> int:
+    """``doc[key]`` if it is a JSON integer (not a boolean); else ValueError."""
+    value = doc[key]
+    if type(value) is not int:
+        raise ValueError(f"{key} must be a JSON integer, got {value!r}")
+    return value
+
+
+def json_number(doc: dict, key: str) -> float:
+    """``doc[key]`` as a float if it is a JSON number (not a boolean); else
+    ValueError."""
+    value = doc[key]
+    if type(value) not in (int, float):
+        raise ValueError(f"{key} must be a JSON number, got {value!r}")
+    return float(value)
+
+
+def json_numbers(doc: dict, key: str) -> np.ndarray:
+    """``doc[key]`` as a float array if numpy reads it with an integer or
+    float dtype; lists of strings or of booleans, nulls and ragged lists
+    raise ValueError.  The dtype test replaces a per-element pass over the
+    list, so a boolean among numbers still reads as 0.0 or 1.0."""
+    values = np.array(doc[key])
+    if values.dtype.kind not in "iuf":
+        raise ValueError(f"{key} must hold JSON numbers only")
+    return values.astype(float, copy=False)
 
 
 @dataclass
@@ -210,17 +268,23 @@ class ScalarGrid:
         ny, nx = values.shape
         return cls(nx=nx, ny=ny, spacing=spacing, values=values)
 
+    def _document(self) -> dict:
+        return {"nx": self.nx, "ny": self.ny, "lambda": self.spacing,
+                "values": self.values.ravel()}
+
     def to_json(self) -> str:
-        return dumps(
-            {"nx": self.nx, "ny": self.ny, "lambda": self.spacing, "values": self.values.ravel()}
-        )
+        return dumps(self._document())
+
+    def write_json(self, path) -> None:
+        """Write to_json()'s text to ``path`` as bytes, in chunks."""
+        dump(self._document(), path)
 
     @classmethod
-    def from_json(cls, text: str) -> "ScalarGrid":
+    def from_json(cls, text: str | bytes) -> "ScalarGrid":
         doc = orjson.loads(text)
-        nx, ny = int(doc["nx"]), int(doc["ny"])
-        values = np.array(doc["values"], dtype=float).reshape(ny, nx)
-        return cls(nx=nx, ny=ny, spacing=float(doc["lambda"]), values=values)
+        nx, ny = json_int(doc, "nx"), json_int(doc, "ny")
+        values = json_numbers(doc, "values").reshape(ny, nx)
+        return cls(nx=nx, ny=ny, spacing=json_number(doc, "lambda"), values=values)
 
 
 @dataclass
@@ -251,14 +315,20 @@ class SpinField:
         """Unit vectors (ux, uy); |u| = 1 is forced by the representation."""
         return np.cos(self.angles), np.sin(self.angles)
 
+    def _document(self) -> dict:
+        return {"nx": self.nx, "ny": self.ny, "lambda": self.spacing,
+                "angles": self.angles.ravel()}
+
     def to_json(self) -> str:
-        return dumps(
-            {"nx": self.nx, "ny": self.ny, "lambda": self.spacing, "angles": self.angles.ravel()}
-        )
+        return dumps(self._document())
+
+    def write_json(self, path) -> None:
+        """Write to_json()'s text to ``path`` as bytes, in chunks."""
+        dump(self._document(), path)
 
     @classmethod
-    def from_json(cls, text: str) -> "SpinField":
+    def from_json(cls, text: str | bytes) -> "SpinField":
         doc = orjson.loads(text)
-        nx, ny = int(doc["nx"]), int(doc["ny"])
-        angles = np.array(doc["angles"], dtype=float).reshape(ny, nx)
-        return cls(nx=nx, ny=ny, spacing=float(doc["lambda"]), angles=angles)
+        nx, ny = json_int(doc, "nx"), json_int(doc, "ny")
+        angles = json_numbers(doc, "angles").reshape(ny, nx)
+        return cls(nx=nx, ny=ny, spacing=json_number(doc, "lambda"), angles=angles)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -408,6 +409,63 @@ class TestErrorContract:
         assert status == 1
         assert "cannot load spin field" in result["error"]
 
+    @pytest.mark.parametrize("doc", [
+        {"nx": 2, "ny": 2, "lambda": 0.1, "angles": ["0.1", "0.2", "0.3", "0.4"]},
+        {"nx": 2, "ny": 2, "lambda": 0.1, "angles": [True, False, True, False]},
+        {"nx": 2.7, "ny": 2, "lambda": 0.1, "angles": [0.1, 0.2, 0.3, 0.4]},
+        {"nx": "2", "ny": 2, "lambda": 0.1, "angles": [0.1, 0.2, 0.3, 0.4]},
+        {"nx": 2, "ny": True, "lambda": 0.1, "angles": [0.1, 0.2]},
+        {"nx": 2, "ny": 2, "lambda": "0.5", "angles": [0.1, 0.2, 0.3, 0.4]},
+        {"nx": 2, "ny": 2, "lambda": 0.1, "angles": [0.1, None, 0.3, 0.4]},
+    ], ids=["string angles", "boolean angles", "fractional nx", "string nx",
+            "boolean ny", "string lambda", "null angle"])
+    @pytest.mark.parametrize("command", ["energy", "transform"])
+    def test_spin_file_with_values_that_are_not_numbers(self, tmp_path, command, doc):
+        f = tmp_path / "u.json"
+        f.write_text(json.dumps(doc))
+        status, result = run(command, {"in": str(f), "delta": 0.3, "out": str(tmp_path)})
+        assert status == 1
+        assert "cannot load spin field" in result["error"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["u.json"]
+
+    @pytest.mark.parametrize("change", ["string vertices", "string width"])
+    def test_mesh_with_values_that_are_not_numbers(self, tmp_path, change):
+        from helimag.continuum import build_example
+
+        doc = json.loads(build_example("vertical_wall").to_json())
+        if change == "string vertices":
+            doc["vertices"] = [[str(x), str(y)] for x, y in doc["vertices"]]
+        else:
+            doc["domain"]["width"] = "1.0"
+        mesh = tmp_path / "m.json"
+        mesh.write_text(json.dumps(doc))
+        status, result = run("classify", {"mesh": str(mesh), "out": str(tmp_path)})
+        assert status == 1
+        assert "cannot load mesh" in result["error"]
+
+    @pytest.mark.parametrize("command, name, config", [
+        ("groundstate", "groundstate.json", {"n": 4, "lambda": 0.05, "delta": 0.2}),
+        ("energy", "energy.csv", {"in": "u.json", "delta": 0.3, "format": "csv"}),
+        ("transform", "chirality.json", {"in": "u.json", "delta": 0.3}),
+        ("classify", "mesh.svg", {"kind": "four_quadrant", "format": "svg"}),
+        ("recover", "recovery_spin.json", {"kind": "vertical_wall", "lambda": 1.0 / 16,
+                                           "delta": 0.2}),
+        ("sweep", "sweep.csv", {"kind": "vertical_wall", "finest_n": 16, "levels": 2}),
+        ("minimize", "minimize_psi.json", {"n": 8, "lambda": 0.04, "delta": 0.2,
+                                           "max_iter": 5}),
+        ("profile1d", "profile1d.json", {}),
+    ])
+    def test_artefact_name_taken_by_a_directory(self, tmp_path, command, name, config):
+        f = tmp_path / "u.json"
+        f.write_text(SpinField.from_angles(np.zeros((4, 4)), 0.1).to_json())
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        if "in" in config:
+            config = {**config, "in": str(f)}
+        status, result = run(command, {**config, "out": str(out)})
+        assert status == 1
+        assert result["error"].startswith(f"cannot write {out / name}: ")
+
     @pytest.mark.parametrize("cap", [0, -1])
     def test_minimize_iteration_cap_below_one(self, tmp_path, cap):
         status, result = run("minimize", {"n": 30, "lambda": 0.04, "delta": 0.2,
@@ -625,3 +683,20 @@ class TestErrorContract:
         assert status == 1
         assert "output directory" in result["error"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+def test_transform_memory_peak(tmp_path):
+    # traced allocation peak of one 256x256 transform request over the
+    # memory live before it: reading the field, the transform and writing
+    # the two grids, which are encoded ENCODE_CHUNK values at a time
+    rng = np.random.default_rng(17)
+    f = tmp_path / "u.json"
+    SpinField.from_angles(rng.uniform(-np.pi, np.pi, (256, 256)), 1.0 / 256).write_json(f)
+    tracemalloc.start()
+    try:
+        status, _ = run("transform", {"in": str(f), "delta": 0.2, "out": str(tmp_path)})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0
+    assert peak < 6 * 2 ** 20

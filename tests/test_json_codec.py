@@ -1,6 +1,7 @@
 """Grid JSON codecs against the standard library's json as the oracle: the
-orjson writer must produce json.dumps's text byte for byte, and the orjson
-reader must give json.loads's floats bit for bit."""
+chunked orjson writer must produce json.dumps's text byte for byte, in
+to_json() and in the files write_json() writes, and the orjson reader must
+give json.loads's floats bit for bit."""
 
 import json
 
@@ -9,7 +10,8 @@ import orjson
 import pytest
 
 from helimag.chirality import ChiralityPair
-from helimag.lattice import ScalarGrid, SpinField, _float_array_json, dumps
+from helimag.lattice import ENCODE_CHUNK, ScalarGrid, SpinField, _float_array_json, dump, \
+    dumps
 
 BOUNDARY = [
     1e-4,
@@ -38,7 +40,7 @@ def log_spread(n, seed, lo=-9.0, hi=20.0):
 
 
 def assert_same_text(a):
-    assert _float_array_json(a) == json.dumps(a.tolist())
+    assert _float_array_json(a) == json.dumps(a.tolist()).encode()
 
 
 class TestFloatArrayEncoder:
@@ -159,3 +161,105 @@ class TestGridRoundTrips:
         assert pair2.delta == 3e-05
         np.testing.assert_array_equal(pair2.w.values.view(np.uint64), w.view(np.uint64))
         np.testing.assert_array_equal(pair2.z.values.view(np.uint64), z.view(np.uint64))
+
+
+# tokens orjson spells differently from repr
+RESPELLED = [1e-05, -2.5e-07, 1e16, -0.0, 5e-324, 1.7976931348623157e308]
+SIZES = [0, 1, ENCODE_CHUNK - 1, ENCODE_CHUNK, ENCODE_CHUNK + 1, 2 * ENCODE_CHUNK + 3]
+
+
+def chunk_edges(size, seed):
+    """Ordinary values with a re-spelled token at the first and the last
+    slot of every ENCODE_CHUNK-value chunk."""
+    a = log_spread(size, seed, -3.0, 15.0)
+    for n, start in enumerate(range(0, size, ENCODE_CHUNK)):
+        a[start] = RESPELLED[n % len(RESPELLED)]
+        a[min(start + ENCODE_CHUNK, size) - 1] = RESPELLED[(n + 3) % len(RESPELLED)]
+    return a
+
+
+def assert_same_bytes(got, want):
+    # a failure names the first differing byte instead of making pytest
+    # diff two texts of a megabyte
+    if got != want:
+        at = next((k for k, (x, y) in enumerate(zip(got, want)) if x != y),
+                  min(len(got), len(want)))
+        pytest.fail(f"first difference at byte {at}: {got[at:at + 40]!r} != {want[at:at + 40]!r}")
+
+
+def assert_written_as_json_dumps(grid, doc, tmp_path):
+    path = tmp_path / "grid.json"
+    grid.write_json(path)
+    want = json.dumps(doc).encode()
+    assert_same_bytes(path.read_bytes(), want)
+    assert_same_bytes(grid.to_json().encode(), want)
+
+
+class TestChunkBoundaries:
+    @pytest.mark.parametrize("size", SIZES)
+    def test_scalar_grid(self, tmp_path, size):
+        vals = chunk_edges(size, seed=41).reshape(1, size)
+        g = ScalarGrid.from_values(vals, 0.07)
+        doc = {"nx": size, "ny": 1, "lambda": 0.07, "values": vals.ravel().tolist()}
+        assert_written_as_json_dumps(g, doc, tmp_path)
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_spin_field(self, tmp_path, size):
+        psi = chunk_edges(size, seed=42).reshape(size, 1)
+        u = SpinField.from_angles(psi, 1.0 / 3)
+        doc = {"nx": 1, "ny": size, "lambda": 1.0 / 3, "angles": psi.ravel().tolist()}
+        assert_written_as_json_dumps(u, doc, tmp_path)
+
+    @pytest.mark.parametrize("size_w, size_z", zip(SIZES, SIZES[::-1]))
+    def test_chirality_pair(self, tmp_path, size_w, size_z):
+        # two arrays of different sizes, each with its own chunk boundaries
+        w, z = chunk_edges(size_w, seed=43), chunk_edges(size_z, seed=44)
+        pair = ChiralityPair(
+            w=ScalarGrid.from_values(w.reshape(1, size_w), 0.02),
+            z=ScalarGrid.from_values(z.reshape(size_z, 1), 0.02),
+            delta=3e-05,
+        )
+        doc = {"nx": size_w + 1, "ny": size_z + 1, "lambda": 0.02, "delta": 3e-05,
+               "w": w.tolist(), "z": z.tolist()}
+        assert_written_as_json_dumps(pair, doc, tmp_path)
+
+    def test_random_bit_patterns_over_several_chunks(self, tmp_path):
+        a = random_finite_bits(3 * ENCODE_CHUNK + 200, seed=45)
+        assert a.size > 3 * ENCODE_CHUNK
+        doc = {"nx": a.size, "values": a}
+        want = json.dumps({**doc, "values": a.tolist()}).encode()
+        dump(doc, tmp_path / "a.json")
+        assert_same_bytes(dumps(doc).encode(), want)
+        assert_same_bytes((tmp_path / "a.json").read_bytes(), want)
+
+    def test_strided_input_over_several_chunks(self):
+        a = log_spread(9 * ENCODE_CHUNK + 7, seed=46)[::3]
+        assert_same_bytes(dumps({"values": a}).encode(), json.dumps({"values": a.tolist()}).encode())
+
+
+class TestReadersRejectNonNumbers:
+    GRID = {"nx": 2, "ny": 2, "lambda": 0.1, "values": [0.1, 0.2, 0.3, 0.4]}
+    PAIR = {"nx": 2, "ny": 2, "lambda": 0.1, "delta": 0.2, "w": [0.1, 0.2], "z": [0.3, 0.4]}
+
+    @pytest.mark.parametrize("key, value", [
+        ("nx", 2.0), ("nx", "2"), ("ny", True), ("lambda", "0.1"), ("lambda", None),
+        ("values", ["0.1", "0.2", "0.3", "0.4"]), ("values", [True, False, True, False]),
+        ("values", [0.1, None, 0.3, 0.4]), ("values", [[0.1, 0.2], [0.3]]),
+    ])
+    def test_scalar_grid(self, key, value):
+        with pytest.raises(ValueError):
+            ScalarGrid.from_json(json.dumps({**self.GRID, key: value}))
+
+    @pytest.mark.parametrize("key, value", [
+        ("nx", 2.5), ("ny", False), ("delta", "0.2"), ("lambda", [0.1]),
+        ("w", ["0.1", "0.2"]), ("z", [False, True]),
+    ])
+    def test_chirality_pair(self, key, value):
+        with pytest.raises(ValueError):
+            ChiralityPair.from_json(json.dumps({**self.PAIR, key: value}))
+
+    def test_integer_values_are_numbers(self):
+        g = ScalarGrid.from_json(json.dumps({**self.GRID, "values": [1, 2, 3, 4], "lambda": 1}))
+        assert g.values.dtype == np.float64 and g.spacing == 1.0
+        pair = ChiralityPair.from_json(json.dumps(self.PAIR).encode())
+        assert pair.delta == 0.2
