@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .chirality import transform, vorticity
-from .continuum import MeshPotential, build_example, classify_triple, jump_set, \
+from .continuum import CLASSES, MeshPotential, build_example, classify, jump_set, \
     limit_energy, mesh_to_svg, total_variations
 from .energy import energy_H, mm_decomposition, prefactor, rho
 from .lattice import Domain, ModelParams, SpinField
@@ -191,19 +191,11 @@ def _cmd_classify(config: dict) -> dict:
     out = _outdir(config)
     segs = jump_set(m)
     tvs = total_variations(m, segments=segs)
+    names = ("p", "q", "nu", "plus", "minus", "length", "class")
+    cols = (segs.p, segs.q, segs.nu, segs.plus, segs.minus, segs.length,
+            np.array(CLASSES)[classify(segs.plus, segs.minus, segs.nu)])
     doc = {
-        "segments": [
-            {
-                "p": list(s.p),
-                "q": list(s.q),
-                "nu": list(s.nu),
-                "plus": list(s.plus),
-                "minus": list(s.minus),
-                "length": s.length,
-                "class": classify_triple(s.plus, s.minus, s.nu),
-            }
-            for s in segs
-        ],
+        "segments": [dict(zip(names, row)) for row in zip(*(c.tolist() for c in cols))],
         "total_variations": {
             "D1w": tvs[0], "D2w": tvs[1], "D1z": tvs[2], "D2z": tvs[3]
         },
@@ -343,14 +335,9 @@ def _cmd_selftest(config: dict) -> dict:
     traces = [(a, b) for a in (1, -1) for b in (1, -1)]
     r2 = 1.0 / math.sqrt(2.0)
     normals = [(1, 0), (-1, 0), (0, 1), (0, -1), (r2, r2), (-r2, -r2), (r2, -r2), (-r2, r2)]
-    adm = sum(
-        1
-        for a in traces
-        for b in traces
-        if a != b
-        for nu in normals
-        if classify_triple(a, b, nu) != "inadmissible"
-    )
+    triples = [(a, b, nu) for a in traces for b in traces if a != b for nu in normals]
+    plus, minus, nus = (np.array(c, dtype=float) for c in zip(*triples))
+    adm = int(np.count_nonzero(classify(plus, minus, nus)))
     counts["admissible_triples"] = (adm, 0 if adm == 24 else 1)
     total_fail = sum(f for _, f in counts.values())
     if total_fail:

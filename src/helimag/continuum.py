@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import orjson
@@ -181,20 +181,23 @@ class MeshPotential:
         )
 
 
-@dataclass
-class JumpSegment:
-    """Interface between two gradient labels; the jump [(w,z)] is parallel
-    to the normal nu (rank-one condition for curl-free fields)."""
+@dataclass(frozen=True, eq=False)
+class JumpSet:
+    """Merged jump segments of a mesh as one struct of arrays: segment k runs
+    from p[k] to q[k], has unit normal nu[k], the trace plus[k] on the side
+    nu[k] points into and minus[k] on the other (each (K, 2)), and length
+    length[k] (K,).  On admissible segments the jump plus - minus is
+    parallel to nu (rank-one condition for curl-free fields)."""
 
-    p: tuple[float, float]
-    q: tuple[float, float]
-    nu: tuple[float, float]
-    plus: tuple[float, float]
-    minus: tuple[float, float]
+    p: np.ndarray
+    q: np.ndarray
+    nu: np.ndarray
+    plus: np.ndarray
+    minus: np.ndarray
+    length: np.ndarray
 
-    @property
-    def length(self) -> float:
-        return math.hypot(self.q[0] - self.p[0], self.q[1] - self.p[1])
+    def __len__(self) -> int:
+        return len(self.length)
 
 
 def _mesh_labels(m: MeshPotential) -> np.ndarray:
@@ -270,19 +273,20 @@ def kink_edges(m: MeshPotential) -> tuple[np.ndarray, np.ndarray]:
     return v[lo[kink]], v[hi[kink]]
 
 
-def jump_set(m: MeshPotential) -> list[JumpSegment]:
+def jump_set(m: MeshPotential) -> JumpSet:
     """Edges between differently labeled triangles, merged into maximal
     collinear segments with identical trace pairs.
 
     Validates the mesh (MeshError as validate_mesh).  An edge is a jump edge
     when exactly two triangles own it and their labels differ; edges with
     one owner (the boundary) or three or more are skipped.  The jump edges
-    are selected from the edge table in one vectorised pass and kept in
-    order of first appearance, (a, b), (b, c), (c, a) per triangle in
-    triangle order.  The normal is canonically oriented (lexicographically
-    positive) and the plus trace is the label on the side nu points into,
-    judged by the centroid of the edge's first owner; the output is unique
-    up to the global (+, -, nu) <-> (-, +, -nu) swap.
+    are selected from the edge table in one vectorised pass, in order of
+    first appearance, (a, b), (b, c), (c, a) per triangle in triangle
+    order, and merged by sorting (see _merge).  The normal is canonically
+    oriented (lexicographically positive) and the plus trace is the label
+    on the side nu points into, judged by the centroid of the edge's first
+    owner; the output is unique up to the global (+, -, nu) <-> (-, +, -nu)
+    swap.
     """
     labels = _mesh_labels(m)
     v = m.vertices
@@ -304,130 +308,124 @@ def jump_set(m: MeshPotential) -> list[JumpSegment]:
     first_plus = side[:, 0] * nu[:, 0] + side[:, 1] * nu[:, 1] > 0.0
     plus = np.where(first_plus[:, None], labels[t1], labels[t2]).astype(float)
     minus = np.where(first_plus[:, None], labels[t2], labels[t1]).astype(float)
-    raw = [
-        JumpSegment(p=tuple(a), q=tuple(b), nu=tuple(n), plus=tuple(u), minus=tuple(w))
-        for a, b, n, u, w in zip(
-            p.tolist(), q.tolist(), nu.tolist(), plus.tolist(), minus.tolist()
-        )
-    ]
-    return _merge_segments(raw)
+    return _merge(p, q, nu, plus, minus)
 
 
-def _merge_segments(raw: list[JumpSegment]) -> list[JumpSegment]:
-    groups: dict[tuple, list[JumpSegment]] = {}
-    for s in raw:
-        nu = np.array(s.nu)
-        offset = nu @ np.array(s.p)
-        key = (
-            round(s.nu[0] / MERGE_TOL),
-            round(s.nu[1] / MERGE_TOL),
-            round(offset / MERGE_TOL),
-            s.plus,
-            s.minus,
-        )
-        groups.setdefault(key, []).append(s)
-    out: list[JumpSegment] = []
-    for key, segs in sorted(groups.items(), key=lambda kv: kv[0][:3]):
-        nu = np.array(segs[0].nu)
-        tang = np.array([-nu[1], nu[0]])
-        ivals = []
-        for s in segs:
-            ta = float(np.array(s.p) @ tang)
-            tb = float(np.array(s.q) @ tang)
-            pa, pb = (s.p, s.q) if ta <= tb else (s.q, s.p)
-            ivals.append((min(ta, tb), max(ta, tb), pa, pb))
-        ivals.sort(key=lambda r: r[0])
-        cur = ivals[0]
-        for nxt in ivals[1:]:
-            if nxt[0] <= cur[1] + MERGE_TOL:
-                cur = (cur[0], nxt[1], cur[2], nxt[3])
-            else:
-                out.append(
-                    JumpSegment(p=cur[2], q=cur[3], nu=segs[0].nu,
-                                plus=segs[0].plus, minus=segs[0].minus)
-                )
-                cur = nxt
-        out.append(
-            JumpSegment(p=cur[2], q=cur[3], nu=segs[0].nu,
-                        plus=segs[0].plus, minus=segs[0].minus)
-        )
-    return out
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products a[k] @ b[k] of (K, 2) arrays.  matmul takes
+    each row through the vector dot that a 2-vector `@` uses, which does not
+    always round as the elementwise a0*b0 + a1*b1 does."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-_PM1 = (-1.0, 1.0)
+def _merge(p, q, nu, plus, minus) -> JumpSet:
+    """Jump edges (rows of (K, 2) arrays, in order of first appearance)
+    merged into maximal collinear segments with identical trace pairs.
+
+    Edges group by their rounded normal and offset, rint(nu / MERGE_TOL)
+    and rint((nu . p) / MERGE_TOL), and their traces.  Groups are ordered
+    by (normal, offset) and then by their first edge; the edges of a group
+    by their start along the first edge's tangent (-nu2, nu1) and then by
+    appearance.  A segment ends where the next edge starts more than
+    MERGE_TOL past the end of the edge before it; it runs from its first
+    edge's start to its last edge's end and takes the normal of its group's
+    first edge.
+    """
+    k = len(p)
+    if k == 0:
+        return JumpSet(p, q, nu, plus, minus, np.zeros(0))
+    key = np.rint(np.column_stack([nu, _rowdot(nu, p)]) / MERGE_TOL)
+    cols = np.column_stack([key, plus, minus])
+    order = np.lexsort(cols.T[::-1])  # stable: each group's first edge leads it
+    srt = cols[order]
+    new = np.ones(k, dtype=bool)
+    new[1:] = (srt[1:] != srt[:-1]).any(axis=1)
+    head = np.empty(k, dtype=np.intp)  # each edge's group's first edge
+    head[order] = order[new][np.cumsum(new) - 1]
+    tang = nu[head][:, ::-1] * (-1.0, 1.0)  # (-nu2, nu1) of that edge
+    ta = _rowdot(p, tang)
+    tb = _rowdot(q, tang)
+    start = np.minimum(ta, tb)
+    end = np.maximum(ta, tb)
+    order = np.lexsort((start, head, key[:, 2], key[:, 1], key[:, 0]))
+    head, start, end = head[order], start[order], end[order]
+    cut = np.ones(k, dtype=bool)
+    cut[1:] = (head[1:] != head[:-1]) | (start[1:] > end[:-1] + MERGE_TOL)
+    cut = np.flatnonzero(cut)
+    first = order[cut]
+    last = order[np.append(cut[1:], k) - 1]
+    lead = head[cut]
+    fwd = (ta <= tb)[:, None]
+    pa = np.where(fwd[first], p[first], q[first])
+    pb = np.where(fwd[last], q[last], p[last])
+    d = pb - pa
+    # math.hypot, not np.hypot: they differ in the last bit on about 1% of
+    # diagonal edges, and the lengths are written out
+    length = np.fromiter(map(math.hypot, d[:, 0].tolist(), d[:, 1].tolist()), float, len(d))
+    return JumpSet(pa, pb, nu[lead], plus[lead], minus[lead], length)
 
 
-def _check_triple_inputs(plus, minus, nu) -> tuple:
-    pw, pz = float(plus[0]), float(plus[1])
-    mw, mz = float(minus[0]), float(minus[1])
-    for t in (pw, pz, mw, mz):
-        if min(abs(t - 1.0), abs(t + 1.0)) > GRAD_TOL:
-            raise ValueError("traces must take values in {+-1}^2")
-    nx, ny = float(nu[0]), float(nu[1])
-    if abs(math.hypot(nx, ny) - 1.0) > GRAD_TOL:
-        raise ValueError("nu must be a unit vector")
-    return pw, pz, mw, mz, nx, ny
+CLASSES = ("inadmissible", "J1", "J2", "J3")  # the codes classify returns
 
 
-def classify_triple(plus, minus, nu) -> str:
-    """Classify a jump triple: J1 (only w jumps, axis normal), J2 (only z
+def classify(plus, minus, nu) -> np.ndarray:
+    """Class codes (indices into CLASSES) of jump triples, each argument an
+    array (..., 2) or one pair: J1 (only w jumps, axis normal), J2 (only z
     jumps), J3 (both jump, diagonal normal), or inadmissible.
 
     Admissibility is the rank-one condition [(w,z)] parallel to nu; exactly
-    twelve triples (up to the orientation swap) pass it.
+    twelve triples (up to the orientation swap) pass it.  Raises ValueError
+    unless every trace lies in {+-1}^2 and every nu is a unit vector, each
+    within GRAD_TOL.
     """
-    pw, pz, mw, mz, nx, ny = _check_triple_inputs(plus, minus, nu)
-    dw = pw - mw
-    dz = pz - mz
-    if abs(dw) < GRAD_TOL and abs(dz) < GRAD_TOL:
-        return "inadmissible"
-    if abs(dw * ny - dz * nx) > GRAD_TOL:
-        return "inadmissible"
-    if abs(dz) < GRAD_TOL:
-        return "J1"
-    if abs(dw) < GRAD_TOL:
-        return "J2"
-    return "J3"
+    plus, minus, nu = (np.asarray(a, dtype=float) for a in (plus, minus, nu))
+    for t in (plus, minus):
+        if not (np.abs(np.abs(t) - 1.0) <= GRAD_TOL).all():
+            raise ValueError("traces must take values in {+-1}^2")
+    if not (np.abs(np.hypot(nu[..., 0], nu[..., 1]) - 1.0) <= GRAD_TOL).all():
+        raise ValueError("nu must be a unit vector")
+    dw = plus[..., 0] - minus[..., 0]
+    dz = plus[..., 1] - minus[..., 1]
+    rank_one = np.abs(dw * nu[..., 1] - dz * nu[..., 0]) <= GRAD_TOL
+    return np.where(rank_one, (np.abs(dw) >= GRAD_TOL) + 2 * (np.abs(dz) >= GRAD_TOL), 0)
 
 
-def sigma(plus, minus, nu) -> float:
+def sigma(plus, minus, nu) -> np.ndarray:
     """Interfacial energy density (4/3)(|[w]| |nu1| + |[z]| |nu2|) per unit
-    length: 8/3 on axis walls, sqrt(2)*8/3 on diagonal walls."""
-    cls = classify_triple(plus, minus, nu)
-    if cls == "inadmissible":
+    length of each jump triple (arguments as classify takes them): 8/3 on
+    axis walls, sqrt(2)*8/3 on diagonal walls.  Raises ValueError if any
+    triple is inadmissible."""
+    if not classify(plus, minus, nu).all():
         raise ValueError("sigma is defined on admissible jump triples only")
-    dw = abs(float(plus[0]) - float(minus[0]))
-    dz = abs(float(plus[1]) - float(minus[1]))
-    return (4.0 / 3.0) * (dw * abs(float(nu[0])) + dz * abs(float(nu[1])))
+    jump = np.abs(np.asarray(plus, dtype=float) - np.asarray(minus, dtype=float))
+    nu = np.abs(np.asarray(nu, dtype=float))
+    return (4.0 / 3.0) * (jump[..., 0] * nu[..., 0] + jump[..., 1] * nu[..., 1])
 
 
 def total_variations(
-    m: MeshPotential, *, segments: list[JumpSegment] | None = None
+    m: MeshPotential, *, segments: JumpSet | None = None
 ) -> tuple[float, float, float, float]:
-    """(|D1 w|, |D2 w|, |D1 z|, |D2 z|) over the domain, from the jump set
-    (``segments``, or jump_set(m) when None)."""
-    d1w, d2w, d1z, d2z = [], [], [], []
-    for s in jump_set(m) if segments is None else segments:
-        dw = abs(s.plus[0] - s.minus[0])
-        dz = abs(s.plus[1] - s.minus[1])
-        ln = s.length
-        d1w.append(dw * abs(s.nu[0]) * ln)
-        d2w.append(dw * abs(s.nu[1]) * ln)
-        d1z.append(dz * abs(s.nu[0]) * ln)
-        d2z.append(dz * abs(s.nu[1]) * ln)
+    """(|D1 w|, |D2 w|, |D1 z|, |D2 z|) over the domain: the sums over the
+    jump set (``segments``, or jump_set(m) when None) of |[w]| or |[z]|
+    times |nu1| or |nu2| times the length."""
+    segs = jump_set(m) if segments is None else segments
+    jump = np.abs(segs.plus - segs.minus)
+    # terms[k] = |[w]| |nu1|, |[w]| |nu2|, |[z]| |nu1|, |[z]| |nu2| times length[k]
+    terms = jump[:, :, None] * np.abs(segs.nu)[:, None, :] * segs.length[:, None, None]
     # exact sums: a running sum over a long jump set drifts past
     # limit_energy's 1e-12 cross-check
-    return math.fsum(d1w), math.fsum(d2w), math.fsum(d1z), math.fsum(d2z)
+    d1w, d2w, d1z, d2z = map(math.fsum, terms.reshape(-1, 4).T.tolist())
+    return d1w, d2w, d1z, d2z
 
 
-def limit_energy(m: MeshPotential, *, segments: list[JumpSegment] | None = None) -> float:
+def limit_energy(m: MeshPotential, *, segments: JumpSet | None = None) -> float:
     """Limit functional H = (4/3)(|D1 w| + |D2 z|), cross-checked against the
     per-segment surface density sum.  Both sums run over one jump set:
     ``segments``, or jump_set(m) when None."""
     segs = jump_set(m) if segments is None else segments
     d1w, _, _, d2z = total_variations(m, segments=segs)
     via_tv = (4.0 / 3.0) * (d1w + d2z)
-    via_sigma = math.fsum(sigma(s.plus, s.minus, s.nu) * s.length for s in segs)
+    via_sigma = math.fsum((sigma(segs.plus, segs.minus, segs.nu) * segs.length).tolist())
     if abs(via_tv - via_sigma) > 1e-12 * max(1.0, abs(via_tv)):
         raise AssertionError(
             f"limit energy mismatch: {via_tv} (total variation) vs {via_sigma} (sigma)"
@@ -541,7 +539,7 @@ _LABEL_COLORS = {
 }
 
 
-def mesh_to_svg(m: MeshPotential, *, segments: list[JumpSegment] | None = None) -> str:
+def mesh_to_svg(m: MeshPotential, *, segments: JumpSet | None = None) -> str:
     """SVG of the labeled triangles (four-color scheme, one color per
     chirality pair) with the jump segments (``segments``, or jump_set(m)
     when None) overlaid."""
@@ -562,8 +560,9 @@ def mesh_to_svg(m: MeshPotential, *, segments: list[JumpSegment] | None = None) 
         )
         color = _LABEL_COLORS[labels[t]]
         parts.append(f'<polygon points="{pts}" fill="{color}" stroke="none"/>')
-    for s in jump_set(m) if segments is None else segments:
-        (px, py), (qx, qy) = pt(*s.p), pt(*s.q)
+    segs = jump_set(m) if segments is None else segments
+    for a, b in zip(segs.p.tolist(), segs.q.tolist()):
+        (px, py), (qx, qy) = pt(*a), pt(*b)
         parts.append(
             f'<line x1="{px:.3f}" y1="{py:.3f}" x2="{qx:.3f}" y2="{qy:.3f}" '
             f'stroke="black" stroke-width="2"/>'

@@ -41,8 +41,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .chirality import ChiralityPair
-from .continuum import JumpSegment, MeshPotential, classify_triple, jump_set, \
-    kink_edges, limit_energy
+from .continuum import CLASSES, JumpSet, MeshPotential, classify, jump_set, kink_edges, \
+    limit_energy
 from .energy import EnergyReport, W, energy_H
 from .lattice import ModelParams, SpinField
 
@@ -513,14 +513,12 @@ class SweepTable:
         return "\n".join(lines) + "\n"
 
 
-def pick_width(m: MeshPotential, *, segments: Optional[list[JumpSegment]] = None) -> float:
+def pick_width(m: MeshPotential, *, segments: Optional[JumpSet] = None) -> float:
     """Default smoothing width for a mesh: the diagonal multiplier when every
     wall of its jump set (``segments``, or jump_set(m) when None) is
     diagonal (class J3), the straight-wall multiplier otherwise."""
     segs = jump_set(m) if segments is None else segments
-    if segs and all(
-        classify_triple(s.plus, s.minus, s.nu) == "J3" for s in segs
-    ):
+    if len(segs) and np.all(classify(segs.plus, segs.minus, segs.nu) == CLASSES.index("J3")):
         return DIAG_WALL_WIDTH
     return WALL_WIDTH
 

@@ -1,13 +1,18 @@
 """Loop-level references for the mesh evaluation path: the first-match loop
 over every triangle, the clipped extension built on its barycentric values,
-the mollifier as a per-shift double sum, and the jump set built from a dict
-of edges; the example potentials on refined grids; and two valid meshes on
-the unit square whose wall jump_set cannot see."""
+the mollifier as a per-shift double sum, the jump set built from a dict
+of edges and merged segment by segment, the scalar jump-triple classifier
+and the classify document built from them; the example potentials on
+refined grids and their shuffled, rotated and three-owner variants; and two
+valid meshes on the unit square whose wall jump_set cannot see."""
+
+import json
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from helimag.continuum import MERGE_TOL, JumpSegment, MeshPotential, _merge_segments, \
-    validate_mesh
+from helimag.continuum import GRAD_TOL, MERGE_TOL, JumpSet, MeshPotential, validate_mesh
 from helimag.lattice import Domain
 
 
@@ -79,11 +84,26 @@ def double_sum_mollify(ext, kernel, epsilon, order=24):
     return phi_eps
 
 
+@dataclass
+class JumpSegment:
+    """One jump segment of the loop reference."""
+
+    p: tuple[float, float]
+    q: tuple[float, float]
+    nu: tuple[float, float]
+    plus: tuple[float, float]
+    minus: tuple[float, float]
+
+    @property
+    def length(self) -> float:
+        return math.hypot(self.q[0] - self.p[0], self.q[1] - self.p[1])
+
+
 def dict_jump_set(m):
     """Jump set from a dict of edges in order of first appearance: each edge
     with exactly two owners and different labels, normal oriented
     lexicographically positive, plus trace on the side of the first owner's
-    centroid when nu points there; merged by the package's segment merge."""
+    centroid when nu points there; merged by merge_segments."""
     labels = validate_mesh(m)
     v = m.vertices
     edges = {}
@@ -117,7 +137,159 @@ def dict_jump_set(m):
                 minus=tuple(map(float, labels[minus_t])),
             )
         )
-    return _merge_segments(raw)
+    return merge_segments(raw)
+
+
+def merge_segments(raw):
+    """Segments grouped in a dict by rounded normal, offset and traces,
+    groups sorted by (normal, offset), and each group's edges sorted along
+    its first edge's tangent and joined while the next starts within
+    MERGE_TOL of the previous one's end."""
+    groups = {}
+    for s in raw:
+        nu = np.array(s.nu)
+        offset = nu @ np.array(s.p)
+        key = (
+            round(s.nu[0] / MERGE_TOL),
+            round(s.nu[1] / MERGE_TOL),
+            round(offset / MERGE_TOL),
+            s.plus,
+            s.minus,
+        )
+        groups.setdefault(key, []).append(s)
+    out = []
+    for key, segs in sorted(groups.items(), key=lambda kv: kv[0][:3]):
+        nu = np.array(segs[0].nu)
+        tang = np.array([-nu[1], nu[0]])
+        ivals = []
+        for s in segs:
+            ta = float(np.array(s.p) @ tang)
+            tb = float(np.array(s.q) @ tang)
+            pa, pb = (s.p, s.q) if ta <= tb else (s.q, s.p)
+            ivals.append((min(ta, tb), max(ta, tb), pa, pb))
+        ivals.sort(key=lambda r: r[0])
+        cur = ivals[0]
+        for nxt in ivals[1:]:
+            if nxt[0] <= cur[1] + MERGE_TOL:
+                cur = (cur[0], nxt[1], cur[2], nxt[3])
+            else:
+                out.append(
+                    JumpSegment(p=cur[2], q=cur[3], nu=segs[0].nu,
+                                plus=segs[0].plus, minus=segs[0].minus)
+                )
+                cur = nxt
+        out.append(
+            JumpSegment(p=cur[2], q=cur[3], nu=segs[0].nu,
+                        plus=segs[0].plus, minus=segs[0].minus)
+        )
+    return out
+
+
+def columns(segs):
+    """A JumpSet, or a list of JumpSegment, as a dict of Python lists, one
+    per JumpSet column; compare by repr to tell -0.0 from 0.0."""
+    names = [f.name for f in fields(JumpSet)]
+    if isinstance(segs, JumpSet):
+        return {name: getattr(segs, name).tolist() for name in names}
+    return {name: [list(v) if isinstance(v, tuple) else v
+                   for v in (getattr(s, name) for s in segs)] for name in names}
+
+
+def rows(segs, index):
+    """The JumpSet of segs' rows at index (a slice or an index array)."""
+    return JumpSet(*(getattr(segs, f.name)[index] for f in fields(JumpSet)))
+
+
+def classify_triple(plus, minus, nu):
+    """Scalar jump-triple rule: J1 (only w jumps), J2 (only z jumps), J3
+    (both), or inadmissible when nothing jumps or the jump is not parallel
+    to nu; ValueError for a trace off {+-1}^2 or a non-unit nu."""
+    pw, pz = float(plus[0]), float(plus[1])
+    mw, mz = float(minus[0]), float(minus[1])
+    for t in (pw, pz, mw, mz):
+        if min(abs(t - 1.0), abs(t + 1.0)) > GRAD_TOL:
+            raise ValueError("traces must take values in {+-1}^2")
+    nx, ny = float(nu[0]), float(nu[1])
+    if abs(math.hypot(nx, ny) - 1.0) > GRAD_TOL:
+        raise ValueError("nu must be a unit vector")
+    dw = pw - mw
+    dz = pz - mz
+    if abs(dw) < GRAD_TOL and abs(dz) < GRAD_TOL:
+        return "inadmissible"
+    if abs(dw * ny - dz * nx) > GRAD_TOL:
+        return "inadmissible"
+    if abs(dz) < GRAD_TOL:
+        return "J1"
+    if abs(dw) < GRAD_TOL:
+        return "J2"
+    return "J3"
+
+
+def classify_document(m):
+    """The text of classify.json from the loop references: one row per
+    segment of dict_jump_set, the total variations as exact sums of
+    per-segment terms and the limit (4/3)(|D1 w| + |D2 z|)."""
+    segs = dict_jump_set(m)
+    terms = {"D1w": [], "D2w": [], "D1z": [], "D2z": []}
+    for s in segs:
+        dw = abs(s.plus[0] - s.minus[0])
+        dz = abs(s.plus[1] - s.minus[1])
+        terms["D1w"].append(dw * abs(s.nu[0]) * s.length)
+        terms["D2w"].append(dw * abs(s.nu[1]) * s.length)
+        terms["D1z"].append(dz * abs(s.nu[0]) * s.length)
+        terms["D2z"].append(dz * abs(s.nu[1]) * s.length)
+    tvs = {name: math.fsum(t) for name, t in terms.items()}
+    return json.dumps({
+        "segments": [
+            {"p": list(s.p), "q": list(s.q), "nu": list(s.nu), "plus": list(s.plus),
+             "minus": list(s.minus), "length": s.length,
+             "class": classify_triple(s.plus, s.minus, s.nu)}
+            for s in segs
+        ],
+        "total_variations": tvs,
+        "limit_energy": (4.0 / 3.0) * (tvs["D1w"] + tvs["D2z"]),
+    })
+
+
+def edge_owners(m):
+    """Owner triangles of each edge (i, j), i < j, in triangle order."""
+    owners = {}
+    for t, tri in enumerate(m.triangles.tolist()):
+        for i, j in zip(tri, tri[1:] + tri[:1]):
+            owners.setdefault((min(i, j), max(i, j)), []).append(t)
+    return owners
+
+
+def with_three_owner_edge(m, rng):
+    """m with a triangle next to a jump edge appended again, vertices rotated,
+    so each of its interior edges has three owners; the domain grows by the
+    triangle's area so the mesh still validates."""
+    labels = validate_mesh(m)
+    jumps = [ts[0] for ts in edge_owners(m).values()
+             if len(ts) == 2 and labels[ts[0]] != labels[ts[1]]]
+    t = jumps[rng.integers(len(jumps))]
+    a, b, c = m.vertices[m.triangles[t]]
+    area = 0.5 * abs((b - a)[0] * (c - a)[1] - (b - a)[1] * (c - a)[0])
+    d = m.domain
+    return MeshPotential(
+        vertices=m.vertices,
+        triangles=np.vstack([m.triangles, np.roll(m.triangles[t], 1)]),
+        heights=m.heights,
+        domain=Domain(x0=d.x0, y0=d.y0, width=d.width + area / d.height, height=d.height),
+    )
+
+
+def mesh_variant(m, variant, rng):
+    if variant == "shuffled":
+        return MeshPotential(m.vertices, m.triangles[rng.permutation(len(m.triangles))],
+                             m.heights, m.domain)
+    if variant == "rotated":
+        cols = (np.arange(3) + rng.integers(0, 3, (len(m.triangles), 1))) % 3
+        tris = np.take_along_axis(m.triangles, cols, axis=1)
+        return MeshPotential(m.vertices, tris, m.heights, m.domain)
+    if variant == "three_owners":
+        return with_three_owner_edge(m, rng)
+    return m
 
 
 def three_owner_mesh():
@@ -132,6 +304,20 @@ def three_owner_mesh():
         triangles=np.array([(0, 1, 2), (0, 2, 3), (0, 2, 4)]),
         heights=np.abs(verts[:, 0] - verts[:, 1]),
         domain=Domain(),
+    )
+
+
+def split_diagonal_mesh(x0, t):
+    """phi = |x + y - (2 x0 + 1)| on the unit square with lower left corner
+    (x0, x0): the anti-diagonal wall in two edges split at the vertex
+    (x0 + t, x0 + (1 - t)), four triangles around it."""
+    verts = np.array([(x0, x0), (x0 + 1.0, x0), (x0, x0 + 1.0), (x0 + 1.0, x0 + 1.0),
+                      (x0 + t, x0 + (1.0 - t))])
+    return MeshPotential(
+        vertices=verts,
+        triangles=np.array([(0, 1, 4), (0, 4, 2), (1, 3, 4), (4, 3, 2)]),
+        heights=np.abs(verts[:, 0] + verts[:, 1] - (x0 + x0 + 1.0)),
+        domain=Domain(x0=x0, y0=x0),
     )
 
 

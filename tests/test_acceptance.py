@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from helimag.chirality import transform, vorticity
-from helimag.continuum import build_example, classify_triple, total_variations
+from helimag.continuum import CLASSES, build_example, classify, total_variations
 from helimag.energy import energy_H, mm_decomposition, rho
 from helimag.lattice import Domain, ModelParams, SpinField
 from helimag.optimize import (
@@ -162,7 +162,7 @@ def test_acceptance_07_rigidity_enumeration(capsys):
     for plus in LABELS:
         for minus in LABELS:
             for nu in normals:
-                cls = classify_triple(plus, minus, nu)
+                cls = CLASSES[int(classify(plus, minus, nu))]
                 if cls == "inadmissible":
                     continue
                 a = (plus, minus, (round(nu[0], 9), round(nu[1], 9)))

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from mesh_reference import classify_document, mesh_variant, refined_mesh
 
 import helimag
 from helimag.cli import main, run
@@ -200,6 +201,21 @@ class TestClassify:
         assert status == 1
         assert "gradients off" in result["error"]
         assert not (tmp_path / "classify.json").exists()
+
+    @pytest.mark.parametrize("variant", ["plain", "shuffled", "rotated"])
+    @pytest.mark.parametrize("k", [4, 16])
+    @pytest.mark.parametrize("kind", ["vertical_wall", "horizontal_wall", "diagonal_wall",
+                                      "four_quadrant", "laminate"])
+    def test_document_matches_the_loop_reference(self, tmp_path, kind, k, variant):
+        # the rows, totals and limit of classify.json, byte for byte, against
+        # the dict-of-edges jump set and the scalar classifier
+        rng = np.random.default_rng([k, len(kind)])
+        m = mesh_variant(refined_mesh(kind, k, rng), variant, rng)
+        mesh = tmp_path / "m.json"
+        mesh.write_text(m.to_json())
+        status, _ = run("classify", {"mesh": str(mesh), "format": "svg", "out": str(tmp_path)})
+        assert status == 0
+        assert (tmp_path / "classify.json").read_bytes() == classify_document(m).encode()
 
     def test_one_jump_set_per_request(self, tmp_path, monkeypatch):
         from helimag import cli, continuum

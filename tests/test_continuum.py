@@ -5,16 +5,18 @@ import math
 
 import numpy as np
 import pytest
-from mesh_reference import dict_jump_set, first_match, hanging_node_mesh, refined_mesh, \
-    three_owner_mesh
+from mesh_reference import classify_triple, columns, dict_jump_set, edge_owners, first_match, \
+    hanging_node_mesh, mesh_variant, refined_mesh, rows, split_diagonal_mesh, three_owner_mesh, \
+    with_three_owner_edge
 
 from helimag.continuum import (
+    CLASSES,
     SIGMA_AXIS,
     SIGMA_DIAG,
     MeshError,
     MeshPotential,
     build_example,
-    classify_triple,
+    classify,
     jump_set,
     kink_edges,
     limit_energy,
@@ -31,6 +33,14 @@ LABELS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 
 KINDS = ("vertical_wall", "horizontal_wall", "diagonal_wall", "four_quadrant", "laminate")
 DOMAINS = [Domain(), Domain(x0=-1.5, y0=2.0, width=3.0, height=3.0)]
+R2 = 1.0 / math.sqrt(2.0)
+NORMALS = [(1.0, 0.0), (0.0, 1.0), (R2, R2), (R2, -R2), (-1.0, -0.0), (-0.0, -1.0),
+           (-R2, -R2), (-R2, R2)]
+
+
+def class_of(plus, minus, nu):
+    """The class name of one triple by the array classifier."""
+    return CLASSES[int(classify(plus, minus, nu))]
 
 
 def two_triangle_mesh(h3=1.0):
@@ -221,28 +231,28 @@ class TestLocate:
 
 class TestClassify:
     def test_axis_w_wall(self):
-        assert classify_triple((1, 1), (-1, 1), (1.0, 0.0)) == "J1"
+        assert class_of((1, 1), (-1, 1), (1.0, 0.0)) == "J1"
 
     def test_axis_z_wall(self):
-        assert classify_triple((1, 1), (1, -1), (0.0, 1.0)) == "J2"
+        assert class_of((1, 1), (1, -1), (0.0, 1.0)) == "J2"
 
     def test_diagonal_wall(self):
         r = 1.0 / math.sqrt(2.0)
-        assert classify_triple((1, 1), (-1, -1), (r, r)) == "J3"
+        assert class_of((1, 1), (-1, -1), (r, r)) == "J3"
 
     def test_rank_one_violation(self):
         # w jumps but the normal has a vertical component
         r = 1.0 / math.sqrt(2.0)
-        assert classify_triple((1, 1), (-1, 1), (r, r)) == "inadmissible"
+        assert class_of((1, 1), (-1, 1), (r, r)) == "inadmissible"
 
     def test_equal_traces(self):
-        assert classify_triple((1, 1), (1, 1), (1.0, 0.0)) == "inadmissible"
+        assert class_of((1, 1), (1, 1), (1.0, 0.0)) == "inadmissible"
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            classify_triple((2, 1), (1, 1), (1.0, 0.0))
+            class_of((2, 1), (1, 1), (1.0, 0.0))
         with pytest.raises(ValueError):
-            classify_triple((1, 1), (-1, 1), (2.0, 0.0))
+            class_of((1, 1), (-1, 1), (2.0, 0.0))
 
     def test_exactly_twelve_admissible_up_to_swap(self):
         r = 1.0 / math.sqrt(2.0)
@@ -253,13 +263,34 @@ class TestClassify:
         for plus in LABELS:
             for minus in LABELS:
                 for nu in normals:
-                    if classify_triple(plus, minus, nu) != "inadmissible":
+                    if class_of(plus, minus, nu) != "inadmissible":
                         ordered += 1
                         a = (plus, minus, (round(nu[0], 6), round(nu[1], 6)))
                         b = (minus, plus, (round(-nu[0], 6), round(-nu[1], 6)))
                         seen.add(min(a, b))
         assert ordered == 24
         assert len(seen) == 12
+
+    def test_array_matches_scalar_rule(self):
+        # every ordered trace pair (equal ones too) against eight normals
+        triples = [(a, b, nu) for a in LABELS for b in LABELS for nu in NORMALS]
+        plus, minus, nus = (np.array(c, dtype=float) for c in zip(*triples))
+        got = classify(plus, minus, nus)
+        assert got.shape == (128,)
+        assert [CLASSES[c] for c in got.tolist()] == [classify_triple(*t) for t in triples]
+        assert np.count_nonzero(got) == 24
+
+    @pytest.mark.parametrize("column, value", [
+        (0, (1.0, 1.5)), (1, (-1.0, 0.0)), (0, (math.nan, 1.0)),
+        (2, (1.0, 1e-3)), (2, (0.6, 0.6)), (2, (math.nan, 0.0)),
+    ])
+    def test_one_bad_row_rejects_the_batch(self, column, value):
+        good = (((1, 1), (-1, 1), (1.0, 0.0)), ((1, 1), (-1, -1), (R2, R2)))
+        triples = [list(good[i % 2]) for i in range(6)]
+        triples[4][column] = value
+        plus, minus, nus = (np.array(c, dtype=float) for c in zip(*triples))
+        with pytest.raises(ValueError, match="traces" if column < 2 else "unit vector"):
+            classify(plus, minus, nus)
 
 
 class TestSigma:
@@ -281,14 +312,20 @@ class TestSigma:
         with pytest.raises(ValueError):
             sigma((1, 1), (1, 1), (1.0, 0.0))
 
+    def test_arrays(self):
+        r = 1.0 / math.sqrt(2.0)
+        got = sigma([(1, 1), (1, 1)], [(-1, 1), (-1, -1)], [(1.0, 0.0), (r, r)])
+        np.testing.assert_allclose(got, [SIGMA_AXIS, SIGMA_DIAG], rtol=1e-15)
+        with pytest.raises(ValueError):
+            sigma([(1, 1), (1, 1)], [(-1, 1), (1, 1)], [(1.0, 0.0), (1.0, 0.0)])
+
 
 class TestJumpSet:
     def test_vertical_wall_single_segment(self):
         segs = jump_set(build_example("vertical_wall"))
         assert len(segs) == 1
-        s = segs[0]
-        assert s.length == pytest.approx(1.0)
-        np.testing.assert_allclose(np.abs(s.nu), [1.0, 0.0], atol=1e-12)
+        assert segs.length[0] == pytest.approx(1.0)
+        np.testing.assert_allclose(np.abs(segs.nu[0]), [1.0, 0.0], atol=1e-12)
 
     def test_no_jumps_on_single_gradient(self):
         m = MeshPotential(
@@ -297,20 +334,20 @@ class TestJumpSet:
             heights=np.array([0.0, 1.0, 1.0, 2.0]),
             domain=Domain(),
         )
-        assert jump_set(m) == []
+        segs = jump_set(m)
+        assert len(segs) == 0
+        assert segs.p.shape == segs.nu.shape == segs.plus.shape == (0, 2)
 
     def test_four_quadrant_segments(self):
         segs = jump_set(build_example("four_quadrant"))
-        total = sum(s.length for s in segs)
-        assert total == pytest.approx(2.0)
-        for s in segs:
-            assert classify_triple(s.plus, s.minus, s.nu) in ("J1", "J2")
+        assert segs.length.sum() == pytest.approx(2.0)
+        classes = classify(segs.plus, segs.minus, segs.nu)
+        assert set(classes.tolist()) <= {CLASSES.index("J1"), CLASSES.index("J2")}
 
     def test_laminate_wall_count(self):
         segs = jump_set(build_example("laminate", n=4))
         assert len(segs) == 4
-        for s in segs:
-            assert s.length == pytest.approx(1.0)
+        np.testing.assert_allclose(segs.length, 1.0)
 
     def test_collinear_merging(self):
         # refined vertical wall still yields one merged segment
@@ -319,49 +356,8 @@ class TestJumpSet:
         assert len(segs) == 1
 
 
-def edge_owners(m):
-    """Owner triangles of each edge (i, j), i < j, in triangle order."""
-    owners = {}
-    for t, tri in enumerate(m.triangles.tolist()):
-        for i, j in zip(tri, tri[1:] + tri[:1]):
-            owners.setdefault((min(i, j), max(i, j)), []).append(t)
-    return owners
-
-
-def with_three_owner_edge(m, rng):
-    """m with a triangle next to a jump edge appended again, vertices rotated,
-    so each of its interior edges has three owners; the domain grows by the
-    triangle's area so the mesh still validates."""
-    labels = validate_mesh(m)
-    jumps = [ts[0] for ts in edge_owners(m).values()
-             if len(ts) == 2 and labels[ts[0]] != labels[ts[1]]]
-    t = jumps[rng.integers(len(jumps))]
-    a, b, c = m.vertices[m.triangles[t]]
-    area = 0.5 * abs((b - a)[0] * (c - a)[1] - (b - a)[1] * (c - a)[0])
-    d = m.domain
-    return MeshPotential(
-        vertices=m.vertices,
-        triangles=np.vstack([m.triangles, np.roll(m.triangles[t], 1)]),
-        heights=m.heights,
-        domain=Domain(x0=d.x0, y0=d.y0, width=d.width + area / d.height, height=d.height),
-    )
-
-
-def mesh_variant(m, variant, rng):
-    if variant == "shuffled":
-        return MeshPotential(m.vertices, m.triangles[rng.permutation(len(m.triangles))],
-                             m.heights, m.domain)
-    if variant == "rotated":
-        cols = (np.arange(3) + rng.integers(0, 3, (len(m.triangles), 1))) % 3
-        tris = np.take_along_axis(m.triangles, cols, axis=1)
-        return MeshPotential(m.vertices, tris, m.heights, m.domain)
-    if variant == "three_owners":
-        return with_three_owner_edge(m, rng)
-    return m
-
-
 class TestJumpSetReference:
-    """The vectorised jump set against the dict-of-edges loop: equal lists,
+    """The vectorised jump set against the dict-of-edges loop: equal columns,
     exact floats and order."""
 
     @pytest.mark.parametrize("variant", ["plain", "shuffled", "rotated", "three_owners"])
@@ -373,14 +369,38 @@ class TestJumpSetReference:
         want = dict_jump_set(m)
         got = jump_set(m)
         assert want
-        assert got == want
-        assert repr(got) == repr(want)  # also tells -0.0 from 0.0
+        assert columns(got) == columns(want)
+        assert repr(columns(got)) == repr(columns(want))  # also tells -0.0 from 0.0
 
-    @pytest.mark.parametrize("domain", DOMAINS, ids=["unit", "offset"])
+    # on the side 2.1 np.hypot and math.hypot differ in the last bit of the
+    # diagonal's length
+    @pytest.mark.parametrize("domain", DOMAINS + [Domain(x0=0.3, y0=-1.0, width=2.1, height=2.1)],
+                             ids=["unit", "offset", "side_2.1"])
     @pytest.mark.parametrize("kind", KINDS)
     def test_example_meshes(self, kind, domain):
         m = build_example(kind, domain=domain, n=5)
-        assert repr(jump_set(m)) == repr(dict_jump_set(m))
+        assert repr(columns(jump_set(m))) == repr(columns(dict_jump_set(m)))
+
+    @pytest.mark.parametrize("x0, t, count", [
+        # the two edges' normals differ in the last bit; the segment takes
+        # the first edge's
+        (0.0, 0.05, 1), (0.0, 0.3, 1), (0.0, 0.85, 1),
+        # the edges' offsets nu . p, as 2-vector dot products, round to
+        # neighbouring keys, which splits the wall; a0*b0 + a1*b1 would not
+        (0.11204462079090798, 0.5, 2), (-0.10400405822705878, 0.5, 2),
+    ])
+    def test_split_diagonal(self, x0, t, count):
+        m = split_diagonal_mesh(x0, t)
+        got = jump_set(m)
+        assert len(got) == count
+        assert repr(columns(got)) == repr(columns(dict_jump_set(m)))
+
+    def test_long_laminate(self):
+        m = build_example("laminate", n=5000)
+        got = jump_set(m)
+        assert len(got) == 5000
+        assert repr(columns(got)) == repr(columns(dict_jump_set(m)))
+        assert limit_energy(m, segments=got) == pytest.approx(5000 * 8.0 / 3.0, rel=1e-12, abs=0.0)
 
     def test_three_owner_edge_is_skipped(self):
         # the edge (1, 0)-(0, 1) belongs to A = (0, 1, 2) with label (1, 1),
@@ -393,7 +413,8 @@ class TestJumpSetReference:
             domain=Domain(width=1.25),
         )
         assert validate_mesh(m) == [(1, 1), (-1, -1), (-1, -1)]
-        assert jump_set(m) == dict_jump_set(m) == []
+        assert columns(jump_set(m)) == columns(dict_jump_set(m))
+        assert len(jump_set(m)) == 0
 
     @pytest.mark.parametrize("domain", DOMAINS, ids=["unit", "offset"])
     @pytest.mark.parametrize("kind", KINDS)
@@ -402,13 +423,13 @@ class TestJumpSetReference:
         for m in (build_example(kind, domain=domain, n=5), refined_mesh(kind, 8, rng)):
             p, q = kink_edges(m)
             length = np.hypot(*(q - p).T).sum()
-            assert length == pytest.approx(sum(s.length for s in jump_set(m)), rel=1e-12)
+            assert length == pytest.approx(jump_set(m).length.sum(), rel=1e-12)
 
     @pytest.mark.parametrize("make", [three_owner_mesh, hanging_node_mesh])
     def test_meshes_whose_wall_jump_set_misses_have_kink_edges(self, make):
         m = make()
         validate_mesh(m)
-        assert jump_set(m) == []
+        assert len(jump_set(m)) == 0
         p, q = kink_edges(m)
         assert p.shape == q.shape and len(p) > 0
 
@@ -428,9 +449,10 @@ class TestJumpSetReference:
         segs = jump_set(m)
         assert total_variations(m, segments=segs) == total_variations(m)
         assert limit_energy(m, segments=segs) == limit_energy(m)
-        assert limit_energy(m, segments=segs[:1]) == pytest.approx(SIGMA_AXIS * segs[0].length)
+        one = rows(segs, slice(None, 1))
+        assert limit_energy(m, segments=one) == pytest.approx(SIGMA_AXIS * segs.length[0])
         assert mesh_to_svg(m, segments=segs) == mesh_to_svg(m)
-        assert mesh_to_svg(m, segments=[]).count("<line") == 0
+        assert mesh_to_svg(m, segments=rows(segs, slice(0, 0))).count("<line") == 0
 
 
 class TestLimitEnergy:
@@ -463,8 +485,9 @@ class TestLimitEnergy:
         # a running sum of 100,000 rounded 8/3 drifts by about 1.3e-12
         # relative, past the 1e-12 agreement the two sums must show
         m = build_example("vertical_wall")
-        (seg,) = jump_set(m)
-        got = limit_energy(m, segments=[seg] * 100_000)
+        segs = jump_set(m)
+        assert len(segs) == 1
+        got = limit_energy(m, segments=rows(segs, np.repeat(0, 100_000)))
         assert got == pytest.approx(8.0 / 3.0 * 100_000, rel=1e-12, abs=0.0)
 
     def test_bootstrap_inequalities(self):
