@@ -97,19 +97,26 @@ def oriented_angle(u, v) -> float:
     return float(_oriented_angle_arrays(u[0], u[1], v[0], v[1]))
 
 
+def _chirality_arrays(
+    ux: np.ndarray, uy: np.ndarray, delta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """theta_hor, theta_ver, w and z of the unit vectors (ux, uy) as plain
+    arrays; ``transform`` wraps them in grids."""
+    if ux.shape[0] < 2 or ux.shape[1] < 2:
+        raise ValueError("transform needs a spin field of at least 2x2")
+    th = _oriented_angle_arrays(ux[:, :-1], uy[:, :-1], ux[:, 1:], uy[:, 1:])
+    tv = _oriented_angle_arrays(ux[:-1, :], uy[:-1, :], ux[1:, :], uy[1:, :])
+    scale = math.sqrt(2.0 / delta)
+    return th, tv, scale * np.sin(th / 2.0), scale * np.sin(tv / 2.0)
+
+
 def transform(u: SpinField, params: ModelParams) -> tuple[ThetaFields, ChiralityPair]:
     """Order-parameter transform: spin field -> (theta fields, chirality pair).
 
     w has one fewer column and z one fewer row than the spin grid.
     """
-    if u.nx < 2 or u.ny < 2:
-        raise ValueError("transform needs a spin field of at least 2x2")
     ux, uy = u.vectors()
-    th = _oriented_angle_arrays(ux[:, :-1], uy[:, :-1], ux[:, 1:], uy[:, 1:])
-    tv = _oriented_angle_arrays(ux[:-1, :], uy[:-1, :], ux[1:, :], uy[1:, :])
-    scale = math.sqrt(2.0 / params.delta)
-    w = scale * np.sin(th / 2.0)
-    z = scale * np.sin(tv / 2.0)
+    th, tv, w, z = _chirality_arrays(ux, uy, params.delta)
     lam = u.spacing
     theta = ThetaFields(
         theta_hor=ScalarGrid.from_values(th, lam),

@@ -22,7 +22,7 @@ import numpy as np
 from .chirality import transform, vorticity
 from .continuum import CLASSES, MeshPotential, build_example, classify, jump_set, \
     limit_energy, mesh_to_svg, total_variations
-from .energy import energy_H, mm_decomposition, prefactor, rho
+from .energy import energy_H, mm_decomposition, prefactor, rho, spin_vectors
 from .lattice import Domain, ModelParams, SpinField
 from .optimize import MinimizeOptions, chain_bc, log_to_csv, minimize_H, profile_init
 from .recovery import SweepSchedule, build_recovery, gamma_sweep, profile_transition_energy
@@ -160,8 +160,9 @@ def _cmd_energy(config: dict) -> dict:
             f"energy needs a spin field of at least 2x2 sites; {config['in']} holds "
             f"{u.ny}x{u.nx} (rows x columns)"
         )
-    rep = energy_H(u, dom, p)
-    dec = mm_decomposition(u, dom, p)
+    cs = spin_vectors(u.angles)  # shared by both energies
+    rep = energy_H(u, dom, p, cs=cs)
+    dec = mm_decomposition(u, dom, p, cs=cs)
     doc = {"direct": rep.to_dict(), "decomposition": dec.to_dict()}
     written = _write(out / "energy.json", json.dumps(doc))
     if config.get("format") == "csv":

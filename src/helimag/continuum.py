@@ -68,6 +68,11 @@ class MeshPotential:
 
     def gradients(self) -> np.ndarray:
         """Per-triangle gradient of the affine interpolant, shape (M, 2)."""
+        return self._gradients_and_dets()[0]
+
+    def _gradients_and_dets(self) -> tuple[np.ndarray, np.ndarray]:
+        """gradients() and the (M,) determinants of the edge vectors
+        (v[b] - v[a], v[c] - v[a]) it divides by, twice the signed areas."""
         v = self.vertices
         h = self.heights
         a, b, c = (self.triangles[:, k] for k in range(3))
@@ -80,7 +85,7 @@ class MeshPotential:
         d2 = h[c] - h[a]
         gx = (d1 * e2[:, 1] - d2 * e1[:, 1]) / det
         gy = (d2 * e1[:, 0] - d1 * e2[:, 0]) / det
-        return np.stack([gx, gy], axis=1)
+        return np.stack([gx, gy], axis=1), det
 
     def affine_coefficients(self) -> np.ndarray:
         """Rows (c0, gx, gy) of the per-triangle interpolant c0 + gx*x + gy*y,
@@ -203,7 +208,7 @@ class JumpSet:
 def _mesh_labels(m: MeshPotential) -> np.ndarray:
     """The (M, 2) integer (w, z) labels of a valid mesh; raises MeshError
     as validate_mesh does."""
-    grads = m.gradients()
+    grads, det = m._gradients_and_dets()
     labels = np.round(grads).astype(int)
     # column by column, as in _edges: a reduction over an axis of length 2
     # costs many times as much
@@ -214,11 +219,7 @@ def _mesh_labels(m: MeshPotential) -> np.ndarray:
     if np.any(bad):
         idx = [int(t) for t in np.nonzero(bad)[0]]
         raise MeshError(f"gradients off the {{+-1}}^2 lattice on triangles {idx}")
-    v = m.vertices
-    a, b, c = (m.triangles[:, k] for k in range(3))
-    e1 = v[b] - v[a]
-    e2 = v[c] - v[a]
-    area = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]).sum()
+    area = 0.5 * np.abs(det).sum()
     target = m.domain.width * m.domain.height
     if abs(area - target) > 1e-9 * max(1.0, target):
         raise MeshError(f"mesh area {area} does not cover the domain area {target}")
@@ -543,7 +544,7 @@ def mesh_to_svg(m: MeshPotential, *, segments: JumpSet | None = None) -> str:
     """SVG of the labeled triangles (four-color scheme, one color per
     chirality pair) with the jump segments (``segments``, or jump_set(m)
     when None) overlaid."""
-    labels = validate_mesh(m)
+    labels = _mesh_labels(m)
     x0, y0, x1, y1 = m.domain.corners()
     scale = 400.0 / max(x1 - x0, y1 - y0)
 
@@ -554,12 +555,14 @@ def mesh_to_svg(m: MeshPotential, *, segments: JumpSet | None = None) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'width="{(x1 - x0) * scale:.0f}" height="{(y1 - y0) * scale:.0f}">'
     ]
-    for t, (a, b, c) in enumerate(m.triangles):
-        pts = " ".join(
-            f"{px:.3f},{py:.3f}" for px, py in (pt(*m.vertices[k]) for k in (a, b, c))
+    # each vertex formatted once, from Python floats
+    corners = [f"{px:.3f},{py:.3f}" for px, py in (pt(x, y) for x, y in m.vertices.tolist())]
+    for (a, b, c), label in zip(m.triangles.tolist(), labels.tolist()):
+        color = _LABEL_COLORS[tuple(label)]
+        parts.append(
+            f'<polygon points="{corners[a]} {corners[b]} {corners[c]}" fill="{color}" '
+            f'stroke="none"/>'
         )
-        color = _LABEL_COLORS[labels[t]]
-        parts.append(f'<polygon points="{pts}" fill="{color}" stroke="none"/>')
     segs = jump_set(m) if segments is None else segments
     for a, b in zip(segs.p.tolist(), segs.q.tolist()):
         (px, py), (qx, qy) = pt(*a), pt(*b)

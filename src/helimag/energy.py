@@ -23,8 +23,9 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from .chirality import transform
+from .chirality import _chirality_arrays
 from .lattice import (
     Domain,
     ModelParams,
@@ -118,16 +119,58 @@ def three_point(a: np.ndarray, half_alpha: float) -> np.ndarray:
     return h
 
 
-@dataclass
+def _terms(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Views a[k], a[k+1], a[k+2] of the three terms of the three-point
+    stencils along ``axis`` (-1 for rows, -2 for columns), one per stencil
+    index k."""
+    n = max(a.shape[axis] - 2, 0)
+    if axis == -1:
+        return tuple(a[..., j : j + n] for j in range(3))
+    return tuple(a[..., j : j + n, :] for j in range(3))
+
+
+def _windows(a: np.ndarray, axis: int) -> np.ndarray:
+    """Read-only view w of the stacked (2, ny, nx) array ``a`` with
+    w[:, j] = _terms(a, axis)[j], shape (2, 3) + the stencils' shape."""
+    lo = _terms(a, axis)[0]
+    return as_strided(
+        lo,
+        shape=lo.shape[:1] + (3,) + lo.shape[1:],
+        strides=lo.strides[:1] + (a.strides[axis],) + lo.strides[1:],
+        writeable=False,
+    )
+
+
 class StencilState:
     """One angle array's stacked (cos, sin) ``cs`` of shape (2, ny, nx), its
-    stacked unsquared three-point stencils of shape (2, rows, n - 2) per
-    direction with the stencil axis last (the vertical ones are those of
-    ``cs.transpose(0, 2, 1)``), and the energy each direction contributes."""
+    stacked masked three-point stencils per direction, in grid orientation
+    ((2, ny, nx - 2) along rows, then (2, ny - 2, nx) along columns on a
+    plane), and the energy each direction contributes.
 
-    cs: np.ndarray
-    stencils: list[np.ndarray]
-    parts: list[float]
+    The views that ``StencilEnergy.evaluate`` and ``gradient`` read and
+    write through are made once per state, so a state can take a later
+    angle array's values in place."""
+
+    def __init__(self, cs: np.ndarray, axes: tuple[int, ...]) -> None:
+        self.cs = cs
+        self.axes = axes
+        self.parts = [0.0] * len(axes)
+        self.trig = (cs[0], cs[1])
+        self.terms = [_terms(cs, axis) for axis in axes]
+        self.stencils = [np.empty(t[0].shape) for t in self.terms]
+        self._operands = None
+
+    def operands(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per direction, the stencils as (2, 1, ...) and the windows of
+        (sin, cos), the perpendicular spin (-sin, cos) up to the sign, that
+        ``gradient`` multiplies; made on first use, since a state whose
+        gradient is never taken needs neither."""
+        if self._operands is None:
+            self._operands = [
+                (h[:, None], _windows(self.cs[::-1], axis))
+                for h, axis in zip(self.stencils, self.axes)
+            ]
+        return self._operands
 
     @property
     def total(self) -> float:
@@ -137,13 +180,15 @@ class StencilState:
 class StencilEnergy:
     """The renormalized energy of angle arrays of one shape.
 
-    The index set and the prefactor are computed once.  ``evaluate`` checks
-    an angle array is finite, takes its stacked cos/sin and stacked stencils
-    (one ufunc call per step for both spin components) and sums them;
-    ``gradient`` reuses that state.  On a plane the stencils are masked by
-    the interior index set of ``domain``; a single row over ``interval``
-    sums only the kept terms, because zero padding would regroup the
-    pairwise sum.  A mask that keeps every term is skipped.
+    The index set and the prefactor are computed once.  ``evaluate`` takes
+    an angle array's stacked cos/sin and stacked stencils (one ufunc call
+    per step for both spin components) and sums them; ``gradient`` reuses
+    that state.  On a plane the stencils are masked by the interior index
+    set of ``domain``; a single row over ``interval`` sums only the kept
+    terms, because zero padding would regroup the pairwise sum.  A mask
+    that keeps every term is skipped.  The squares of ``evaluate`` and the
+    products of ``gradient`` go to scratch arrays of the model, shared by
+    the directions.
     """
 
     def __init__(
@@ -155,36 +200,80 @@ class StencilEnergy:
         interval: Optional[tuple[float, float]] = None,
     ) -> None:
         ny, nx = shape
+        self.shape = shape
         self.alpha = params.alpha
         self.one_d = interval is not None
         if self.one_d:
-            self.masks = [chain_keep(nx, interval, lam)]
+            self.axes = (-1,)
+            masks = [chain_keep(nx, interval, lam)]
         else:
+            self.axes = (-1, -2)
             mask = index_mask(domain, lam, nx, ny)
-            # oriented like the stencils: the vertical mask is transposed
-            self.masks = [mask[:, : max(nx - 2, 0)], mask[: max(ny - 2, 0), :].T]
+            # in grid orientation, like the stencils
+            masks = [mask[:, : max(nx - 2, 0)], mask[: max(ny - 2, 0), :]]
         self.prefactor = prefactor(params, lam, one_d=self.one_d)
-        self.term_count = sum(int(np.count_nonzero(m)) for m in self.masks)
-        self.masks = [None if m.all() else m for m in self.masks]
+        self.term_count = sum(int(np.count_nonzero(m)) for m in masks)
+        self.masks = [None if m.all() else m for m in masks]
+        # a non-finite angle turns its stencils' squares, and so the total,
+        # into NaN (masked terms too: NaN * 0 is NaN), except on a cut chain,
+        # which drops terms, or where there is no stencil
+        self.always_scan = (self.one_d and self.masks[0] is not None) or not any(
+            m.size for m in masks
+        )
+        self._shapes = [
+            (2, ny, max(nx - 2, 0)) if axis == -1 else (2, max(ny - 2, 0), nx)
+            for axis in self.axes
+        ]
+        squares = np.empty(max(math.prod(s) for s in self._shapes))
+        self._squares = []  # per direction: h * h, its two rows, the first's flat view
+        for s in self._shapes:
+            h2 = squares[: math.prod(s)].reshape(s)
+            self._squares.append((h2, h2[0], h2[1], h2[0].reshape(-1)))
+        self._gradient_work = None
 
-    def evaluate(self, psi: np.ndarray) -> StencilState:
-        """The stencils and energy of the angle array ``psi``."""
-        if not np.isfinite(psi).all():
-            raise ValueError("spin angles must be finite")
-        cs = np.empty((2,) + psi.shape)
-        np.cos(psi, out=cs[0])
-        np.sin(psi, out=cs[1])
-        state = StencilState(cs, [], [])
-        for vertical, mask in enumerate(self.masks):
-            # both spin components at once
-            h = three_point(cs.transpose(0, 2, 1) if vertical else cs, self.alpha / 2.0)
-            h2 = h * h
-            sq = h2[0] + h2[1]
+    def evaluate(
+        self,
+        psi: np.ndarray,
+        into: Optional[StencilState] = None,
+        cs: Optional[np.ndarray] = None,
+    ) -> StencilState:
+        """The stencils and energy of the angle array ``psi``.
+
+        Without ``into`` the state is new, over ``cs`` when the caller has
+        already taken psi's stacked cos/sin, and ``psi`` is checked to be
+        finite first.  With ``into``, a state of this model, its arrays are
+        overwritten in place, and ``psi`` is scanned only when the total is
+        not finite or when a non-finite angle could miss every summed term.
+        """
+        if into is None:
+            if not np.isfinite(psi).all():
+                raise ValueError("spin angles must be finite")
+            state = StencilState(spin_vectors(psi) if cs is None else cs, self.axes)
+        else:
+            state = into
+            np.cos(psi, out=state.trig[0])
+            np.sin(psi, out=state.trig[1])
+        half_alpha = self.alpha / 2.0
+        for d, (mask, (h2, h2x, h2y, flat)) in enumerate(zip(self.masks, self._squares)):
+            # both spin components at once, rounded as three_point rounds
+            lo, mid, hi = state.terms[d]
+            h = state.stencils[d]
+            np.multiply(mid, half_alpha, out=h)
+            np.subtract(hi, h, out=h)
+            np.add(h, lo, out=h)
             if mask is not None:
-                sq = sq[:, mask] if self.one_d else sq * mask
-            state.stencils.append(h)
-            # sum in the grid's row-major order
-            state.parts.append(self.prefactor * det_sum(sq.T if vertical else sq))
+                np.multiply(h, mask, out=h)
+            np.multiply(h, h, out=h2)
+            np.add(h2x, h2y, out=h2x)
+            # det_sum in the grid's row-major order
+            if self.one_d and mask is not None:
+                total = det_sum(h2x[:, mask])
+            else:
+                total = float(np.add.reduce(flat))
+            state.parts[d] = self.prefactor * total
+        if into is not None and (self.always_scan or not math.isfinite(state.total)):
+            if not np.isfinite(psi).all():
+                raise ValueError("spin angles must be finite")
         return state
 
     def report(self, state: StencilState) -> EnergyReport:
@@ -194,31 +283,57 @@ class StencilEnergy:
             total=state.total, horizontal=hor, vertical=ver, term_count=self.term_count
         )
 
+    def _gradient_scratch(self):
+        """The accumulator g, the coefficients of the three stencil terms
+        and, per direction, a (2, 3) + stencil-shaped product array p with
+        its halves p[0] and p[1], and the pairs (view of g, row j of p[1])
+        that add term j into g."""
+        g = np.zeros(self.shape)
+        products = np.empty(3 * max(math.prod(s) for s in self._shapes))
+        work = []
+        for axis, s in zip(self.axes, self._shapes):
+            p = products[: 3 * math.prod(s)].reshape((2, 3) + s[1:])
+            targets = _terms(g, axis)
+            work.append((p, p[0], p[1], tuple(zip(targets, p[1]))))
+        coef = np.array([2.0, -self.alpha, 2.0])[:, None, None]
+        return g, coef, work
+
     def gradient(self, state: StencilState) -> np.ndarray:
-        """Angle gradient of the energy of ``state``."""
-        cs = state.cs
-        g = np.zeros(cs.shape[1:])
-        # the perpendicular spin (-sin, cos), stacked like cs
-        r = cs[::-1].copy()
-        r[0] *= -1.0
-        for vertical, (h, mask) in enumerate(zip(state.stencils, self.masks)):
-            rv, gv = (r.transpose(0, 2, 1), g.T) if vertical else (r, g)
-            if mask is not None:
-                h = h * mask
-            n = h.shape[-1]
-            # d|v|^2/dpsi_k = 2 v . u_perp(k) * coefficient of u_k in v
-            for j, c in enumerate((2.0, -self.alpha, 2.0)):
-                p = h * rv[..., j : j + n]
-                gv[..., j : j + n] += c * (p[0] + p[1])
-        g *= self.prefactor
-        return g
+        """Angle gradient of the energy of ``state``, a new array."""
+        if self._gradient_work is None:
+            self._gradient_work = self._gradient_scratch()
+        g, coef, work = self._gradient_work
+        g.fill(0.0)
+        for (head, windows), (p, p_sin, p_cos, rows) in zip(state.operands(), work):
+            # d|v|^2/dpsi_k = 2 v . u_perp(k) * coefficient of u_k in v, for
+            # the three terms j at once; with u_perp = (-sin, cos) the dot
+            # product is the cos product minus the sin product, which rounds
+            # exactly as adding the (-sin) product does
+            np.multiply(head, windows, out=p)
+            np.subtract(p_cos, p_sin, out=p_cos)
+            np.multiply(p_cos, coef, out=p_cos)
+            for target, row in rows:  # j = 0, 1, 2
+                np.add(target, row, out=target)
+        return g * self.prefactor
 
 
-def energy_H(u: SpinField, domain: Domain, params: ModelParams) -> EnergyReport:
+def spin_vectors(angles: np.ndarray) -> np.ndarray:
+    """The stacked unit vectors (cos, sin) of an angle array, shape
+    (2,) + angles.shape."""
+    cs = np.empty((2,) + angles.shape)
+    np.cos(angles, out=cs[0])
+    np.sin(angles, out=cs[1])
+    return cs
+
+
+def energy_H(
+    u: SpinField, domain: Domain, params: ModelParams, cs: Optional[np.ndarray] = None
+) -> EnergyReport:
     """Renormalized energy over the interior index set; zero exactly on the
-    four helical ground states."""
+    four helical ground states.  ``cs`` is ``spin_vectors(u.angles)`` when
+    the caller has it."""
     model = StencilEnergy((u.ny, u.nx), params, u.spacing, domain=domain)
-    return model.report(model.evaluate(u.angles))
+    return model.report(model.evaluate(u.angles, cs=cs))
 
 
 def energy_H_1d(
@@ -281,30 +396,32 @@ def rho(theta1, theta2, method: str = "closed_form"):
     return out if out.ndim else float(out)
 
 
-def mm_decomposition(u: SpinField, domain: Domain, params: ModelParams) -> EnergyReport:
+def mm_decomposition(
+    u: SpinField, domain: Domain, params: ModelParams, cs: Optional[np.ndarray] = None
+) -> EnergyReport:
     """Exact Modica-Mortola split of the renormalized energy.
 
     The gradient part is accumulated as eps/delta * sum of the rho numerator
     2 cos(t1+t2) sin^2((t2-t1)/2); this equals eps lam^2 sum rho |d w|^2
     identically (the chirality difference cancels against rho's denominator)
-    and stays finite at the corner singularities.
+    and stays finite at the corner singularities.  ``cs`` is
+    ``spin_vectors(u.angles)`` when the caller has it.
     """
     lam = u.spacing
     eps = params.epsilon
     delta = params.delta
-    theta, pair = transform(u, params)
-    th = theta.theta_hor.values  # (ny, nx-1)
-    tv = theta.theta_ver.values  # (ny-1, nx)
-    w = pair.w.values
-    z = pair.z.values
+    th, tv, w, z = _chirality_arrays(*(u.vectors() if cs is None else cs), delta)
     mask = index_mask(domain, lam, u.nx, u.ny)
-    # the vertical arrays run transposed, stencil axis last, like StencilEnergy
+    # the vertical arrays run transposed, stencil axis last, like the
+    # horizontal ones
     runs = ((th, w, mask[:, : u.nx - 2]), (tv.T, z.T, mask[: u.ny - 2, :].T))
     parts = []  # (potential, gradient) per direction
     count = 0
     for vertical, (t, c, m) in enumerate(runs):
         t1, t2 = t[:, :-1], t[:, 1:]
-        p = (0.5 / eps) * lam * lam * (W(c[:, :-1]) + W(c[:, 1:])) * m
+        wells = W(c)  # once per bond, read by both stencils that hold it
+        p = (0.5 / eps) * lam * lam * (wells[:, :-1] + wells[:, 1:]) * m
+        del wells  # not held beside the next direction's arrays
         g = (eps / delta) * (2.0 * np.cos(t1 + t2) * np.sin((t2 - t1) / 2.0) ** 2) * m
         if vertical:  # sum in the grid's row-major order
             p, g = p.T, g.T
@@ -320,4 +437,3 @@ def mm_decomposition(u: SpinField, domain: Domain, params: ModelParams) -> Energ
         potential_part=pot,
         gradient_part=grad,
     )
-

@@ -12,6 +12,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -234,13 +235,22 @@ def json_number(doc: dict, key: str) -> float:
 
 
 def json_numbers(doc: dict, key: str) -> np.ndarray:
-    """``doc[key]`` as a float array if numpy reads it with an integer or
-    float dtype; lists of strings or of booleans, nulls and ragged lists
-    raise ValueError.  The dtype test replaces a per-element pass over the
-    list, so a boolean among numbers still reads as 0.0 or 1.0."""
-    values = np.array(doc[key])
+    """``doc[key]`` as a float array if it holds JSON numbers only; lists of
+    strings or of booleans, nulls and ragged lists raise ValueError.
+
+    numpy reads a list of numbers with an integer or float dtype, but reads
+    a boolean among numbers as 0 or 1, so only the entries that read exactly
+    0 or 1 are looked up in the list to tell them from booleans."""
+    items = doc[key]
+    values = np.array(items)
     if values.dtype.kind not in "iuf":
         raise ValueError(f"{key} must hold JSON numbers only")
+    suspects = np.flatnonzero((values == 0) | (values == 1))
+    if suspects.size:
+        for _ in range(values.ndim - 1):  # the entries in row-major order
+            items = list(chain.from_iterable(items))
+        if any(type(items[i]) is bool for i in suspects.tolist()):
+            raise ValueError(f"{key} must hold JSON numbers only, not booleans")
     return values.astype(float, copy=False)
 
 

@@ -189,13 +189,17 @@ def minimize_H(
     The index set and the prefactor are computed once per call.  Each trial
     is one ``StencilEnergy.evaluate`` of its angle array, with no spin field
     built; the gradient at an accepted point and the final report reuse the
-    accepted trial's.
+    accepted trial's.  Two states and two angle arrays alternate between the
+    accepted point and the trial, so a rejected trial's arrays take the next
+    trial's values and no trial allocates them.
     """
     opts = opts if opts is not None else MinimizeOptions()
     psi = bc.apply(np.asarray(psi0, dtype=float))
     lam = params.lam
     model = _stencil_energy(psi.shape, domain, params, lam)
     state = model.evaluate(psi)
+    spare = None  # the state the next trial is written into
+    trial = np.empty_like(psi)
     e = state.total
     evals, accepted, backtracks = 1, 0, 0
     step = opts.init_step
@@ -212,17 +216,19 @@ def minimize_H(
         gsq = float(det_sum(g * g))
         step = min(step * 2.0, 1e6)  # optimistic growth, then backtrack
         for _ in range(opts.max_backtracks):
-            trial = psi - step * g
-            trial_state = model.evaluate(trial)
+            np.subtract(psi, np.multiply(g, step, out=trial), out=trial)
+            spare = model.evaluate(trial, into=spare)
             evals += 1
-            if trial_state.total <= e - ARMIJO * step * gsq:
+            if spare.total <= e - ARMIJO * step * gsq:
                 break
             backtracks += 1
             step *= BACKTRACK
         else:
             reason = "stalled"
             break
-        psi, state, e = trial, trial_state, trial_state.total
+        psi, trial = trial, psi
+        state, spare = spare, state
+        e = state.total
         accepted += 1
     return MinimizeResult(
         psi=psi,

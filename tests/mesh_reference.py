@@ -2,7 +2,8 @@
 over every triangle, the clipped extension built on its barycentric values,
 the mollifier as a per-shift double sum, the jump set built from a dict
 of edges and merged segment by segment, the scalar jump-triple classifier
-and the classify document built from them; the example potentials on
+and the classify document built from them; the SVG formatted from numpy
+scalars; the example potentials on
 refined grids and their shuffled, rotated and three-owner variants; and two
 valid meshes on the unit square whose wall jump_set cannot see."""
 
@@ -249,6 +250,37 @@ def classify_document(m):
         "total_variations": tvs,
         "limit_energy": (4.0 / 3.0) * (tvs["D1w"] + tvs["D2z"]),
     })
+
+
+def mesh_svg(m, segments):
+    """mesh_to_svg's text with the triangles formatted from numpy rows and
+    numpy scalars, every corner of every triangle anew."""
+    from helimag.continuum import _LABEL_COLORS
+
+    labels = validate_mesh(m)
+    x0, y0, x1, y1 = m.domain.corners()
+    scale = 400.0 / max(x1 - x0, y1 - y0)
+
+    def pt(x, y):
+        return (x - x0) * scale, (y1 - y) * scale
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" '
+        f'width="{(x1 - x0) * scale:.0f}" height="{(y1 - y0) * scale:.0f}">'
+    ]
+    for t, (a, b, c) in enumerate(m.triangles):
+        pts = " ".join(
+            f"{px:.3f},{py:.3f}" for px, py in (pt(*m.vertices[k]) for k in (a, b, c))
+        )
+        parts.append(f'<polygon points="{pts}" fill="{_LABEL_COLORS[labels[t]]}" stroke="none"/>')
+    for a, b in zip(segments.p.tolist(), segments.q.tolist()):
+        (px, py), (qx, qy) = pt(*a), pt(*b)
+        parts.append(
+            f'<line x1="{px:.3f}" y1="{py:.3f}" x2="{qx:.3f}" y2="{qy:.3f}" '
+            f'stroke="black" stroke-width="2"/>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts)
 
 
 def edge_owners(m):

@@ -444,6 +444,31 @@ class TestErrorContract:
         assert "cannot load spin field" in result["error"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["u.json"]
 
+    @pytest.mark.parametrize("command", ["energy", "transform"])
+    def test_spin_file_with_a_boolean_among_numbers(self, tmp_path, command):
+        f = tmp_path / "u.json"
+        f.write_text('{"nx": 2, "ny": 2, "lambda": 0.1, "angles": [true, 0.5, 0.3, 0.4]}')
+        status, result = run(command, {"in": str(f), "delta": 0.3, "out": str(tmp_path)})
+        assert status == 1
+        assert result["error"] == ("cannot load spin field: angles must hold JSON numbers only, "
+                                   "not booleans")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["u.json"]
+
+    @pytest.mark.parametrize("key", ["vertices", "heights"])
+    def test_mesh_with_a_boolean_among_numbers(self, tmp_path, key):
+        from helimag.continuum import build_example
+
+        doc = json.loads(build_example("vertical_wall").to_json())
+        if key == "vertices":
+            doc["vertices"][0][1] = False  # (0.0, 0.0) reads the same with a boolean
+        else:
+            doc["heights"][-1] = True
+        mesh = tmp_path / "m.json"
+        mesh.write_text(json.dumps(doc))
+        status, result = run("classify", {"mesh": str(mesh), "out": str(tmp_path)})
+        assert status == 1
+        assert result["error"] == f"cannot load mesh: {key} must hold JSON numbers only, not booleans"
+
     @pytest.mark.parametrize("change", ["string vertices", "string width"])
     def test_mesh_with_values_that_are_not_numbers(self, tmp_path, change):
         from helimag.continuum import build_example

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 from mesh_reference import classify_triple, columns, dict_jump_set, edge_owners, first_match, \
-    hanging_node_mesh, mesh_variant, refined_mesh, rows, split_diagonal_mesh, three_owner_mesh, \
-    with_three_owner_edge
+    hanging_node_mesh, mesh_svg, mesh_variant, refined_mesh, rows, split_diagonal_mesh, \
+    three_owner_mesh, with_three_owner_edge
 
 from helimag.continuum import (
     CLASSES,
@@ -505,3 +505,21 @@ class TestSvg:
         svg = mesh_to_svg(build_example("four_quadrant"))
         assert svg.startswith("<svg")
         assert "line" in svg and "polygon" in svg
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("domain", DOMAINS, ids=["unit", "offset"])
+    def test_example_meshes_match_the_scalar_formatter(self, kind, domain):
+        m = build_example(kind, domain=domain)
+        assert mesh_to_svg(m) == mesh_svg(m, jump_set(m))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("k", [4, 16, 33])
+    def test_refined_meshes_match_the_scalar_formatter(self, kind, k):
+        m = refined_mesh(kind, k, np.random.default_rng(k))
+        assert mesh_to_svg(m) == mesh_svg(m, jump_set(m))
+
+    def test_thousand_wall_laminate_matches_the_scalar_formatter(self):
+        m = build_example("laminate", n=1000)
+        segs = jump_set(m)
+        assert len(segs) == 1000
+        assert mesh_to_svg(m, segments=segs) == mesh_svg(m, segs)

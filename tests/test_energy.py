@@ -2,6 +2,7 @@
 decomposition, each checked against independent straight-line oracles."""
 
 import math
+import tracemalloc
 
 import descent_reference
 import numpy as np
@@ -18,8 +19,9 @@ from helimag.energy import (
     energy_H_1d,
     mm_decomposition,
     rho,
+    spin_vectors,
 )
-from helimag.lattice import Domain, ModelParams, SpinField, index_set
+from helimag.lattice import Domain, ModelParams, SpinField, index_mask, index_set
 
 
 def oracle_H(u, domain, params):
@@ -200,6 +202,119 @@ class TestEnergyH:
         psi[0, 0] = math.nan
         with pytest.raises(ValueError, match="spin angles must be finite"):
             model.evaluate(psi)
+
+
+def _plane_model(shape, domain):
+    p = ModelParams(lam=1.0 / 17, delta=0.3)
+    return StencilEnergy(shape, p, p.lam, domain=domain)
+
+
+def _chain_model(n, interval):
+    p = ModelParams(lam=0.1, delta=0.3)
+    return StencilEnergy((1, n), p, p.lam, interval=interval)
+
+
+# (model, site): a site inside a plane, a site that the mask of an offset
+# domain leaves outside every kept stencil, a site of a chain whose interval
+# keeps every stencil, and a site of a grid too small for any stencil
+NON_FINITE_SITES = {
+    "plane_interior": (lambda: _plane_model((9, 9), Domain(width=9 / 17, height=9 / 17)), (4, 4)),
+    "plane_masked_border": (
+        lambda: _plane_model((17, 14), Domain(x0=0.03, y0=0.05, width=0.6, height=0.85)),
+        (16, 13),
+    ),
+    "chain_uncut": (lambda: _chain_model(10, (0.0, 1.0)), (0, 0)),
+    "grid_2x2": (lambda: _plane_model((2, 2), Domain()), (1, 0)),
+}
+
+# (model maker, shape) for reusing states: every kind of mask
+REUSE_CASES = {
+    "plane_unmasked": (lambda: _plane_model((9, 9), Domain(width=2.0, height=2.0)), (9, 9)),
+    "plane_offset": (
+        lambda: _plane_model((17, 14), Domain(x0=0.03, y0=0.05, width=0.6, height=0.85)),
+        (17, 14),
+    ),
+    "plane_two_rows": (lambda: _plane_model((2, 17), Domain()), (2, 17)),
+    "chain_uncut": (lambda: _chain_model(10, (0.0, 1.0)), (1, 10)),
+    "chain_cut": (lambda: _chain_model(10, (0.2, 0.7)), (1, 10)),
+}
+
+
+class TestStencilWorkspace:
+    def test_masked_border_site_is_outside_every_kept_stencil(self):
+        mask = index_mask(Domain(x0=0.03, y0=0.05, width=0.6, height=0.85), 1.0 / 17, 14, 17)
+        # row 16 / column 13 is read by horizontal stencil 11 and vertical stencil 14
+        assert not mask[16, 11] and not mask[14, 13]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("case", sorted(NON_FINITE_SITES))
+    @pytest.mark.parametrize("reuse", [False, True], ids=["new", "reused"])
+    def test_non_finite_angle_is_rejected(self, case, value, reuse):
+        make, site = NON_FINITE_SITES[case]
+        model = make()
+        psi = np.random.default_rng(3).uniform(-math.pi, math.pi, model.shape)
+        state = model.evaluate(psi) if reuse else None
+        psi[site] = value
+        # a reused state reads the angle before the check
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="spin angles must be finite"):
+            model.evaluate(psi, into=state)
+
+    def test_reused_cut_chain_scans_the_angles(self):
+        # [0.2, 0.7] keeps stencils 2..5 of a 10-site chain: none reads site 0
+        model = _chain_model(10, (0.2, 0.7))
+        psi = np.zeros((1, 10))
+        state = model.evaluate(psi)
+        psi[0, 0] = math.nan
+        with pytest.raises(ValueError, match="spin angles must be finite"):
+            model.evaluate(psi, into=state)
+
+    @pytest.mark.parametrize("case", sorted(REUSE_CASES))
+    def test_reused_state_matches_a_new_one(self, case):
+        make, shape = REUSE_CASES[case]
+        model = make()
+        rng = np.random.default_rng(41)
+        first, second = (rng.uniform(-math.pi, math.pi, shape) for _ in range(2))
+        reused = model.evaluate(second, into=model.evaluate(first))
+        new = make().evaluate(second)
+        assert reused.parts == new.parts
+        assert [h.tobytes() for h in reused.stencils] == [h.tobytes() for h in new.stencils]
+        assert model.gradient(reused).tobytes() == make().gradient(new).tobytes()
+
+    def test_gradient_is_a_new_array(self):
+        make, shape = REUSE_CASES["plane_offset"]
+        model = make()
+        psi = np.random.default_rng(42).uniform(-math.pi, math.pi, shape)
+        state = model.evaluate(psi)
+        g = model.gradient(state)
+        want = g.copy()
+        model.gradient(model.evaluate(psi + 1.0))
+        assert g.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape, domain", [
+        ((9, 9), Domain()), ((17, 14), Domain(x0=0.03, y0=0.05, width=0.6, height=0.85)),
+    ])
+    def test_shared_spin_vectors(self, shape, domain):
+        p = ModelParams(lam=1.0 / 17, delta=0.3)
+        u = SpinField.from_angles(np.random.default_rng(43).uniform(-3, 3, shape), p.lam)
+        cs = spin_vectors(u.angles)
+        assert energy_H(u, domain, p, cs=cs) == energy_H(u, domain, p)
+        assert mm_decomposition(u, domain, p, cs=cs) == mm_decomposition(u, domain, p)
+
+    def test_one_shot_energy_memory(self):
+        # the peak of energy_H when every array was allocated per step
+        # (5,799,128 bytes with these inputs) may not grow by more than 10%
+        n = 256
+        p = ModelParams(lam=1.0 / n, delta=0.3)
+        u = SpinField.from_angles(np.random.default_rng(1).uniform(-3, 3, (n, n)), p.lam)
+        energy_H(u, Domain(), p)
+        tracemalloc.start()
+        try:
+            energy_H(u, Domain(), p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 5_799_128
 
 
 class TestRho:

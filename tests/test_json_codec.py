@@ -11,7 +11,7 @@ import pytest
 
 from helimag.chirality import ChiralityPair
 from helimag.lattice import ENCODE_CHUNK, ScalarGrid, SpinField, _float_array_json, dump, \
-    dumps
+    dumps, json_numbers
 
 BOUNDARY = [
     1e-4,
@@ -257,6 +257,23 @@ class TestReadersRejectNonNumbers:
     def test_chirality_pair(self, key, value):
         with pytest.raises(ValueError):
             ChiralityPair.from_json(json.dumps({**self.PAIR, key: value}))
+
+    @pytest.mark.parametrize("values", [
+        [True, 0.5, 0.3, 0.4], [0.1, 0.2, 0.3, False], [1, 0, True, 2], [0.0, 1.0, False, 1],
+    ], ids=["true first", "false last", "among integers", "among zeros and ones"])
+    def test_booleans_among_numbers(self, values):
+        with pytest.raises(ValueError, match="values must hold JSON numbers only"):
+            ScalarGrid.from_json(json.dumps({**self.GRID, "values": values}))
+
+    def test_booleans_among_nested_numbers(self):
+        with pytest.raises(ValueError, match="vertices must hold JSON numbers only"):
+            json_numbers({"vertices": [[0.0, 0.5], [1.0, True]]}, "vertices")
+
+    def test_zeros_and_ones_are_numbers(self):
+        g = ScalarGrid.from_json(json.dumps({**self.GRID, "values": [0, 1.0, 0.0, 1]}))
+        assert g.values.tolist() == [[0.0, 1.0], [0.0, 1.0]]
+        nested = json_numbers({"vertices": [[0, 1.0], [-0.0, 1]]}, "vertices")
+        assert nested.tolist() == [[0.0, 1.0], [-0.0, 1.0]]
 
     def test_integer_values_are_numbers(self):
         g = ScalarGrid.from_json(json.dumps({**self.GRID, "values": [1, 2, 3, 4], "lambda": 1}))

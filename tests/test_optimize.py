@@ -1,6 +1,7 @@
 """Boundary conditions, analytic gradient and energy minimization."""
 
 import math
+import tracemalloc
 
 import descent_reference
 import numpy as np
@@ -221,10 +222,18 @@ def _perturbed_helix(n, lam, domain=None):
     return psi0 + 0.05 * np.sin(np.arange(n)), d, p, bc
 
 
+def _schedule_chain(eps, sides=(1, -1)):
+    """A chain of the 1-D acceptance test's epsilon schedule, sized as the
+    descent benchmark sizes it: lam = (sqrt(2) eps)^(3/2), max(12, 1/lam) sites."""
+    lam = (math.sqrt(2.0) * eps) ** 1.5
+    return _chain(max(12, int(round(1.0 / lam))), lam, sides)
+
+
 # (problem, options): planes on a square, a non-square and an offset domain
 # that cuts cells, chains on a cut interval with equal and opposite
-# chiralities, a chain that converges, and line searches too short to
-# succeed (at the first step, and after steps were accepted)
+# chiralities, a chain that converges, line searches too short to succeed
+# (at the first step, and after steps were accepted), and the shapes and
+# caps of the descent benchmark's 12- and 210-site chains and 48 x 48 plane
 DESCENT_CASES = {
     "square": (lambda: _plane(12, 12), dict(max_iter=60)),
     "non_square": (lambda: _plane(14, 9), dict(max_iter=60)),
@@ -246,6 +255,9 @@ DESCENT_CASES = {
         lambda: _plane(12, 12),
         dict(max_iter=200, max_backtracks=1, init_step=1e-3),
     ),
+    "bench_chain12": (lambda: _schedule_chain(0.2), dict(max_iter=400)),
+    "bench_chain210": (lambda: _schedule_chain(0.02, (-1, 1)), dict(max_iter=300)),
+    "bench_plane48": (lambda: _plane(48, 48), dict(max_iter=15)),
 }
 
 
@@ -289,6 +301,24 @@ class TestDescentRecord:
     def test_counts_pinned(self, problem, cap, counts):
         res = minimize_H(*problem(), MinimizeOptions(max_iter=cap))
         assert (res.objective_evals, res.accepted, res.backtracks) == counts
+
+    def test_benchmark_chain_sizes(self):
+        assert _schedule_chain(0.2)[0].shape == (1, 12)
+        assert _schedule_chain(0.02)[0].shape == (1, 210)
+
+    def test_memory_on_a_large_plane(self):
+        # the peak of minimize_H when every trial allocated its arrays
+        # (3,394,416 bytes with these inputs) may not grow by more than 10%
+        problem = _plane(128, 128)
+        opts = MinimizeOptions(max_iter=5)
+        minimize_H(*problem, opts)
+        tracemalloc.start()
+        try:
+            minimize_H(*problem, opts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 3_394_416
 
     def test_non_finite_trial_is_rejected(self):
         psi0, d, p, bc = _chain(20, 0.05, (1, -1))
