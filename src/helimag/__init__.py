@@ -6,22 +6,19 @@ and checks the interfacial constants and rigidity structure of the continuum
 limit.
 """
 
-from .lattice import Domain, ModelParams, ScalarGrid, SpinField, index_set
-from .chirality import ChiralityPair, ThetaFields, oriented_angle, transform
-from .energy import EnergyReport, energy_E, energy_H, mm_decomposition, rho
+from .lattice import Domain, ModelParams, ScalarGrid, SpinField
+from .chirality import ChiralityPair, ThetaFields, transform
+from .energy import EnergyReport, energy_H, mm_decomposition, rho
 
 __all__ = [
     "Domain",
     "ModelParams",
     "ScalarGrid",
     "SpinField",
-    "index_set",
     "ChiralityPair",
     "ThetaFields",
-    "oriented_angle",
     "transform",
     "EnergyReport",
-    "energy_E",
     "energy_H",
     "mm_decomposition",
     "rho",

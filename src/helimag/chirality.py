@@ -80,21 +80,13 @@ class ChiralityPair:
 def _oriented_angle_arrays(
     ux: np.ndarray, uy: np.ndarray, vx: np.ndarray, vy: np.ndarray
 ) -> np.ndarray:
-    """Oriented angle for arrays of unit vectors; +pi remaps to -pi so the
+    """Oriented angle sign(u x v) * arccos(u . v) for arrays of unit vectors
+    u = (ux, uy) and v = (vx, vy), in [-pi, pi): +pi remaps to -pi so the
     antipodal case carries sign(0) = -1."""
     cross = ux * vy - uy * vx
     dot = ux * vx + uy * vy
     ang = np.arctan2(cross, dot)
     return np.where(ang >= math.pi, -math.pi, ang)
-
-
-def oriented_angle(u, v) -> float:
-    """sign(u x v) * arccos(u . v) with sign(0) = -1; value in [-pi, pi)."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if abs(u[0] ** 2 + u[1] ** 2 - 1.0) > 2.5e-12 or abs(v[0] ** 2 + v[1] ** 2 - 1.0) > 2.5e-12:
-        raise ValueError("oriented_angle requires unit vectors")
-    return float(_oriented_angle_arrays(u[0], u[1], v[0], v[1]))
 
 
 def _chirality_arrays(

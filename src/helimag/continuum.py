@@ -180,7 +180,7 @@ class MeshPotential:
         dd = doc["domain"]
         return cls(
             vertices=json_numbers(doc, "vertices"),
-            triangles=np.array(doc["triangles"]),
+            triangles=json_numbers(doc, "triangles"),
             heights=json_numbers(doc, "heights"),
             domain=Domain(**{k: json_number(dd, k) for k in ("x0", "y0", "width", "height")}),
         )

@@ -71,37 +71,6 @@ class EnergyReport:
         )
 
 
-def _cell_mask(u: SpinField, domain: Domain) -> np.ndarray:
-    cols, rows = domain.axes_inside(np.arange(u.nx), np.arange(u.ny), u.spacing)
-    return np.outer(rows, cols)
-
-
-def energy_E(u: SpinField, domain: Domain, alpha: float) -> float:
-    """Reduced lattice energy: ferromagnetic nearest-neighbour rows/columns
-    against antiferromagnetic third neighbours,
-
-        -alpha lam^2 sum u.u(+1)  +  lam^2 sum u.u(+2),
-
-    summed over bonds whose cells lie inside the domain.
-    """
-    lam = u.spacing
-    ux, uy = u.vectors()
-    c = _cell_mask(u, domain)
-    nn = det_sum(
-        (ux[:, :-1] * ux[:, 1:] + uy[:, :-1] * uy[:, 1:]) * (c[:, :-1] & c[:, 1:])
-    ) + det_sum((ux[:-1, :] * ux[1:, :] + uy[:-1, :] * uy[1:, :]) * (c[:-1, :] & c[1:, :]))
-    third = 0.0
-    if u.nx >= 3:
-        third += det_sum(
-            (ux[:, :-2] * ux[:, 2:] + uy[:, :-2] * uy[:, 2:]) * (c[:, :-2] & c[:, 2:])
-        )
-    if u.ny >= 3:
-        third += det_sum(
-            (ux[:-2, :] * ux[2:, :] + uy[:-2, :] * uy[2:, :]) * (c[:-2, :] & c[2:, :])
-        )
-    return -alpha * lam * lam * nn + lam * lam * third
-
-
 def prefactor(params: ModelParams, lam: float, one_d: bool = False) -> float:
     """Prefactor of H: 1/(sqrt(2)*lam*delta^(3/2)) times lam^2/2 on a plane
     or lam/2 on a chain."""
@@ -119,14 +88,14 @@ def three_point(a: np.ndarray, half_alpha: float) -> np.ndarray:
     return h
 
 
-def _terms(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Views a[k], a[k+1], a[k+2] of the three terms of the three-point
+def _terms(a: np.ndarray, axis: int, width: int = 3) -> tuple[np.ndarray, ...]:
+    """Views a[k], ..., a[k + width - 1] of the terms of the width-point
     stencils along ``axis`` (-1 for rows, -2 for columns), one per stencil
-    index k."""
-    n = max(a.shape[axis] - 2, 0)
+    index k: the three-point stencils by default, bond pairs with width 2."""
+    n = max(a.shape[axis] - width + 1, 0)
     if axis == -1:
-        return tuple(a[..., j : j + n] for j in range(3))
-    return tuple(a[..., j : j + n, :] for j in range(3))
+        return tuple(a[..., j : j + n] for j in range(width))
+    return tuple(a[..., j : j + n, :] for j in range(width))
 
 
 def _windows(a: np.ndarray, axis: int) -> np.ndarray:
@@ -240,14 +209,12 @@ class StencilEnergy:
         """The stencils and energy of the angle array ``psi``.
 
         Without ``into`` the state is new, over ``cs`` when the caller has
-        already taken psi's stacked cos/sin, and ``psi`` is checked to be
-        finite first.  With ``into``, a state of this model, its arrays are
-        overwritten in place, and ``psi`` is scanned only when the total is
-        not finite or when a non-finite angle could miss every summed term.
+        already taken psi's stacked cos/sin; with ``into``, a state of this
+        model, its arrays are overwritten in place.  ``psi`` is scanned for
+        a non-finite angle only when the total is not finite or when such
+        an angle could miss every summed term.
         """
         if into is None:
-            if not np.isfinite(psi).all():
-                raise ValueError("spin angles must be finite")
             state = StencilState(spin_vectors(psi) if cs is None else cs, self.axes)
         else:
             state = into
@@ -271,7 +238,7 @@ class StencilEnergy:
             else:
                 total = float(np.add.reduce(flat))
             state.parts[d] = self.prefactor * total
-        if into is not None and (self.always_scan or not math.isfinite(state.total)):
+        if self.always_scan or not math.isfinite(state.total):
             if not np.isfinite(psi).all():
                 raise ValueError("spin angles must be finite")
         return state
@@ -412,19 +379,17 @@ def mm_decomposition(
     delta = params.delta
     th, tv, w, z = _chirality_arrays(*(u.vectors() if cs is None else cs), delta)
     mask = index_mask(domain, lam, u.nx, u.ny)
-    # the vertical arrays run transposed, stencil axis last, like the
-    # horizontal ones
-    runs = ((th, w, mask[:, : u.nx - 2]), (tv.T, z.T, mask[: u.ny - 2, :].T))
+    # in grid orientation, like StencilEnergy: bond pairs along rows, then
+    # along columns
+    runs = ((-1, th, w, mask[:, : u.nx - 2]), (-2, tv, z, mask[: u.ny - 2, :]))
     parts = []  # (potential, gradient) per direction
     count = 0
-    for vertical, (t, c, m) in enumerate(runs):
-        t1, t2 = t[:, :-1], t[:, 1:]
-        wells = W(c)  # once per bond, read by both stencils that hold it
-        p = (0.5 / eps) * lam * lam * (wells[:, :-1] + wells[:, 1:]) * m
+    for axis, t, c, m in runs:
+        t1, t2 = _terms(t, axis, 2)
+        wells = _terms(W(c), axis, 2)  # W once per bond, read by both its stencils
+        p = (0.5 / eps) * lam * lam * (wells[0] + wells[1]) * m
         del wells  # not held beside the next direction's arrays
         g = (eps / delta) * (2.0 * np.cos(t1 + t2) * np.sin((t2 - t1) / 2.0) ** 2) * m
-        if vertical:  # sum in the grid's row-major order
-            p, g = p.T, g.T
         parts.append((det_sum(p), det_sum(g)))
         count += int(np.count_nonzero(m))
     (ph, gh), (pv, gv) = parts

@@ -1,4 +1,4 @@
-"""Scaled square-lattice grids, domains and index sets.
+"""Scaled square-lattice grids, domains and index masks.
 
 Grid functions are piecewise constant on the closed cells
 Q(i, j) = [lam*i, lam*(i+1)] x [lam*j, lam*(j+1)].  Values are stored
@@ -105,40 +105,17 @@ class ModelParams:
         return math.acos(1.0 - self.delta)
 
 
-def _interior(domain: Domain, lam: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """(len(j), len(i)) mask of the indices whose three closed cells Q(i,j),
-    Q(i+1,j), Q(i,j+1) all lie inside the domain.
-
+def index_mask(domain: Domain, lam: float, nx: int, ny: int) -> np.ndarray:
+    """Boolean (ny, nx) mask of the index set: the (i, j) in [0, nx) x [0, ny)
+    whose closed cells Q(i,j), Q(i+1,j), Q(i,j+1) all lie inside the domain.
     The test factors into a column predicate X(i) & X(i+1) times a row
-    predicate Y(j) & Y(j+1).
-    """
+    predicate Y(j) & Y(j+1)."""
+    if not lam > 0.0:
+        raise ValueError("lam must be positive")
+    i, j = np.arange(nx), np.arange(ny)
     cols, rows = domain.axes_inside(i, j, lam)
     cols_next, rows_next = domain.axes_inside(i + 1, j + 1, lam)
     return np.outer(rows & rows_next, cols & cols_next)
-
-
-def index_set(domain: Domain, lam: float) -> list[tuple[int, int]]:
-    """Indices (i, j) whose three closed cells Q(i,j), Q(i+1,j), Q(i,j+1)
-    all lie inside the domain, in row-major (j outer, i inner) order.
-
-    Returns an empty list when no cell fits; callers must handle zero-term
-    sums.
-    """
-    if not lam > 0.0:
-        raise ValueError("lam must be positive")
-    x0, y0, x1, y1 = domain.corners()
-    # bounding index ranges; the predicate does the exact work
-    i = np.arange(math.floor(x0 / lam) - 1, math.ceil(x1 / lam) + 1)
-    j = np.arange(math.floor(y0 / lam) - 1, math.ceil(y1 / lam) + 1)
-    jj, ii = np.nonzero(_interior(domain, lam, i, j))
-    return list(zip(i[ii].tolist(), j[jj].tolist()))
-
-
-def index_mask(domain: Domain, lam: float, nx: int, ny: int) -> np.ndarray:
-    """Boolean (ny, nx) mask of index_set entries with 0 <= i < nx, 0 <= j < ny."""
-    if not lam > 0.0:
-        raise ValueError("lam must be positive")
-    return _interior(domain, lam, np.arange(nx), np.arange(ny))
 
 
 def chain_keep(n: int, interval: tuple[float, float], lam: float) -> np.ndarray:

@@ -186,12 +186,12 @@ class _RowPieces:
     first and last pieces continue past the domain's sides.  A crossing
     counts at an edge's ends too, and an edge lying on the line adds both
     of its ends, so a vertex on the line where the map changes is always a
-    crossing."""
+    crossing.  ``edges`` keeps kink_edges' (p, q)."""
 
     def __init__(self, m: MeshPotential) -> None:
         self.mesh = m
         self.corners = m.domain.corners()
-        p, q = kink_edges(m)
+        self.edges = p, q = kink_edges(m)
         up = p[:, 1] <= q[:, 1]
         self.lo = np.where(up[:, None], p, q)  # lower end of every edge
         self.hi = np.where(up[:, None], q, p)
@@ -278,6 +278,11 @@ def mollify(
     masked.  Every masked point is in its run's rectangle, and the rule
     there overwrites the extension's value.
     """
+    return _mollify(_RowPieces(m), kernel, epsilon, xs, ys, mask)
+
+
+def _mollify(rule: _RowPieces, kernel: Kernel, epsilon: float, xs, ys, mask) -> np.ndarray:
+    """mollify on the mesh of the prebuilt pieces ``rule``."""
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
     order = QUAD_ORDER
@@ -296,8 +301,8 @@ def mollify(
     band = np.ones((ny, nx), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     if band.shape != (ny, nx):
         raise ValueError(f"mask shape {band.shape} != (ny, nx) = {(ny, nx)}")
-    rule = _RowPieces(m)
-    out = np.empty((ny, nx)) if band.all() else extend_potential(m)(xs[None, :], ys[:, None])
+    out = (np.empty((ny, nx)) if band.all()
+           else extend_potential(rule.mesh)(xs[None, :], ys[:, None]))
     shift = epsilon * nodes
     lines = ys[:, None] + shift  # (ny, order)
     x0, _, x1, _ = rule.corners
@@ -427,9 +432,10 @@ def build_recovery(
     m: MeshPotential,
     params: ModelParams,
     kernel: Optional[Kernel] = None,
-    width: float = WALL_WIDTH,
+    width: Optional[float] = None,
 ) -> RecoveryResult:
-    """Recovery spin field at one (lam, delta) with its energy report.
+    """Recovery spin field at one (lam, delta) with its energy report, at
+    the smoothing width ``width`` (pick_width(m) when None).
 
     The mollifier runs its quadrature only on the band of lattice points
     whose kernel support box (half-width width*eps*max|node| plus
@@ -445,7 +451,8 @@ def build_recovery(
     every bond angle stays within arccos(1-delta) < pi/2 up to rounding.
     """
     kernel = kernel if kernel is not None else Kernel()
-    edges = kink_edges(m)
+    width = pick_width(m) if width is None else width
+    rule = _RowPieces(m)
     lam = params.lam
     x0, y0, _, _ = m.domain.corners()
     sides = (m.domain.width / lam, m.domain.height / lam)
@@ -459,8 +466,8 @@ def build_recovery(
     eps = width * params.epsilon
     nodes, _ = gauss_legendre(QUAD_ORDER)
     reach = eps * np.abs(nodes).max() + m.locate_pad().max()
-    band = quadrature_band(*edges, xs, ys, reach)
-    phi = mollify(m, kernel, eps, xs, ys, band)
+    band = quadrature_band(*rule.edges, xs, ys, reach)
+    phi = _mollify(rule, kernel, eps, xs, ys, band)
     psi = params.helix_angle * phi / lam
     u = SpinField.from_angles(psi, lam)
     over = sum(

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from helimag.chirality import (
     ChiralityPair,
-    oriented_angle,
     transform,
     vorticity,
 )
@@ -24,36 +23,37 @@ def make_helix(n, params, wsgn, zsgn):
     return SpinField.from_angles(beta * (wsgn * ii + zsgn * jj), params.lam)
 
 
+def bond_angle(a, b):
+    """transform's theta_hor from a spin at angle a to its right neighbour
+    at angle b, on a two-site row (doubled: transform needs 2x2)."""
+    p = ModelParams(lam=0.1, delta=0.3)
+    theta, _ = transform(SpinField.from_angles([[a, b], [a, b]], p.lam), p)
+    assert np.all(theta.theta_hor.values == theta.theta_hor.values[0, 0])
+    return float(theta.theta_hor.values[0, 0])
+
+
 class TestOrientedAngle:
     def test_quarter_turn(self):
-        assert oriented_angle((1.0, 0.0), (0.0, 1.0)) == pytest.approx(math.pi / 2)
-        assert oriented_angle((1.0, 0.0), (0.0, -1.0)) == pytest.approx(-math.pi / 2)
+        assert bond_angle(0.0, math.pi / 2) == pytest.approx(math.pi / 2)
+        assert bond_angle(0.0, -math.pi / 2) == pytest.approx(-math.pi / 2)
 
     def test_half_turn_is_minus_pi(self):
         # the branch cut maps +pi to -pi
-        assert oriented_angle((1.0, 0.0), (-1.0, 0.0)) == pytest.approx(-math.pi)
-
-    def test_rejects_non_unit(self):
-        with pytest.raises(ValueError):
-            oriented_angle((2.0, 0.0), (1.0, 0.0))
+        assert bond_angle(0.0, math.pi) == -math.pi
+        assert bond_angle(0.0, -math.pi) == -math.pi
 
     @given(angle, angle)
     @settings(max_examples=100, deadline=None)
     def test_antisymmetry_off_cut(self, a, b):
-        u = (math.cos(a), math.sin(a))
-        v = (math.cos(b), math.sin(b))
-        t = oriented_angle(u, v)
-        s = oriented_angle(v, u)
+        t = bond_angle(a, b)
+        s = bond_angle(b, a)
         if abs(abs(t) - math.pi) > 1e-9:
             assert s == pytest.approx(-t, abs=1e-12)
 
     @given(angle, angle)
     @settings(max_examples=100, deadline=None)
     def test_range(self, a, b):
-        u = (math.cos(a), math.sin(a))
-        v = (math.cos(b), math.sin(b))
-        t = oriented_angle(u, v)
-        assert -math.pi <= t < math.pi + 1e-15
+        assert -math.pi <= bond_angle(a, b) < math.pi
 
 
 class TestTransform:

@@ -276,6 +276,19 @@ class TestRecoverSweepMinimize:
         assert sweep["segments"] == 2
         assert sweep["quadrature_points"] == want
 
+    @pytest.mark.parametrize("kind", ["diagonal_wall", "vertical_wall"])
+    def test_recover_has_the_sweep_rows_energy(self, tmp_path, kind):
+        # both take pick_width's smoothing width
+        lam = 1.0 / 32
+        status, rec = run("recover", {"kind": kind, "lambda": lam, "delta": lam ** (2.0 / 3.0),
+                                      "out": str(tmp_path / "rc")})
+        assert status == 0
+        status, _ = run("sweep", {"kind": kind, "finest_n": 32, "levels": 1,
+                                  "out": str(tmp_path / "sw")})
+        assert status == 0
+        row = (tmp_path / "sw" / "sweep.csv").read_text().split("\n")[1].split(",")
+        assert rec["H_n"].hex() == float(row[3]).hex()
+
     def test_failed_sweep_row_names_its_cause(self, tmp_path):
         # the first step's lattice has 2 columns, too few for a stencil
         sched = tmp_path / "schedule.json"
@@ -596,6 +609,19 @@ class TestErrorContract:
         assert status == 1
         assert "cannot load mesh" in result["error"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+
+    @pytest.mark.parametrize("command", ["classify", "recover"])
+    def test_boolean_in_mesh_triangles(self, tmp_path, command):
+        from helimag.continuum import build_example
+
+        doc = json.loads(build_example("vertical_wall").to_json())
+        doc["triangles"][0][1] = True  # [0, true, 3] would read as vertex 1
+        mesh = tmp_path / "m.json"
+        mesh.write_text(json.dumps(doc))
+        status, result = run(command, {"mesh": str(mesh), "lambda": 1.0 / 16, "delta": 0.2,
+                                       "out": str(tmp_path)})
+        assert status == 1
+        assert result["error"].startswith("cannot load mesh: triangles ")
 
     @pytest.mark.parametrize("command, key, config", [
         ("groundstate", "pair", {"n": 4, "lambda": 0.05, "delta": 0.2}),

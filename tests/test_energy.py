@@ -14,14 +14,31 @@ from helimag.energy import (
     EnergyReport,
     StencilEnergy,
     W,
-    energy_E,
     energy_H,
     energy_H_1d,
     mm_decomposition,
     rho,
     spin_vectors,
 )
-from helimag.lattice import Domain, ModelParams, SpinField, index_mask, index_set
+from helimag.chirality import _chirality_arrays
+from helimag.lattice import GEOM_TOL, Domain, ModelParams, SpinField, det_sum, index_mask
+
+
+def oracle_index_set(domain, lam, nx, ny):
+    """Loop reference: the indices (i, j) of an nx-by-ny grid whose closed
+    cells Q(i,j), Q(i+1,j), Q(i,j+1) each lie in the domain's rectangle, its
+    sides widened by GEOM_TOL times the largest coordinate magnitude."""
+    x0, y0, x1, y1 = domain.corners()
+    tol = GEOM_TOL * max(1.0, abs(x0) + domain.width, abs(y0) + domain.height)
+
+    def inside(i, j):
+        return (x0 - tol <= lam * i and lam * (i + 1) <= x1 + tol
+                and y0 - tol <= lam * j and lam * (j + 1) <= y1 + tol)
+
+    return {
+        (i, j) for j in range(ny) for i in range(nx)
+        if inside(i, j) and inside(i + 1, j) and inside(i, j + 1)
+    }
 
 
 def oracle_H(u, domain, params):
@@ -29,7 +46,7 @@ def oracle_H(u, domain, params):
     lam = u.spacing
     ux, uy = u.vectors()
     pf = 1.0 / (math.sqrt(2.0) * lam * params.delta ** 1.5)
-    idx = set(index_set(domain, lam))
+    idx = oracle_index_set(domain, lam, u.nx, u.ny)
     total = 0.0
     for j in range(u.ny):
         for i in range(u.nx - 2):
@@ -44,6 +61,28 @@ def oracle_H(u, domain, params):
                 vy = uy[j + 2, i] - 0.5 * params.alpha * uy[j + 1, i] + uy[j, i]
                 total += 0.5 * lam * lam * (vx * vx + vy * vy)
     return pf * total
+
+
+def transposed_mm_decomposition(u, domain, params):
+    """mm_decomposition with its vertical bonds run on the transposed
+    arrays, stencil axis last like the horizontal ones, and transposed back
+    so that det_sum reads the grid's row-major order."""
+    lam, eps, delta = u.spacing, params.epsilon, params.delta
+    th, tv, w, z = _chirality_arrays(*u.vectors(), delta)
+    mask = index_mask(domain, lam, u.nx, u.ny)
+    runs = ((th, w, mask[:, : u.nx - 2]), (tv.T, z.T, mask[: u.ny - 2, :].T))
+    parts = []
+    for vertical, (t, c, m) in enumerate(runs):
+        t1, t2 = t[:, :-1], t[:, 1:]
+        wells = W(c)
+        p = (0.5 / eps) * lam * lam * (wells[:, :-1] + wells[:, 1:]) * m
+        g = (eps / delta) * (2.0 * np.cos(t1 + t2) * np.sin((t2 - t1) / 2.0) ** 2) * m
+        if vertical:
+            p, g = p.T, g.T
+        parts.append((det_sum(p), det_sum(g)))
+    (ph, gh), (pv, gv) = parts
+    return {"potential_part": ph + pv, "gradient_part": gh + gv,
+            "horizontal": ph + gh, "vertical": pv + gv}
 
 
 def random_field(rng, n, lam):
@@ -61,41 +100,6 @@ class TestWells:
         assert W(1.0) == 0.0
         assert W(-1.0) == 0.0
         assert W(0.0) == 1.0
-
-
-class TestEnergyE:
-    def test_ferro_vs_helix(self):
-        # at alpha = 4(1-delta) < 4 the helix beats the ferromagnet
-        p = ModelParams(lam=1.0 / 8, delta=0.3)
-        d = Domain()
-        ferro = SpinField.from_angles(np.zeros((8, 8)), p.lam)
-        assert energy_E(helix(8, p), d, p.alpha) < energy_E(ferro, d, p.alpha)
-
-    def test_oracle_small(self):
-        rng = np.random.default_rng(2)
-        p = ModelParams(lam=0.25, delta=0.3)
-        u = random_field(rng, 4, p.lam)
-        d = Domain()
-        ux, uy = u.vectors()
-        want = 0.0
-        lam2 = p.lam ** 2
-        for j in range(4):
-            for i in range(3):
-                want -= p.alpha * lam2 * (
-                    ux[j, i] * ux[j, i + 1] + uy[j, i] * uy[j, i + 1]
-                )
-        for j in range(3):
-            for i in range(4):
-                want -= p.alpha * lam2 * (
-                    ux[j, i] * ux[j + 1, i] + uy[j, i] * uy[j + 1, i]
-                )
-        for j in range(4):
-            for i in range(2):
-                want += lam2 * (ux[j, i] * ux[j, i + 2] + uy[j, i] * uy[j, i + 2])
-        for j in range(2):
-            for i in range(4):
-                want += lam2 * (ux[j, i] * ux[j + 2, i] + uy[j, i] * uy[j + 2, i])
-        assert energy_E(u, d, p.alpha) == pytest.approx(want, rel=1e-12)
 
 
 class TestEnergyH:
@@ -399,6 +403,34 @@ class TestDecomposition:
         assert rep.total == pytest.approx(rep.potential_part + rep.gradient_part)
         assert rep.potential_part >= 0.0
 
+    @pytest.mark.parametrize("kind", ["random", "helical", "smooth"])
+    @pytest.mark.parametrize("shape, domain", [
+        ((9, 9), Domain()),
+        ((7, 12), Domain()),
+        ((12, 7), Domain(width=0.5, height=0.9)),
+        ((2, 11), Domain()),
+        ((11, 2), Domain()),
+        ((2, 2), Domain()),
+        ((17, 14), Domain(x0=0.03, y0=0.05, width=0.6, height=0.85)),
+        ((13, 16), Domain(x0=-0.2, y0=0.1, width=0.7, height=0.5)),
+    ])
+    def test_grid_orientation_matches_transposed_runs(self, kind, shape, domain):
+        # bit-identical: the same values summed in the same row-major order
+        rng = np.random.default_rng(78)
+        p = ModelParams(lam=1.0 / 17, delta=0.3)
+        jj, ii = np.indices(shape)
+        if kind == "random":
+            psi = rng.uniform(-math.pi, math.pi, shape)
+        elif kind == "helical":
+            psi = p.helix_angle * (ii - jj) + rng.normal(0.0, 0.05, shape)
+        else:
+            psi = 2.0 * np.sin(0.4 * ii) * np.cos(0.3 * jj)
+        u = SpinField.from_angles(psi, p.lam)
+        rep = mm_decomposition(u, domain, p)
+        want = transposed_mm_decomposition(u, domain, p)
+        got = {k: getattr(rep, k) for k in want}
+        assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+
     def test_oracle_potential_part(self):
         # potential part recomputed from W(w) per stencil, horizontal only
         from helimag.chirality import transform
@@ -411,7 +443,7 @@ class TestDecomposition:
         w = pair.w.values
         z = pair.z.values
         pf = 0.5 * p.lam ** 2 / p.epsilon
-        idx = set(index_set(d, p.lam))
+        idx = oracle_index_set(d, p.lam, u.nx, u.ny)
         want = 0.0
         for j in range(4):
             for i in range(2):

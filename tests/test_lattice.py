@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import helimag
 from helimag.lattice import (
     Domain,
     ModelParams,
@@ -14,8 +15,13 @@ from helimag.lattice import (
     det_sum,
     GEOM_TOL,
     index_mask,
-    index_set,
 )
+
+
+def test_every_exported_name_imports():
+    namespace = {}
+    exec("from helimag import *", namespace)  # AttributeError on a name that is gone
+    assert set(helimag.__all__) <= namespace.keys()
 
 
 def test_det_sum_is_deterministic_and_exact_on_ints():
@@ -80,29 +86,16 @@ class TestModelParams:
 class TestIndexSet:
     def test_unit_square_quarter_spacing(self):
         # 4x4 cells; needs cells (i,j), (i+1,j), (i,j+1) all inside
-        got = index_set(Domain(), 0.25)
-        want = [(i, j) for j in range(3) for i in range(3)]
-        assert got == want
-
-    def test_row_major_order(self):
-        got = index_set(Domain(width=1.0, height=0.5), 0.25)
-        assert got == sorted(got, key=lambda t: (t[1], t[0]))
+        got = index_mask(Domain(), 0.25, 4, 4)
+        want = [[i < 3 and j < 3 for i in range(4)] for j in range(4)]
+        np.testing.assert_array_equal(got, want)
 
     def test_empty_when_too_coarse(self):
-        assert index_set(Domain(), 0.9) == []
+        assert not index_mask(Domain(), 0.9, 2, 2).any()
 
     def test_offset_domain(self):
-        got = index_set(Domain(x0=1.0, y0=2.0, width=0.5, height=0.5), 0.25)
-        assert got == [(4, 8)]
-
-    def test_mask_matches_list(self):
-        d = Domain(width=1.0, height=0.75)
-        lam = 0.25
-        mask = index_mask(d, lam, 4, 3)
-        pairs = {(i, j) for i, j in index_set(d, lam)}
-        for j in range(3):
-            for i in range(4):
-                assert mask[j, i] == ((i, j) in pairs)
+        got = index_mask(Domain(x0=1.0, y0=2.0, width=0.5, height=0.5), 0.25, 6, 10)
+        assert list(zip(*np.nonzero(got))) == [(8, 4)]
 
 
 def cell_inside(domain, i, j, lam):
@@ -151,7 +144,7 @@ def random_rectangles(rng, count):
 
 
 class TestIndexSetReference:
-    def test_mask_and_set_match_per_cell_loop(self):
+    def test_mask_matches_per_cell_loop(self):
         rng = np.random.default_rng(20240417)
         for domain, lam in random_rectangles(rng, 300):
             # nx, ny from well below to well above the domain's extent
@@ -159,24 +152,12 @@ class TestIndexSetReference:
             want = per_cell_interior(domain, lam, range(nx), range(ny))
             np.testing.assert_array_equal(index_mask(domain, lam, nx, ny), want)
 
-            x0, y0, x1, y1 = domain.corners()
-            i_range = range(math.floor(x0 / lam) - 3, math.ceil(x1 / lam) + 3)
-            j_range = range(math.floor(y0 / lam) - 3, math.ceil(y1 / lam) + 3)
-            full = per_cell_interior(domain, lam, i_range, j_range)
-            want_set = [
-                (i, j)
-                for b, j in enumerate(j_range)
-                for a, i in enumerate(i_range)
-                if full[b, a]
-            ]
-            assert index_set(domain, lam) == want_set
-
     def test_width_off_the_lattice(self):
         # 0.3 is not three float steps of 0.1; the slack keeps the touching cell
         d = Domain(width=0.3, height=0.3)
-        assert index_set(d, 0.1) == [(0, 0), (1, 0), (0, 1), (1, 1)]
         np.testing.assert_array_equal(
-            index_mask(d, 0.1, 4, 1), [[True, True, False, False]]
+            index_mask(d, 0.1, 4, 3),
+            [[True, True, False, False], [True, True, False, False], [False] * 4],
         )
 
 

@@ -388,18 +388,30 @@ class TestBuildRecovery:
         full = 32 * 32 * 24 * 24  # the full rule
         assert 32 * 32 < res.quadrature_points < full
 
+    def test_kink_edges_built_once(self, monkeypatch):
+        # the band and the mollifier's row pieces share one edge table
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return kink_edges(m)
+
+        monkeypatch.setattr(recovery, "kink_edges", counted)
+        build_recovery(build_example("laminate"), ModelParams(lam=1.0 / 16, delta=0.2))
+        assert len(calls) == 1
+
 
 def capture_masks(monkeypatch):
     """Record the quadrature mask of every call made through
-    recovery.mollify."""
+    recovery._mollify, which mollify and build_recovery run."""
     seen = []
-    original = recovery.mollify
+    original = recovery._mollify
 
-    def recording(m, kernel, epsilon, xs, ys, mask=None):
+    def recording(rule, kernel, epsilon, xs, ys, mask):
         seen.append(mask)
-        return original(m, kernel, epsilon, xs, ys, mask)
+        return original(rule, kernel, epsilon, xs, ys, mask)
 
-    monkeypatch.setattr(recovery, "mollify", recording)
+    monkeypatch.setattr(recovery, "_mollify", recording)
     return seen
 
 
