@@ -286,6 +286,7 @@ def _cmd_minimize(config: dict) -> dict:
         "converged": res.converged,
         "reason": res.reason,
         "objective_evals": res.objective_evals,
+        "rows_evaluated": res.rows_evaluated,
     }
 
 

@@ -111,53 +111,62 @@ def _windows(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 class StencilState:
-    """One angle array's stacked (cos, sin) ``cs`` of shape (2, ny, nx), its
-    stacked masked three-point stencils per direction, in grid orientation
-    ((2, ny, nx - 2) along rows, then (2, ny - 2, nx) along columns on a
-    plane), and the energy each direction contributes.
+    """A stack of angle arrays: their stacked (cos, sin) ``cs`` of shape
+    (2, rows, ny, nx), their stacked masked three-point stencils per
+    direction as views in grid orientation ((2, rows, ny, nx - 2) along
+    rows, then (2, rows, ny - 2, nx) along columns on a plane), the energy
+    of every row that each direction contributes (``parts``, one list of
+    floats per direction) and every row's total energy (``total``, a list).
 
     The views that ``StencilEnergy.evaluate`` and ``gradient`` read and
     write through are made once per state, so a state can take a later
-    angle array's values in place."""
+    stack's values in place: ``runs`` holds them per direction."""
 
-    def __init__(self, cs: np.ndarray, axes: tuple[int, ...]) -> None:
+    def __init__(self, cs: np.ndarray, stencils: list, runs: list, axes: tuple[int, ...]) -> None:
         self.cs = cs
         self.axes = axes
-        self.parts = [0.0] * len(axes)
+        self.parts: list[list[float]] = []  # set by evaluate
+        self.total: list[float] = []
         self.trig = (cs[0], cs[1])
-        self.terms = [_terms(cs, axis) for axis in axes]
-        self.stencils = [np.empty(t[0].shape) for t in self.terms]
-        self._operands = None
+        self.stencils = stencils
+        self.runs = runs
+        self._operands: list = [None] * cs.shape[1]
 
-    def operands(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per direction, the stencils as (2, 1, ...) and the windows of
-        (sin, cos), the perpendicular spin (-sin, cos) up to the sign, that
-        ``gradient`` multiplies; made on first use, since a state whose
-        gradient is never taken needs neither."""
-        if self._operands is None:
-            self._operands = [
-                (h[:, None], _windows(self.cs[::-1], axis))
+    def operands(self, row: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per direction, row ``row``'s stencils as (2, 1, ...) and the
+        windows of its (sin, cos), the perpendicular spin (-sin, cos) up to
+        the sign, that ``gradient`` multiplies; made on first use, since a
+        row whose gradient is never taken needs neither."""
+        if self._operands[row] is None:
+            self._operands[row] = [
+                (h[:, row, None], _windows(self.cs[::-1, row], axis))
                 for h, axis in zip(self.stencils, self.axes)
             ]
-        return self._operands
-
-    @property
-    def total(self) -> float:
-        return self.parts[0] + self.parts[1] if len(self.parts) == 2 else self.parts[0]
+        return self._operands[row]
 
 
 class StencilEnergy:
-    """The renormalized energy of angle arrays of one shape.
+    """The renormalized energy of angle arrays of one shape, evaluated on
+    stacks of them.
 
     The index set and the prefactor are computed once.  ``evaluate`` takes
-    an angle array's stacked cos/sin and stacked stencils (one ufunc call
-    per step for both spin components) and sums them; ``gradient`` reuses
-    that state.  On a plane the stencils are masked by the interior index
-    set of ``domain``; a single row over ``interval`` sums only the kept
-    terms, because zero padding would regroup the pairwise sum.  A mask
-    that keeps every term is skipped.  The squares of ``evaluate`` and the
-    products of ``gradient`` go to scratch arrays of the model, shared by
-    the directions.
+    a stack's stacked cos/sin and stacked stencils (one ufunc call per step
+    for every row and both spin components) and sums each row; ``gradient``
+    reuses one row of that state.
+
+    The stencils along an axis are computed over the whole contiguous
+    cos/sin array at once, from the array shifted by one and by two steps
+    along the axis, which is faster than over strided views; the entries
+    whose terms cross the edge of a grid row or of the grid are computed
+    too, but never summed or differentiated.  On a plane the stencils are
+    masked by the interior index set of ``domain``; a single row over
+    ``interval`` sums only the kept terms, because zero padding would
+    regroup the pairwise sum.  A mask that keeps every term is skipped.
+    Each row is summed as one contiguous array, pairwise in the grid's
+    row-major order as ``det_sum`` sums it, so a row's energy does not
+    depend on the stack it is in.  The squares of ``evaluate`` (per stack
+    size) and the products of ``gradient`` go to scratch arrays of the
+    model, shared by the directions.
     """
 
     def __init__(
@@ -172,33 +181,73 @@ class StencilEnergy:
         self.shape = shape
         self.alpha = params.alpha
         self.one_d = interval is not None
+        # the index set over the whole grid; its views of the stencils'
+        # shape, in grid orientation, mask each direction
         if self.one_d:
             self.axes = (-1,)
-            masks = [chain_keep(nx, interval, lam)]
+            keep = chain_keep(nx, interval, lam)
+            grid = np.zeros(shape, dtype=bool)
+            grid[0, : keep.size] = keep
         else:
             self.axes = (-1, -2)
-            mask = index_mask(domain, lam, nx, ny)
-            # in grid orientation, like the stencils
-            masks = [mask[:, : max(nx - 2, 0)], mask[: max(ny - 2, 0), :]]
+            grid = index_mask(domain, lam, nx, ny)
+        masks = [grid[:, : max(nx - 2, 0)] if axis == -1 else grid[: max(ny - 2, 0), :]
+                 for axis in self.axes]
+        self.half_alpha = params.alpha / 2.0
         self.prefactor = prefactor(params, lam, one_d=self.one_d)
         self.term_count = sum(int(np.count_nonzero(m)) for m in masks)
-        self.masks = [None if m.all() else m for m in masks]
+        # one row's stencil shape and the flat step along the axis, per
+        # direction
+        self._shapes = [m.shape for m in masks]
+        self._steps = [1 if axis == -1 else nx for axis in self.axes]
+        # per direction: the grid mask, or None if it keeps every term; and
+        # on a cut chain the flat indices of the kept terms, gathered into
+        # one contiguous array per row before the sum
+        self._rules = [
+            (None, None) if m.all() else (grid, np.flatnonzero(m) if self.one_d else None)
+            for m in masks
+        ]
         # a non-finite angle turns its stencils' squares, and so the total,
         # into NaN (masked terms too: NaN * 0 is NaN), except on a cut chain,
         # which drops terms, or where there is no stencil
-        self.always_scan = (self.one_d and self.masks[0] is not None) or not any(
+        self.always_scan = (self.one_d and self._rules[0][0] is not None) or not any(
             m.size for m in masks
         )
-        self._shapes = [
-            (2, ny, max(nx - 2, 0)) if axis == -1 else (2, max(ny - 2, 0), nx)
-            for axis in self.axes
-        ]
-        squares = np.empty(max(math.prod(s) for s in self._shapes))
-        self._squares = []  # per direction: h * h, its two rows, the first's flat view
-        for s in self._shapes:
-            h2 = squares[: math.prod(s)].reshape(s)
-            self._squares.append((h2, h2[0], h2[1], h2[0].reshape(-1)))
+        self._squares: dict[int, list] = {}
         self._gradient_work = None
+
+    def _square_views(self, rows: int) -> list:
+        """Per direction: h * h of a stack of ``rows``, its two components
+        and the first's (rows, terms) view; one scratch array per stack
+        size."""
+        views = self._squares.get(rows)
+        if views is None:
+            sizes = [math.prod(s) for s in self._shapes]
+            squares = np.empty(2 * rows * max(sizes))
+            views = []
+            for s, size in zip(self._shapes, sizes):
+                h2 = squares[: 2 * rows * size].reshape((2, rows) + s)
+                views.append((h2, h2[0], h2[1], h2[0].reshape(rows, size)))
+            self._squares[rows] = views
+        return views
+
+    def _state(self, cs: np.ndarray) -> StencilState:
+        """A state over the stacked cos/sin ``cs``, with its stencil arrays
+        and the views ``evaluate`` works through."""
+        cs = np.ascontiguousarray(cs)
+        flat = cs.reshape(-1)
+        stencils, runs = [], []
+        for (mask, kept), step, (my, mx), squares in zip(
+            self._rules, self._steps, self._shapes, self._square_views(cs.shape[1])
+        ):
+            full = np.empty(cs.shape)
+            n = max(flat.size - 2 * step, 0)
+            full.reshape(-1)[n:] = 0.0  # written by no step but masked: keep them finite
+            h = full[..., :my, :mx]
+            terms = (flat[:n], flat[step : step + n], flat[2 * step : 2 * step + n])
+            stencils.append(h)
+            runs.append((mask, kept, *terms, full.reshape(-1)[:n], full, h, *squares))
+        return StencilState(cs, stencils, runs, self.axes)
 
     def evaluate(
         self,
@@ -206,48 +255,56 @@ class StencilEnergy:
         into: Optional[StencilState] = None,
         cs: Optional[np.ndarray] = None,
     ) -> StencilState:
-        """The stencils and energy of the angle array ``psi``.
+        """The stencils and energies of the stack of angle arrays ``psi``,
+        shape (rows, ny, nx).
 
         Without ``into`` the state is new, over ``cs`` when the caller has
         already taken psi's stacked cos/sin; with ``into``, a state of this
-        model, its arrays are overwritten in place.  ``psi`` is scanned for
-        a non-finite angle only when the total is not finite or when such
-        an angle could miss every summed term.
+        model and stack size, its arrays are overwritten in place.  ``psi``
+        is scanned for a non-finite angle only when a row's total is not
+        finite or when such an angle could miss every summed term.
         """
+        if psi.shape[1:] != self.shape:
+            raise ValueError(f"expected a stack of {self.shape} angle arrays, got {psi.shape}")
         if into is None:
-            state = StencilState(spin_vectors(psi) if cs is None else cs, self.axes)
+            state = self._state(spin_vectors(psi) if cs is None else cs)
         else:
             state = into
             np.cos(psi, out=state.trig[0])
             np.sin(psi, out=state.trig[1])
-        half_alpha = self.alpha / 2.0
-        for d, (mask, (h2, h2x, h2y, flat)) in enumerate(zip(self.masks, self._squares)):
-            # both spin components at once, rounded as three_point rounds
-            lo, mid, hi = state.terms[d]
-            h = state.stencils[d]
-            np.multiply(mid, half_alpha, out=h)
-            np.subtract(hi, h, out=h)
-            np.add(h, lo, out=h)
+        half_alpha, pf = self.half_alpha, self.prefactor
+        parts = []
+        for mask, kept, lo, mid, hi, out, full, h, h2, h2x, h2y, flat in state.runs:
+            # every row and both spin components at once, rounded as
+            # three_point rounds; each row is summed pairwise as det_sum
+            # sums it, the kept terms of a cut chain gathered first
+            np.multiply(mid, half_alpha, out=out)
+            np.subtract(hi, out, out=out)
+            np.add(out, lo, out=out)
             if mask is not None:
-                np.multiply(h, mask, out=h)
-            np.multiply(h, h, out=h2)
+                np.multiply(full, mask, out=full)
+            np.square(h, out=h2)  # h * h, faster on the strided stencils
             np.add(h2x, h2y, out=h2x)
-            # det_sum in the grid's row-major order
-            if self.one_d and mask is not None:
-                total = det_sum(h2x[:, mask])
-            else:
-                total = float(np.add.reduce(flat))
-            state.parts[d] = self.prefactor * total
-        if self.always_scan or not math.isfinite(state.total):
+            if kept is not None:
+                flat = flat.take(kept, axis=1)
+            parts.append([pf * t for t in np.add.reduce(flat, 1).tolist()])
+        state.parts = parts
+        state.total = total = parts[0] if len(parts) == 1 else [a + b for a, b in zip(*parts)]
+        # the energies are not negative: their sum is finite when each is,
+        # and a sum that overflows only costs a scan
+        if self.always_scan or not math.isfinite(sum(total)):
             if not np.isfinite(psi).all():
                 raise ValueError("spin angles must be finite")
         return state
 
-    def report(self, state: StencilState) -> EnergyReport:
-        hor = state.parts[0]
-        ver = state.parts[1] if len(state.parts) == 2 else 0.0
+    def report(self, state: StencilState, row: int = 0) -> EnergyReport:
+        hor = state.parts[0][row]
+        ver = state.parts[1][row] if len(state.parts) == 2 else 0.0
         return EnergyReport(
-            total=state.total, horizontal=hor, vertical=ver, term_count=self.term_count
+            total=state.total[row],
+            horizontal=hor,
+            vertical=ver,
+            term_count=self.term_count,
         )
 
     def _gradient_scratch(self):
@@ -256,22 +313,23 @@ class StencilEnergy:
         its halves p[0] and p[1], and the pairs (view of g, row j of p[1])
         that add term j into g."""
         g = np.zeros(self.shape)
-        products = np.empty(3 * max(math.prod(s) for s in self._shapes))
+        products = np.empty(6 * max(math.prod(s) for s in self._shapes))
         work = []
         for axis, s in zip(self.axes, self._shapes):
-            p = products[: 3 * math.prod(s)].reshape((2, 3) + s[1:])
+            p = products[: 6 * math.prod(s)].reshape((2, 3) + s)
             targets = _terms(g, axis)
             work.append((p, p[0], p[1], tuple(zip(targets, p[1]))))
         coef = np.array([2.0, -self.alpha, 2.0])[:, None, None]
         return g, coef, work
 
-    def gradient(self, state: StencilState) -> np.ndarray:
-        """Angle gradient of the energy of ``state``, a new array."""
+    def gradient(self, state: StencilState, row: int = 0) -> np.ndarray:
+        """Angle gradient of the energy of row ``row`` of ``state``, a new
+        array."""
         if self._gradient_work is None:
             self._gradient_work = self._gradient_scratch()
         g, coef, work = self._gradient_work
         g.fill(0.0)
-        for (head, windows), (p, p_sin, p_cos, rows) in zip(state.operands(), work):
+        for (head, windows), (p, p_sin, p_cos, adds) in zip(state.operands(row), work):
             # d|v|^2/dpsi_k = 2 v . u_perp(k) * coefficient of u_k in v, for
             # the three terms j at once; with u_perp = (-sin, cos) the dot
             # product is the cos product minus the sin product, which rounds
@@ -279,14 +337,14 @@ class StencilEnergy:
             np.multiply(head, windows, out=p)
             np.subtract(p_cos, p_sin, out=p_cos)
             np.multiply(p_cos, coef, out=p_cos)
-            for target, row in rows:  # j = 0, 1, 2
-                np.add(target, row, out=target)
+            for target, term in adds:  # j = 0, 1, 2
+                np.add(target, term, out=target)
         return g * self.prefactor
 
 
 def spin_vectors(angles: np.ndarray) -> np.ndarray:
-    """The stacked unit vectors (cos, sin) of an angle array, shape
-    (2,) + angles.shape."""
+    """The stacked unit vectors (cos, sin) of an angle array, or of a stack
+    of them, shape (2,) + angles.shape."""
     cs = np.empty((2,) + angles.shape)
     np.cos(angles, out=cs[0])
     np.sin(angles, out=cs[1])
@@ -300,7 +358,7 @@ def energy_H(
     four helical ground states.  ``cs`` is ``spin_vectors(u.angles)`` when
     the caller has it."""
     model = StencilEnergy((u.ny, u.nx), params, u.spacing, domain=domain)
-    return model.report(model.evaluate(u.angles, cs=cs))
+    return model.report(model.evaluate(u.angles[None], cs=None if cs is None else cs[:, None]))
 
 
 def energy_H_1d(
@@ -314,7 +372,7 @@ def energy_H_1d(
     if not b > a:
         raise ValueError("empty interval")
     model = StencilEnergy((1, chain.nx), params, chain.spacing, interval=interval)
-    return model.evaluate(chain.angles).total
+    return model.evaluate(chain.angles[None]).total[0]
 
 
 _RHO_METHODS = ("definition", "closed_form")

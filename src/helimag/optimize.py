@@ -26,6 +26,13 @@ LOG_CSV_HEADER = "iter,energy,grad_norm,step"
 STOP_GRAD_NORM = 1e-8  # max-norm of the gradient at which descent converges
 ARMIJO = 1e-4  # sufficient-decrease factor of the line search
 BACKTRACK = 0.5  # step factor per line-search backtrack
+# trial steps the line search evaluates in one stacked pass on angle arrays
+# of at most BATCH_SITES sites: there numpy's per-call overhead outweighs
+# the arithmetic, so the rows a batch evaluates beyond the accepted one
+# cost less than the calls the batch saves; larger arrays take one trial
+# per pass
+BATCH_ROWS = 3
+BATCH_SITES = 256
 
 
 @dataclass
@@ -78,8 +85,15 @@ def two_sided_bc(
     right_pair: tuple[int, int],
 ) -> BoundaryCondition:
     """Freeze the left and right border layers (two columns deep) with the
-    helical angles of the given chirality pairs; the vertical chirality of
-    each side also fixes the angles along the frozen columns."""
+    helical angles of the given chirality pairs (w, z); the vertical
+    chirality z, which must be the same on both sides, also fixes the angles
+    along the frozen columns."""
+    if left_pair[1] != right_pair[1]:
+        # the anchor of the right columns accounts for a flip of w only: no
+        # potential with gradients in {+-1}^2 meets both sides
+        raise ValueError(
+            f"two_sided_bc needs the same z sign on both sides, got {left_pair} and {right_pair}"
+        )
     beta = params.helix_angle
     mask = np.zeros((ny, nx), dtype=bool)
     values = np.zeros((ny, nx))
@@ -135,7 +149,7 @@ def energy_gradient(
     if bc is not None and bc.mask.shape != u.angles.shape:
         raise ValueError("boundary condition shape mismatch")
     model = _stencil_energy(u.angles.shape, domain, params, lam)
-    g = model.gradient(model.evaluate(u.angles))
+    g = model.gradient(model.evaluate(u.angles[None]))
     if bc is not None:
         g[bc.mask] = 0.0
     return g
@@ -145,8 +159,11 @@ def energy_gradient(
 class MinimizeResult:
     """Final iterate and energy, the per-iteration log, why the run stopped
     ("converged", "max_iter" or "stalled") and the line-search counts: one
-    objective evaluation at the start and one per trial, each trial either
-    accepted or a backtrack."""
+    objective evaluation at the start and one per trial the search
+    consumed, each trial either accepted or a backtrack; and the angle
+    arrays whose energy was evaluated (``rows_evaluated``), which also
+    count the trials a stacked pass evaluated beyond the one it accepted
+    and the copies of the start (see ``minimize_H``)."""
 
     psi: np.ndarray
     report: EnergyReport
@@ -155,6 +172,7 @@ class MinimizeResult:
     objective_evals: int
     accepted: int
     backtracks: int
+    rows_evaluated: int
 
     @property
     def converged(self) -> bool:
@@ -185,28 +203,48 @@ def minimize_H(
     Every accepted step strictly decreases the energy; terminates at the
     gradient tolerance or the iteration cap.  A line search that fails after
     max_backtracks reductions returns the best iterate with ``stalled`` set.
+    A non-finite start angle raises ValueError before any energy is taken.
 
-    The index set and the prefactor are computed once per call.  Each trial
-    is one ``StencilEnergy.evaluate`` of its angle array, with no spin field
-    built; the gradient at an accepted point and the final report reuse the
-    accepted trial's.  Two states and two angle arrays alternate between the
-    accepted point and the trial, so a rejected trial's arrays take the next
-    trial's values and no trial allocates them.
+    The line search is Armijo's: it doubles the last step s, then halves it
+    until the energy falls by at least ARMIJO * s * |g|^2.  It evaluates
+    the next K trials psi - s g, psi - (s/2) g, ..., psi - (s/2^(K-1)) g as
+    one stack in one ``StencilEnergy.evaluate`` and takes the first row, in
+    order, that passes, so the iterates, the log and the counts are those of
+    trying one step at a time.  K is BATCH_ROWS on angle arrays of at most
+    BATCH_SITES sites and 1 on larger ones, and at most max_backtracks; of
+    a stack that reaches past the backtrack budget only the rows within it
+    are consulted.  ``objective_evals``, ``accepted`` and ``backtracks``
+    count the trials consulted; ``rows_evaluated`` counts every row, the K
+    copies of the start too, so ``rows_evaluated - objective_evals`` is the
+    work evaluated and not used.
+
+    The index set and the prefactor are computed once per call, and no
+    spin field is built.  The gradient at an accepted point and the final
+    report reuse the accepted row of its stack's state.  Two states and two
+    angle stacks take turns holding the accepted point and the next trials,
+    so no trial allocates them.
     """
     opts = opts if opts is not None else MinimizeOptions()
     psi = bc.apply(np.asarray(psi0, dtype=float))
-    lam = params.lam
-    model = _stencil_energy(psi.shape, domain, params, lam)
-    state = model.evaluate(psi)
-    spare = None  # the state the next trial is written into
-    trial = np.empty_like(psi)
-    e = state.total
-    evals, accepted, backtracks = 1, 0, 0
+    if not np.isfinite(psi).all():
+        raise ValueError("spin angles must be finite")
+    model = _stencil_energy(psi.shape, domain, params, params.lam)
+    k = min(BATCH_ROWS if psi.size <= BATCH_SITES else 1, opts.max_backtracks)
+    # the first stack holds k copies of the start, so that every state has
+    # k rows
+    stacks = np.empty((2, k) + psi.shape)
+    stacks[0] = psi
+    rows = [list(stacks[0]), list(stacks[1])]
+    states = [model.evaluate(stacks[0]), None]
+    cur, row = 0, 0  # psi is row `row` of stack `cur`
+    e = states[0].total[0]
+    evals, accepted, backtracks, evaluated = 1, 0, 0, k
     step = opts.init_step
     log: list[tuple[int, float, float, float]] = []
     reason = "max_iter"
     for it in range(opts.max_iter):
-        g = model.gradient(state)
+        psi = rows[cur][row]
+        g = model.gradient(states[cur], row)
         g[bc.mask] = 0.0
         gnorm = float(np.abs(g).max())
         log.append((it, e, gnorm, step))
@@ -215,49 +253,57 @@ def minimize_H(
             break
         gsq = float(det_sum(g * g))
         step = min(step * 2.0, 1e6)  # optimistic growth, then backtrack
-        for _ in range(opts.max_backtracks):
-            np.subtract(psi, np.multiply(g, step, out=trial), out=trial)
-            spare = model.evaluate(trial, into=spare)
-            evals += 1
-            if spare.total <= e - ARMIJO * step * gsq:
+        nxt, found = 1 - cur, None
+        for budget in range(opts.max_backtracks, 0, -k):
+            s = step
+            for trial in rows[nxt]:  # the steps s, s/2, ... as the search halves them
+                np.subtract(psi, np.multiply(g, s, out=trial), out=trial)
+                s *= BACKTRACK
+            states[nxt] = model.evaluate(stacks[nxt], into=states[nxt])
+            evaluated += k
+            for j, total in enumerate(states[nxt].total[:budget]):
+                evals += 1
+                if total <= e - ARMIJO * step * gsq:
+                    found, e = j, total
+                    break
+                backtracks += 1
+                step *= BACKTRACK
+            if found is not None:
                 break
-            backtracks += 1
-            step *= BACKTRACK
         else:
             reason = "stalled"
             break
-        psi, trial = trial, psi
-        state, spare = spare, state
-        e = state.total
+        cur, row = nxt, found
         accepted += 1
     return MinimizeResult(
-        psi=psi,
-        report=model.report(state),
+        psi=rows[cur][row].copy(),
+        report=model.report(states[cur], row),
         log=log,
         reason=reason,
         objective_evals=evals,
         accepted=accepted,
         backtracks=backtracks,
+        rows_evaluated=evaluated,
     )
 
 
 def linear_init(bc: BoundaryCondition) -> np.ndarray:
     """Default initialization: per-row linear interpolation of the boundary
-    lifting between the innermost frozen columns."""
+    lifting between the innermost frozen columns, the last of the left half
+    and the first of the right half; rows without a frozen site in both
+    halves, or with no free site between them, keep the boundary values."""
     ny, nx = bc.mask.shape
     psi = np.array(bc.values, dtype=float, copy=True)
-    for j in range(ny):
-        frozen = np.nonzero(bc.mask[j])[0]
-        if len(frozen) == 0:
-            continue
-        left = frozen[frozen < nx // 2]
-        right = frozen[frozen >= nx // 2]
-        if len(left) == 0 or len(right) == 0:
-            continue
-        a, b = left.max(), right.min()
-        if b > a + 1:
-            t = np.arange(a, b + 1) - a
-            psi[j, a : b + 1] = psi[j, a] + (psi[j, b] - psi[j, a]) * t / (b - a)
+    cols = np.arange(nx)
+    half = nx // 2
+    a = np.where(bc.mask[:, :half], cols[:half], -1).max(axis=1, initial=-1)
+    b = np.where(bc.mask[:, half:], cols[half:], nx).min(axis=1, initial=nx)
+    rows = np.flatnonzero((a >= 0) & (b < nx) & (b > a + 1))
+    a, b = a[rows, None], b[rows, None]
+    pa, pb = psi[rows[:, None], a], psi[rows[:, None], b]
+    t = cols - a
+    line = pa + (pb - pa) * t / (b - a)
+    psi[rows] = np.where((t >= 0) & (cols <= b), line, psi[rows])
     return psi
 
 

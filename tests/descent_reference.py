@@ -4,7 +4,8 @@ whose objective builds a fresh spin field and calls ``energy_H`` or
 stencils and the index set from the angles, and whose final report is one
 more energy call.  ``minimize_H`` must reproduce it bit for bit.  Also the
 energy sums as the masked arrays they are summed from, in their summation
-order, for ``energy_H`` and ``energy_H_1d`` to reproduce bit for bit."""
+order, for ``energy_H`` and ``energy_H_1d`` to reproduce bit for bit, and the
+row loop that ``linear_init`` reproduces."""
 
 import numpy as np
 
@@ -105,6 +106,24 @@ def minimize(psi0, domain, params, bc, opts):
     else:
         report = energy_H(u, domain, params)
     return psi, report, log, converged, stalled
+
+
+def linear_init(bc):
+    """Per-row linear interpolation of the boundary lifting between the
+    last frozen column of the left half and the first of the right half."""
+    ny, nx = bc.mask.shape
+    psi = np.array(bc.values, dtype=float, copy=True)
+    for j in range(ny):
+        frozen = np.nonzero(bc.mask[j])[0]
+        left = frozen[frozen < nx // 2]
+        right = frozen[frozen >= nx // 2]
+        if len(left) == 0 or len(right) == 0:
+            continue
+        a, b = left.max(), right.min()
+        if b > a + 1:
+            t = np.arange(a, b + 1) - a
+            psi[j, a : b + 1] = psi[j, a] + (psi[j, b] - psi[j, a]) * t / (b - a)
+    return psi
 
 
 def plane_energy(u, domain, params):

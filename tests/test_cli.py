@@ -321,6 +321,8 @@ class TestRecoverSweepMinimize:
         log = (tmp_path / "minimize_log.csv").read_text().strip().split("\n")
         # one evaluation before the first step, at least one trial per step
         assert result["objective_evals"] >= len(log)
+        # a 30-site chain evaluates its trials in stacks of three
+        assert result["rows_evaluated"] > result["objective_evals"]
 
     def test_minimize_bad_bc(self, tmp_path):
         rc = main(["minimize", "--n", "30", "--lambda", "0.04", "--delta", "0.2",

@@ -179,6 +179,8 @@ class TestEnergyH:
         ((2, 17), Domain(width=1.0, height=1.0)),
         ((17, 2), Domain(width=1.0, height=1.0)),
         ((9, 9), Domain(width=2.0, height=2.0)),
+        # far more terms than a pairwise block holds
+        ((256, 256), Domain(width=256 / 17, height=256 / 17)),
     ])
     def test_summation_order_is_the_masked_row_major_one(self, shape, domain):
         # bit-identical, not approximate: the descent references depend on it
@@ -205,7 +207,7 @@ class TestEnergyH:
         psi = np.zeros((1, 10))
         psi[0, 0] = math.nan
         with pytest.raises(ValueError, match="spin angles must be finite"):
-            model.evaluate(psi)
+            model.evaluate(psi[None])
 
 
 def _plane_model(shape, domain):
@@ -257,21 +259,21 @@ class TestStencilWorkspace:
         make, site = NON_FINITE_SITES[case]
         model = make()
         psi = np.random.default_rng(3).uniform(-math.pi, math.pi, model.shape)
-        state = model.evaluate(psi) if reuse else None
+        state = model.evaluate(psi[None]) if reuse else None
         psi[site] = value
         # a reused state reads the angle before the check
         with np.errstate(invalid="ignore"), \
                 pytest.raises(ValueError, match="spin angles must be finite"):
-            model.evaluate(psi, into=state)
+            model.evaluate(psi[None], into=state)
 
     def test_reused_cut_chain_scans_the_angles(self):
         # [0.2, 0.7] keeps stencils 2..5 of a 10-site chain: none reads site 0
         model = _chain_model(10, (0.2, 0.7))
         psi = np.zeros((1, 10))
-        state = model.evaluate(psi)
+        state = model.evaluate(psi[None])
         psi[0, 0] = math.nan
         with pytest.raises(ValueError, match="spin angles must be finite"):
-            model.evaluate(psi, into=state)
+            model.evaluate(psi[None], into=state)
 
     @pytest.mark.parametrize("case", sorted(REUSE_CASES))
     def test_reused_state_matches_a_new_one(self, case):
@@ -279,20 +281,38 @@ class TestStencilWorkspace:
         model = make()
         rng = np.random.default_rng(41)
         first, second = (rng.uniform(-math.pi, math.pi, shape) for _ in range(2))
-        reused = model.evaluate(second, into=model.evaluate(first))
-        new = make().evaluate(second)
+        reused = model.evaluate(second[None], into=model.evaluate(first[None]))
+        new = make().evaluate(second[None])
         assert reused.parts == new.parts
         assert [h.tobytes() for h in reused.stencils] == [h.tobytes() for h in new.stencils]
         assert model.gradient(reused).tobytes() == make().gradient(new).tobytes()
+
+    @pytest.mark.parametrize("case", sorted(REUSE_CASES))
+    def test_rows_of_a_stack_match_stacks_of_one(self, case):
+        # a row's energies and gradient do not depend on the stack it is in
+        make, shape = REUSE_CASES[case]
+        model = make()
+        psi = np.random.default_rng(44).uniform(-math.pi, math.pi, (4,) + shape)
+        stack = model.evaluate(psi)
+        for row in range(4):
+            one = make().evaluate(psi[row : row + 1])
+            assert [t[row] for t in stack.parts] == [t[0] for t in one.parts]
+            assert model.report(stack, row) == model.report(one)
+            assert model.gradient(stack, row).tobytes() == make().gradient(one).tobytes()
+
+    def test_an_unstacked_array_is_rejected(self):
+        make, shape = REUSE_CASES["plane_offset"]
+        with pytest.raises(ValueError, match="stack"):
+            make().evaluate(np.zeros(shape))
 
     def test_gradient_is_a_new_array(self):
         make, shape = REUSE_CASES["plane_offset"]
         model = make()
         psi = np.random.default_rng(42).uniform(-math.pi, math.pi, shape)
-        state = model.evaluate(psi)
+        state = model.evaluate(psi[None])
         g = model.gradient(state)
         want = g.copy()
-        model.gradient(model.evaluate(psi + 1.0))
+        model.gradient(model.evaluate(psi[None] + 1.0))
         assert g.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("shape, domain", [

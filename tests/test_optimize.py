@@ -2,11 +2,13 @@
 
 import math
 import tracemalloc
+import warnings
 
 import descent_reference
 import numpy as np
 import pytest
 
+from helimag import optimize
 from helimag.energy import energy_H, energy_H_1d
 from helimag.lattice import Domain, ModelParams, SpinField
 from helimag.optimize import (
@@ -70,6 +72,13 @@ class TestBoundaryConditions:
         jj, ii = np.mgrid[0:16, 0:16]
         helix = beta * (ii + jj).astype(float)
         np.testing.assert_allclose(bc.apply(helix), helix, atol=1e-12)
+
+    @pytest.mark.parametrize("left, right", [((1, 1), (-1, -1)), ((1, -1), (1, 1))])
+    def test_two_sided_bc_rejects_different_z_signs(self, left, right):
+        # no potential with gradients in {+-1}^2 meets both sides
+        p = ModelParams(lam=1.0 / 16, delta=0.2)
+        with pytest.raises(ValueError, match="z sign"):
+            two_sided_bc(16, 16, p, left, right)
 
     def test_apply_only_touches_frozen(self):
         bc = BoundaryCondition(
@@ -222,6 +231,16 @@ def _perturbed_helix(n, lam, domain=None):
     return psi0 + 0.05 * np.sin(np.arange(n)), d, p, bc
 
 
+def _perturbed_helix_plane(n):
+    # equal chirality pairs on both sides: the helix is the minimum
+    lam = 1.0 / n
+    p = ModelParams(lam=lam, delta=lam ** (2.0 / 3.0))
+    bc = two_sided_bc(n, n, p, (1, 1), (1, 1))
+    jj, ii = np.mgrid[0:n, 0:n]
+    psi0 = p.helix_angle * (ii + jj) + 0.05 * np.sin(1.3 * ii + 0.7 * jj)
+    return psi0, Domain(width=n * lam, height=n * lam), p, bc
+
+
 def _schedule_chain(eps, sides=(1, -1)):
     """A chain of the 1-D acceptance test's epsilon schedule, sized as the
     descent benchmark sizes it: lam = (sqrt(2) eps)^(3/2), max(12, 1/lam) sites."""
@@ -229,11 +248,16 @@ def _schedule_chain(eps, sides=(1, -1)):
     return _chain(max(12, int(round(1.0 / lam))), lam, sides)
 
 
+_CUT = Domain(x0=0.12, width=0.71, height=0.05)
+
 # (problem, options): planes on a square, a non-square and an offset domain
 # that cuts cells, chains on a cut interval with equal and opposite
-# chiralities, a chain that converges, line searches too short to succeed
-# (at the first step, and after steps were accepted), and the shapes and
-# caps of the descent benchmark's 12- and 210-site chains and 48 x 48 plane
+# chiralities, a chain and a plane that converge, line searches too short to
+# succeed (at the first step, and after steps were accepted), backtrack
+# budgets of 2, 4 and 5 that the line search's stacks of 3 trials do not
+# divide (stalls that end inside a partly consulted stack among them), a
+# plane above the size that is stacked, and the shapes and caps of the
+# descent benchmark's 12- and 210-site chains and 48 x 48 plane
 DESCENT_CASES = {
     "square": (lambda: _plane(12, 12), dict(max_iter=60)),
     "non_square": (lambda: _plane(14, 9), dict(max_iter=60)),
@@ -254,6 +278,33 @@ DESCENT_CASES = {
     "stall_later": (
         lambda: _plane(12, 12),
         dict(max_iter=200, max_backtracks=1, init_step=1e-3),
+    ),
+    "plane_converges": (lambda: _perturbed_helix_plane(6), dict(max_iter=300)),
+    "plane_backtracks2": (
+        lambda: _plane(12, 12), dict(max_iter=60, max_backtracks=2, init_step=1e-3)
+    ),
+    "plane_backtracks4_stall": (
+        lambda: _plane(12, 12), dict(max_iter=60, max_backtracks=4, init_step=1e-2)
+    ),
+    "plane_backtracks5": (
+        lambda: _plane(14, 9), dict(max_iter=60, max_backtracks=5, init_step=1e-3)
+    ),
+    "chain_cut_backtracks2": (
+        lambda: _chain(20, 0.05, (1, -1), _CUT),
+        dict(max_iter=60, max_backtracks=2, init_step=1e-3),
+    ),
+    "chain_cut_backtracks4": (
+        lambda: _chain(20, 0.05, (1, -1), _CUT),
+        dict(max_iter=100, max_backtracks=4, init_step=1e-3),
+    ),
+    "chain_cut_backtracks5": (
+        lambda: _chain(20, 0.05, (1, -1), _CUT), dict(max_iter=100, max_backtracks=5)
+    ),
+    "chain_backtracks5_stall": (
+        lambda: _chain(12, 0.15, (1, -1)), dict(max_iter=400, max_backtracks=5)
+    ),
+    "plane_unstacked": (
+        lambda: _plane(17, 17), dict(max_iter=40, max_backtracks=4, init_step=1e-3)
     ),
     "bench_chain12": (lambda: _schedule_chain(0.2), dict(max_iter=400)),
     "bench_chain210": (lambda: _schedule_chain(0.02, (-1, 1)), dict(max_iter=300)),
@@ -277,20 +328,46 @@ class TestDescentRecord:
     @pytest.mark.parametrize("case", sorted(DESCENT_CASES))
     def test_counts_add_up(self, case):
         make, kw = DESCENT_CASES[case]
-        res = minimize_H(*make(), MinimizeOptions(**kw))
+        problem = make()
+        opts = MinimizeOptions(**kw)
+        res = minimize_H(*problem, opts)
         assert res.objective_evals == 1 + res.accepted + res.backtracks
         # every logged iteration took a step except a last one that stopped
         assert res.accepted == len(res.log) - int(res.reason != "max_iter")
         assert res.reason in ("converged", "max_iter", "stalled")
+        # stacks of k rows: the start's, then one per pass of the line
+        # search, which consults at least one and at most k of its trials
+        sites = problem[0].size
+        k = min(optimize.BATCH_ROWS if sites <= optimize.BATCH_SITES else 1, opts.max_backtracks)
+        passes, rest = divmod(res.rows_evaluated - k, k)
+        assert rest == 0
+        assert passes <= res.objective_evals - 1 <= k * passes
 
     def test_reasons(self):
         make, kw = DESCENT_CASES["chain_converges"]
         assert minimize_H(*make(), MinimizeOptions(**kw)).reason == "converged"
         make, kw = DESCENT_CASES["square"]
         assert minimize_H(*make(), MinimizeOptions(**kw)).reason == "max_iter"
-        make, kw = DESCENT_CASES["stall_later"]
+        make, kw = DESCENT_CASES["plane_converges"]
+        assert minimize_H(*make(), MinimizeOptions(**kw)).reason == "converged"
+        for case in ("stall_later", "plane_backtracks4_stall", "chain_backtracks5_stall"):
+            make, kw = DESCENT_CASES[case]
+            res = minimize_H(*make(), MinimizeOptions(**kw))
+            assert res.reason == "stalled" and res.accepted > 0
+
+    @pytest.mark.parametrize("case", ["plane_backtracks4_stall", "chain_backtracks5_stall"])
+    def test_stall_ends_inside_a_partly_consulted_stack(self, case):
+        # budgets of 4 and 5 backtracks consult all 3 trials of a first
+        # stack and 1 or 2 of a second: the search that stalled evaluated
+        # 6 trials and counts only its budget
+        make, kw = DESCENT_CASES[case]
         res = minimize_H(*make(), MinimizeOptions(**kw))
-        assert res.reason == "stalled" and res.accepted > 0
+        before = minimize_H(*make(), MinimizeOptions(**{**kw, "max_iter": res.accepted}))
+        assert (res.reason, before.reason) == ("stalled", "max_iter")
+        budget = kw["max_backtracks"]
+        assert res.objective_evals - before.objective_evals == budget
+        assert res.backtracks - before.backtracks == budget
+        assert res.rows_evaluated - before.rows_evaluated == 6
 
     @pytest.mark.parametrize("problem, cap, counts", [
         # (objective evaluations, accepted, backtracks) of the descent that
@@ -320,12 +397,56 @@ class TestDescentRecord:
             tracemalloc.stop()
         assert peak <= 1.1 * 3_394_416
 
+    @pytest.mark.parametrize("k", [1, 2, 4, 5])
+    @pytest.mark.parametrize("case", [
+        "square", "chain_cut_opposite", "plane_backtracks4_stall", "chain_backtracks5_stall",
+    ])
+    def test_any_stack_size_gives_the_same_descent(self, monkeypatch, case, k):
+        make, kw = DESCENT_CASES[case]
+        opts = MinimizeOptions(**kw)
+        want = minimize_H(*make(), opts)
+        monkeypatch.setattr(optimize, "BATCH_ROWS", k)
+        got = minimize_H(*make(), opts)
+        assert got.psi.tobytes() == want.psi.tobytes()
+        assert (got.log, got.report, got.reason) == (want.log, want.report, want.reason)
+        counts = (got.objective_evals, got.accepted, got.backtracks)
+        assert counts == (want.objective_evals, want.accepted, want.backtracks)
+
+    @pytest.mark.parametrize("problem, k", [
+        (lambda: _schedule_chain(0.2), 3),  # 12 sites
+        (lambda: _plane(16, 16), 3),  # 256 sites
+        (lambda: _plane(17, 17), 1),
+    ])
+    def test_stack_size_follows_the_sites(self, problem, k):
+        res = minimize_H(*problem(), MinimizeOptions(max_iter=20))
+        # the start fills one stack, and each of the 20 steps took a pass
+        # or more
+        assert res.rows_evaluated % k == 0 and res.rows_evaluated >= k * 21
+        # only stacks of one evaluate no trial that the search does not use
+        assert (res.rows_evaluated == res.objective_evals) == (k == 1)
+
+    def test_a_stall_in_a_partly_consulted_stack(self):
+        # a budget of 4 backtracks consults 3 trials, then 1 of the next 3;
+        # steps from the cap of 1e6 down to 1.25e5 are all far too long
+        psi0, d, p, bc = _chain(12, 0.15, (1, -1))
+        opts = MinimizeOptions(max_iter=5, max_backtracks=4, init_step=1e6)
+        res = minimize_H(psi0, d, p, bc, opts)
+        assert res.reason == "stalled" and res.accepted == 0
+        assert (res.objective_evals, res.backtracks, res.rows_evaluated) == (5, 4, 9)
+        assert res.log[-1][3] == 1e6
+
     def test_non_finite_trial_is_rejected(self):
-        psi0, d, p, bc = _chain(20, 0.05, (1, -1))
-        psi0 = psi0.copy()
-        psi0[0, 5] = math.nan
-        with pytest.raises(ValueError, match="finite"):
-            minimize_H(psi0, d, p, bc, MinimizeOptions(max_iter=5))
+        # before any cos/sin takes the start: numpy's invalid-value warning
+        # is an error here
+        for problem in (lambda: _chain(20, 0.05, (1, -1)), lambda: _plane(12, 12)):
+            for value in (math.nan, math.inf):
+                psi0, d, p, bc = problem()
+                psi0 = psi0.copy()
+                psi0[0, 5] = value
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ValueError, match="finite"):
+                        minimize_H(psi0, d, p, bc, MinimizeOptions(max_iter=5))
 
 
 class TestInits:
@@ -335,6 +456,20 @@ class TestInits:
         psi = linear_init(bc)
         # equal chiralities: the linear interpolation is the helix itself
         np.testing.assert_allclose(psi[0], p.helix_angle * np.arange(9.0), atol=1e-12)
+
+    def test_linear_init_matches_the_row_loop(self):
+        rng = np.random.default_rng(45)
+        cases = []
+        for side in (5, 16, 48):
+            p = ModelParams(lam=1.0 / side, delta=0.3)
+            for pair in (((1, 1), (-1, 1)), ((-1, -1), (1, -1)), ((1, 1), (1, 1))):
+                cases.append(two_sided_bc(side, side + 3, p, *pair))
+        for _ in range(250):
+            ny, nx = rng.integers(1, 12, 2)
+            mask = rng.random((ny, nx)) < rng.random()
+            cases.append(BoundaryCondition(mask=mask, values=10.0 * rng.normal(size=(ny, nx))))
+        for bc in cases:
+            assert linear_init(bc).tobytes() == descent_reference.linear_init(bc).tobytes()
 
     def test_profile_init_meets_boundary(self):
         p = ModelParams(lam=0.02, delta=0.02 ** (2.0 / 3.0))
