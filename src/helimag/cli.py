@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .chirality import transform, vorticity
-from .continuum import CLASSES, MeshPotential, build_example, classify, jump_set, \
-    limit_energy, mesh_to_svg, total_variations
+from .continuum import CLASSES, MeshPotential, build_example, classify, limit_energy, \
+    mesh_to_svg, total_variations
 from .energy import energy_H, mm_decomposition, prefactor, rho, spin_vectors
 from .lattice import Domain, ModelParams, SpinField
 from .optimize import MinimizeOptions, chain_bc, log_to_csv, minimize_H, profile_init
@@ -190,8 +190,8 @@ def _cmd_transform(config: dict) -> dict:
 def _cmd_classify(config: dict) -> dict:
     m = _load_mesh(config)
     out = _outdir(config)
-    segs = jump_set(m)
-    tvs = total_variations(m, segments=segs)
+    segs = m.jumps
+    tvs = total_variations(m)
     names = ("p", "q", "nu", "plus", "minus", "length", "class")
     cols = (segs.p, segs.q, segs.nu, segs.plus, segs.minus, segs.length,
             np.array(CLASSES)[classify(segs.plus, segs.minus, segs.nu)])
@@ -200,11 +200,11 @@ def _cmd_classify(config: dict) -> dict:
         "total_variations": {
             "D1w": tvs[0], "D2w": tvs[1], "D1z": tvs[2], "D2z": tvs[3]
         },
-        "limit_energy": limit_energy(m, segments=segs),
+        "limit_energy": limit_energy(m),
     }
     written = _write(out / "classify.json", json.dumps(doc))
     if config.get("format") == "svg":
-        _write(out / "mesh.svg", mesh_to_svg(m, segments=segs))
+        _write(out / "mesh.svg", mesh_to_svg(m))
     return {"written": written, "limit_energy": doc["limit_energy"]}
 
 
@@ -212,7 +212,6 @@ def _cmd_recover(config: dict) -> dict:
     m = _load_mesh(config)
     p = _params(config)
     out = _outdir(config)
-    segs = jump_set(m)
     res = build_recovery(m, p)
     _, pair = transform(res.spin, p)
     _write(out / "recovery_spin.json", res.spin)
@@ -224,7 +223,7 @@ def _cmd_recover(config: dict) -> dict:
             f"(epsilon too large for this mesh)"
         )
     return {"H_n": res.report.total, "overflow_count": res.overflow_count,
-            "segments": len(segs), "quadrature_points": res.quadrature_points}
+            "segments": len(m.jumps), "quadrature_points": res.quadrature_points}
 
 
 def _schedule(config: dict) -> SweepSchedule:

@@ -8,6 +8,10 @@ interfacial energy: density 8/3 on axis walls, sqrt(2)*8/3 on diagonal
 walls, and the limit functional is
 
     H = (4/3) * (|D1 w| + |D2 z|).
+
+Meshes are immutable.  Each computes its geometry (gradients, labels, edge
+table, affine coefficients, locate's tables) and its jump set once, on
+first use, and every function here reads them from the mesh.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import orjson
@@ -32,9 +37,22 @@ class MeshError(ValueError):
     """Raised for invalid meshes."""
 
 
-@dataclass
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a, made read-only."""
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class MeshPotential:
-    """Continuous piecewise-affine potential on a triangulation of a domain."""
+    """Continuous piecewise-affine potential on a triangulation of a domain.
+
+    Immutable: the mesh holds read-only copies of its arrays, and its
+    derived geometry (gradients, validated labels, edge table, affine
+    coefficients, locate's tables and the jump set) is computed on first
+    use and then kept, read-only.  A validation error is raised again on
+    every access and never kept.  dataclasses.replace builds a new mesh
+    with fresh geometry."""
 
     vertices: np.ndarray  # (N, 2)
     triangles: np.ndarray  # (M, 3) vertex indices
@@ -42,34 +60,34 @@ class MeshPotential:
     domain: Domain
 
     def __post_init__(self) -> None:
-        self.vertices = np.asarray(self.vertices, dtype=float)
+        vertices = np.array(self.vertices, dtype=float)
         tri = np.asarray(self.triangles)
         # integral floats pass; a cast to int would truncate 0.7 to vertex 0
         if not (tri.dtype.kind in "iu" or (
             tri.dtype.kind == "f" and np.all(np.isfinite(tri) & (tri == np.round(tri)))
         )):
             raise ValueError("triangle vertex indices must be integers")
-        self.triangles = tri.astype(int)
-        self.heights = np.asarray(self.heights, dtype=float)
-        if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
+        heights = np.array(self.heights, dtype=float)
+        if vertices.ndim != 2 or vertices.shape[1] != 2:
             raise ValueError("vertices must be (N, 2)")
-        if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
+        if tri.ndim != 2 or tri.shape[1] != 3:
             raise ValueError("triangles must be (M, 3)")
-        if self.heights.shape != (self.vertices.shape[0],):
+        if heights.shape != (vertices.shape[0],):
             raise ValueError("heights must match the vertex count")
-        if not (np.isfinite(self.vertices).all() and np.isfinite(self.heights).all()):
+        if not (np.isfinite(vertices).all() and np.isfinite(heights).all()):
             raise ValueError("vertices and heights must be finite")
-        if self.triangles.size and (
-            self.triangles.min() < 0 or self.triangles.max() >= self.vertices.shape[0]
-        ):
-            raise ValueError(
-                f"triangle vertex indices must lie in [0, {self.vertices.shape[0]})"
-            )
+        # checked before the cast: a float index of 2**63 or more would not cast
+        if tri.size and (tri.min() < 0 or tri.max() >= vertices.shape[0]):
+            raise ValueError(f"triangle vertex indices must lie in [0, {vertices.shape[0]})")
+        for name, value in (("vertices", vertices), ("triangles", tri.astype(int)),
+                            ("heights", heights)):
+            object.__setattr__(self, name, _frozen(value))
 
     def gradients(self) -> np.ndarray:
         """Per-triangle gradient of the affine interpolant, shape (M, 2)."""
-        return self._gradients_and_dets()[0]
+        return self._gradients_and_dets[0]
 
+    @cached_property
     def _gradients_and_dets(self) -> tuple[np.ndarray, np.ndarray]:
         """gradients() and the (M,) determinants of the edge vectors
         (v[b] - v[a], v[c] - v[a]) it divides by, twice the signed areas."""
@@ -85,24 +103,89 @@ class MeshPotential:
         d2 = h[c] - h[a]
         gx = (d1 * e2[:, 1] - d2 * e1[:, 1]) / det
         gy = (d2 * e1[:, 0] - d1 * e2[:, 0]) / det
-        return np.stack([gx, gy], axis=1), det
+        return _frozen(np.stack([gx, gy], axis=1)), _frozen(det)
 
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """The (M, 2) integer (w, z) labels; raises MeshError unless every
+        triangle gradient lies in {+-1}^2 and the mesh covers the domain."""
+        grads, det = self._gradients_and_dets
+        labels = np.round(grads).astype(int)
+        # column by column, as in _edges: a reduction over an axis of length 2
+        # costs many times as much
+        err = np.abs(grads - labels)
+        size = np.abs(labels)
+        bad = (err[:, 0] > GRAD_TOL) | (err[:, 1] > GRAD_TOL)
+        bad |= (size[:, 0] != 1) | (size[:, 1] != 1)
+        if np.any(bad):
+            idx = [int(t) for t in np.nonzero(bad)[0]]
+            raise MeshError(f"gradients off the {{+-1}}^2 lattice on triangles {idx}")
+        area = 0.5 * np.abs(det).sum()
+        target = self.domain.width * self.domain.height
+        if abs(area - target) > 1e-9 * max(1.0, target):
+            raise MeshError(f"mesh area {area} does not cover the domain area {target}")
+        return _frozen(labels)
+
+    @cached_property
+    def _edges(self) -> tuple[np.ndarray, ...]:
+        """The edge table, one row per edge in order of the keys lo*N + hi:
+        end vertices lo < hi, first half-edge (3t + k for the k-th of the
+        half-edges (a, b), (b, c), (c, a) of triangle t), the triangles
+        owning the first and second half-edges (the first again on
+        one-owner edges), and the owner count."""
+        half = self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        # column-wise: min(axis=1) over two columns costs about 40 times as much
+        lo = np.minimum(half[:, 0], half[:, 1]).astype(np.int64)
+        hi = np.maximum(half[:, 0], half[:, 1]).astype(np.int64)
+        keys = lo * self.vertices.shape[0] + hi
+        order = np.argsort(keys, kind="stable")  # each edge's half-edges in triangle order
+        sk = keys[order]
+        start = np.flatnonzero(np.r_[True, sk[1:] != sk[:-1]])
+        count = np.diff(np.r_[start, sk.size])
+        first = order[start]
+        second = order[start + (count > 1)]
+        return tuple(map(_frozen, (lo[first], hi[first], first, first // 3, second // 3, count)))
+
+    @cached_property
+    def jumps(self) -> JumpSet:
+        """The mesh's jump set, jump_set(self); raises MeshError as
+        validate_mesh does."""
+        return jump_set(self)
+
+    @cached_property
     def affine_coefficients(self) -> np.ndarray:
         """Rows (c0, gx, gy) of the per-triangle interpolant c0 + gx*x + gy*y,
         shape (3, M)."""
         g = self.gradients()
         a = self.triangles[:, 0]
         c0 = self.heights[a] - g[:, 0] * self.vertices[a, 0] - g[:, 1] * self.vertices[a, 1]
-        return np.stack([c0, g[:, 0], g[:, 1]])
+        return _frozen(np.stack([c0, g[:, 0], g[:, 1]]))
 
+    @property
     def locate_pad(self) -> np.ndarray:
         """Per-triangle pad (shape (M, 1)) of the bounding boxes locate
         tests.  The barycentric test (slack tol = 1e-9 * max(1, max |vertex|))
         accepts points up to 2*tol*extent outside a triangle; the pad is
         twice that, leaving room for rounding."""
+        return self._locate_tables[0]
+
+    @cached_property
+    def _locate_tables(self) -> tuple[np.ndarray, ...]:
+        """locate_pad, the padded bounding boxes lo and hi (M, 2), the
+        first corners a (M, 2), the rows (M, 4) of the coefficients of
+        s = sx + sy and u = ux + uy (times x - ax or y - ay, 1/det folded in)
+        and the barycentric slack tol."""
         tol = 1e-9 * max(1.0, np.abs(self.vertices).max())
         corners = self.vertices[self.triangles]  # (M, 3, 2)
-        return 4.0 * tol * np.ptp(corners, axis=1).max(axis=1, keepdims=True)
+        pad = 4.0 * tol * np.ptp(corners, axis=1).max(axis=1, keepdims=True)
+        lo = corners.min(axis=1) - pad
+        hi = corners.max(axis=1) + pad
+        a = corners[:, 0]
+        e1 = corners[:, 1] - a
+        e2 = corners[:, 2] - a
+        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        coef = np.stack([e2[:, 1], -e2[:, 0], -e1[:, 1], e1[:, 0]], axis=1) / det[:, None]
+        return (*map(_frozen, (pad, lo, hi, a, coef)), tol)
 
     def locate(self, x, y) -> np.ndarray:
         """Index of the first triangle containing each point of the broadcast
@@ -129,14 +212,9 @@ class MeshPotential:
         ndim = len(shape)
         x = x.reshape((1,) * (ndim - x.ndim) + x.shape)
         y = y.reshape((1,) * (ndim - y.ndim) + y.shape)
-        v = self.vertices
-        tol = 1e-9 * max(1.0, np.abs(v).max())
-        corners = v[self.triangles]  # (M, 3, 2)
-        pad = self.locate_pad()
-        lo = corners.min(axis=1) - pad
-        hi = corners.max(axis=1) + pad
+        _, lo, hi, a, coef, tol = self._locate_tables
         per_tri = (slice(None),) + (None,) * ndim
-        keep = [np.ones((len(corners), n), dtype=bool) for n in shape]
+        keep = [np.ones((len(lo), n), dtype=bool) for n in shape]
         for arr, k in ((x, 0), (y, 1)):
             hit = (arr >= lo[:, k][per_tri]) & (arr <= hi[:, k][per_tri])
             for d in range(ndim):
@@ -144,12 +222,6 @@ class MeshPotential:
         first = [kd.argmax(axis=1) for kd in keep]
         stop = [n - kd[:, ::-1].argmax(axis=1) for n, kd in zip(shape, keep)]
         met = np.logical_and.reduce([kd.any(axis=1) for kd in keep])
-        a = corners[:, 0]
-        e1 = corners[:, 1] - a
-        e2 = corners[:, 2] - a
-        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        # s = sx + sy, u = ux + uy: coefficient times x - ax or y - ay, 1/det folded in
-        coef = np.stack([e2[:, 1], -e2[:, 0], -e1[:, 1], e1[:, 0]], axis=1) / det[:, None]
         for t in np.flatnonzero(met)[::-1]:
             block = tuple(slice(f[t], s[t]) for f, s in zip(first, stop))
             rx = x[tuple(b if n > 1 else slice(None) for b, n in zip(block, x.shape))] - a[t, 0]
@@ -178,11 +250,14 @@ class MeshPotential:
     def from_json(cls, text: str | bytes) -> "MeshPotential":
         doc = orjson.loads(text)
         dd = doc["domain"]
+        keys = ("x0", "y0", "width", "height")
+        if not (isinstance(dd, dict) and all(k in dd for k in keys)):
+            raise ValueError("domain must be an object with numeric x0, y0, width and height")
         return cls(
             vertices=json_numbers(doc, "vertices"),
             triangles=json_numbers(doc, "triangles"),
             heights=json_numbers(doc, "heights"),
-            domain=Domain(**{k: json_number(dd, k) for k in ("x0", "y0", "width", "height")}),
+            domain=Domain(**{k: json_number(dd, k) for k in keys}),
         )
 
 
@@ -192,7 +267,8 @@ class JumpSet:
     from p[k] to q[k], has unit normal nu[k], the trace plus[k] on the side
     nu[k] points into and minus[k] on the other (each (K, 2)), and length
     length[k] (K,).  On admissible segments the jump plus - minus is
-    parallel to nu (rank-one condition for curl-free fields)."""
+    parallel to nu (rank-one condition for curl-free fields).  The arrays
+    are made read-only."""
 
     p: np.ndarray
     q: np.ndarray
@@ -201,55 +277,18 @@ class JumpSet:
     minus: np.ndarray
     length: np.ndarray
 
+    def __post_init__(self) -> None:
+        for a in (self.p, self.q, self.nu, self.plus, self.minus, self.length):
+            _frozen(a)
+
     def __len__(self) -> int:
         return len(self.length)
-
-
-def _mesh_labels(m: MeshPotential) -> np.ndarray:
-    """The (M, 2) integer (w, z) labels of a valid mesh; raises MeshError
-    as validate_mesh does."""
-    grads, det = m._gradients_and_dets()
-    labels = np.round(grads).astype(int)
-    # column by column, as in _edges: a reduction over an axis of length 2
-    # costs many times as much
-    err = np.abs(grads - labels)
-    size = np.abs(labels)
-    bad = (err[:, 0] > GRAD_TOL) | (err[:, 1] > GRAD_TOL)
-    bad |= (size[:, 0] != 1) | (size[:, 1] != 1)
-    if np.any(bad):
-        idx = [int(t) for t in np.nonzero(bad)[0]]
-        raise MeshError(f"gradients off the {{+-1}}^2 lattice on triangles {idx}")
-    area = 0.5 * np.abs(det).sum()
-    target = m.domain.width * m.domain.height
-    if abs(area - target) > 1e-9 * max(1.0, target):
-        raise MeshError(f"mesh area {area} does not cover the domain area {target}")
-    return labels
 
 
 def validate_mesh(m: MeshPotential) -> list[tuple[int, int]]:
     """Check that every triangle gradient lies in {+-1}^2 and that the mesh
     covers the domain; returns the per-triangle (w, z) labels."""
-    return [(w, z) for w, z in _mesh_labels(m).tolist()]
-
-
-def _edges(m: MeshPotential):
-    """The mesh's edge table, one row per edge in order of the keys lo*N + hi:
-    end vertices lo < hi, first half-edge (3t + k for the k-th of the
-    half-edges (a, b), (b, c), (c, a) of triangle t), the triangles owning
-    the first and second half-edges (the first again on one-owner edges),
-    and the owner count."""
-    half = m.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    # column-wise: min(axis=1) over two columns costs about 40 times as much
-    lo = np.minimum(half[:, 0], half[:, 1]).astype(np.int64)
-    hi = np.maximum(half[:, 0], half[:, 1]).astype(np.int64)
-    keys = lo * m.vertices.shape[0] + hi
-    order = np.argsort(keys, kind="stable")  # each edge's half-edges in triangle order
-    sk = keys[order]
-    start = np.flatnonzero(np.r_[True, sk[1:] != sk[:-1]])
-    count = np.diff(np.r_[start, sk.size])
-    first = order[start]
-    second = order[start + (count > 1)]
-    return lo[first], hi[first], first, first // 3, second // 3, count
+    return [(w, z) for w, z in m.labels.tolist()]
 
 
 def kink_edges(m: MeshPotential) -> tuple[np.ndarray, np.ndarray]:
@@ -260,8 +299,8 @@ def kink_edges(m: MeshPotential) -> tuple[np.ndarray, np.ndarray]:
     domain side (a hanging-node edge is no edge of its neighbours).  The
     extension is affine on every convex set that meets none of them.
     Validates the mesh (MeshError as validate_mesh)."""
-    labels = _mesh_labels(m)
-    lo, hi, _, t1, t2, count = _edges(m)
+    labels = m.labels
+    lo, hi, _, t1, t2, count = m._edges
     v = m.vertices
     corners = m.domain.corners()
     tol = 1e-9 * max(1.0, *map(abs, corners))
@@ -276,7 +315,8 @@ def kink_edges(m: MeshPotential) -> tuple[np.ndarray, np.ndarray]:
 
 def jump_set(m: MeshPotential) -> JumpSet:
     """Edges between differently labeled triangles, merged into maximal
-    collinear segments with identical trace pairs.
+    collinear segments with identical trace pairs.  A mesh computes its jump
+    set once, here, and keeps it as MeshPotential.jumps; read that instead.
 
     Validates the mesh (MeshError as validate_mesh).  An edge is a jump edge
     when exactly two triangles own it and their labels differ; edges with
@@ -289,9 +329,9 @@ def jump_set(m: MeshPotential) -> JumpSet:
     owner; the output is unique up to the global (+, -, nu) <-> (-, +, -nu)
     swap.
     """
-    labels = _mesh_labels(m)
+    labels = m.labels
     v = m.vertices
-    lo, hi, first, t1, t2, count = _edges(m)
+    lo, hi, first, t1, t2, count = m._edges
     d = labels[t1] != labels[t2]
     jump = np.flatnonzero((count == 2) & (d[:, 0] | d[:, 1]))
     jump = jump[np.argsort(first[jump])]  # order of first appearance
@@ -403,13 +443,11 @@ def sigma(plus, minus, nu) -> np.ndarray:
     return (4.0 / 3.0) * (jump[..., 0] * nu[..., 0] + jump[..., 1] * nu[..., 1])
 
 
-def total_variations(
-    m: MeshPotential, *, segments: JumpSet | None = None
-) -> tuple[float, float, float, float]:
+def total_variations(m: MeshPotential) -> tuple[float, float, float, float]:
     """(|D1 w|, |D2 w|, |D1 z|, |D2 z|) over the domain: the sums over the
-    jump set (``segments``, or jump_set(m) when None) of |[w]| or |[z]|
-    times |nu1| or |nu2| times the length."""
-    segs = jump_set(m) if segments is None else segments
+    mesh's jump set of |[w]| or |[z]| times |nu1| or |nu2| times the
+    length."""
+    segs = m.jumps
     jump = np.abs(segs.plus - segs.minus)
     # terms[k] = |[w]| |nu1|, |[w]| |nu2|, |[z]| |nu1|, |[z]| |nu2| times length[k]
     terms = jump[:, :, None] * np.abs(segs.nu)[:, None, :] * segs.length[:, None, None]
@@ -419,12 +457,12 @@ def total_variations(
     return d1w, d2w, d1z, d2z
 
 
-def limit_energy(m: MeshPotential, *, segments: JumpSet | None = None) -> float:
+def limit_energy(m: MeshPotential) -> float:
     """Limit functional H = (4/3)(|D1 w| + |D2 z|), cross-checked against the
-    per-segment surface density sum.  Both sums run over one jump set:
-    ``segments``, or jump_set(m) when None."""
-    segs = jump_set(m) if segments is None else segments
-    d1w, _, _, d2z = total_variations(m, segments=segs)
+    per-segment surface density sum; both sums run over the mesh's jump
+    set."""
+    segs = m.jumps
+    d1w, _, _, d2z = total_variations(m)
     via_tv = (4.0 / 3.0) * (d1w + d2z)
     via_sigma = math.fsum((sigma(segs.plus, segs.minus, segs.nu) * segs.length).tolist())
     if abs(via_tv - via_sigma) > 1e-12 * max(1.0, abs(via_tv)):
@@ -540,11 +578,10 @@ _LABEL_COLORS = {
 }
 
 
-def mesh_to_svg(m: MeshPotential, *, segments: JumpSet | None = None) -> str:
+def mesh_to_svg(m: MeshPotential) -> str:
     """SVG of the labeled triangles (four-color scheme, one color per
-    chirality pair) with the jump segments (``segments``, or jump_set(m)
-    when None) overlaid."""
-    labels = _mesh_labels(m)
+    chirality pair) with the mesh's jump segments overlaid."""
+    labels = m.labels
     x0, y0, x1, y1 = m.domain.corners()
     scale = 400.0 / max(x1 - x0, y1 - y0)
 
@@ -563,7 +600,7 @@ def mesh_to_svg(m: MeshPotential, *, segments: JumpSet | None = None) -> str:
             f'<polygon points="{corners[a]} {corners[b]} {corners[c]}" fill="{color}" '
             f'stroke="none"/>'
         )
-    segs = jump_set(m) if segments is None else segments
+    segs = m.jumps
     for a, b in zip(segs.p.tolist(), segs.q.tolist()):
         (px, py), (qx, qy) = pt(*a), pt(*b)
         parts.append(

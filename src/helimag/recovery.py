@@ -29,6 +29,10 @@ the map of every piece at its midpoint.  Each column's 24-node x-rule is
 then a sum over the pieces it reaches, taken from prefix sums of the
 weights, and the y-rule contracts the lines.  RecoveryResult counts the
 rule's points, QUAD_ORDER^2 per lattice point of the band.
+
+A mesh is immutable and computes its geometry and jump set once
+(continuum.MeshPotential); the extension, the row pieces, pick_width and
+gamma_sweep read them from the mesh.
 """
 
 from __future__ import annotations
@@ -41,8 +45,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .chirality import ChiralityPair
-from .continuum import CLASSES, JumpSet, MeshPotential, classify, jump_set, kink_edges, \
-    limit_energy
+from .continuum import CLASSES, MeshPotential, classify, kink_edges, limit_energy
 from .energy import EnergyReport, W, energy_H
 from .lattice import ModelParams, SpinField
 
@@ -148,7 +151,7 @@ def extend_potential(m: MeshPotential) -> Callable:
     block by block on the compact axes (see MeshPotential.locate).
     """
     x0, y0, x1, y1 = m.domain.corners()
-    c0, gx, gy = m.affine_coefficients()
+    c0, gx, gy = m.affine_coefficients
 
     def ext(x, y):
         x = np.asarray(x, dtype=float)
@@ -201,7 +204,7 @@ class _RowPieces:
         self.flat = np.sort(self.lo[rise == 0.0, 1])
         self.lo_y = np.sort(self.lo[:, 1])
         self.hi_y = np.sort(self.hi[:, 1])
-        self.c0, self.gx, self.gy = m.affine_coefficients()
+        self.c0, self.gx, self.gy = m.affine_coefficients
 
     def _clip_y(self, y: np.ndarray) -> np.ndarray:
         _, y0, _, y1 = self.corners
@@ -465,7 +468,7 @@ def build_recovery(
     ys = y0 + lam * np.arange(ny)
     eps = width * params.epsilon
     nodes, _ = gauss_legendre(QUAD_ORDER)
-    reach = eps * np.abs(nodes).max() + m.locate_pad().max()
+    reach = eps * np.abs(nodes).max() + m.locate_pad.max()
     band = quadrature_band(*rule.edges, xs, ys, reach)
     phi = _mollify(rule, kernel, eps, xs, ys, band)
     psi = params.helix_angle * phi / lam
@@ -520,11 +523,11 @@ class SweepTable:
         return "\n".join(lines) + "\n"
 
 
-def pick_width(m: MeshPotential, *, segments: Optional[JumpSet] = None) -> float:
+def pick_width(m: MeshPotential) -> float:
     """Default smoothing width for a mesh: the diagonal multiplier when every
-    wall of its jump set (``segments``, or jump_set(m) when None) is
-    diagonal (class J3), the straight-wall multiplier otherwise."""
-    segs = jump_set(m) if segments is None else segments
+    wall of its jump set is diagonal (class J3), the straight-wall
+    multiplier otherwise."""
+    segs = m.jumps
     if len(segs) and np.all(classify(segs.plus, segs.minus, segs.nu) == CLASSES.index("J3")):
         return DIAG_WALL_WIDTH
     return WALL_WIDTH
@@ -535,9 +538,8 @@ def gamma_sweep(m: MeshPotential, schedule: SweepSchedule) -> SweepTable:
     each schedule step against the limit energy; ratio = H_n / H_limit (0
     when the limit is 0).  Failed rows are marked and the sweep continues."""
     kernel = Kernel()
-    segs = jump_set(m)
-    h_lim = limit_energy(m, segments=segs)
-    w = pick_width(m, segments=segs)
+    h_lim = limit_energy(m)
+    w = pick_width(m)
     rows: list[SweepRow] = []
     for params in schedule.steps:
         try:
@@ -564,7 +566,7 @@ def gamma_sweep(m: MeshPotential, schedule: SweepSchedule) -> SweepTable:
                 quadrature_points=res.quadrature_points,
             )
         )
-    return SweepTable(rows=rows, segments=len(segs))
+    return SweepTable(rows=rows, segments=len(m.jumps))
 
 
 def profile_transition_energy() -> tuple[float, float, float]:

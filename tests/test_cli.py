@@ -1,11 +1,13 @@
 """End-to-end command line checks driving main() with temp directories."""
 
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -194,7 +196,9 @@ class TestClassify:
         from helimag.continuum import build_example
 
         m = build_example("vertical_wall")
-        m.heights[0] += 0.25  # one gradient off the {+-1}^2 lattice
+        heights = m.heights.copy()
+        heights[0] += 0.25  # one gradient off the {+-1}^2 lattice
+        m = dataclasses.replace(m, heights=heights)
         mesh = tmp_path / "m.json"
         mesh.write_text(m.to_json())
         status, result = run("classify", {"mesh": str(mesh), "out": str(tmp_path)})
@@ -217,22 +221,43 @@ class TestClassify:
         assert status == 0
         assert (tmp_path / "classify.json").read_bytes() == classify_document(m).encode()
 
-    def test_one_jump_set_per_request(self, tmp_path, monkeypatch):
-        from helimag import cli, continuum
-
-        calls = []
-        original = continuum.jump_set
-
-        def counted(m):
-            calls.append(m)
-            return original(m)
-
-        for mod in (cli, continuum):
-            monkeypatch.setattr(mod, "jump_set", counted)
+    def test_one_jump_set_per_request(self, tmp_path, jump_set_calls):
         status, _ = run("classify", {"kind": "four_quadrant", "format": "svg",
                                      "out": str(tmp_path)})
         assert status == 0
-        assert len(calls) == 1
+        assert len(jump_set_calls) == 1
+
+    @pytest.mark.parametrize("index", [1e30, -1e30, 2.0 ** 63])
+    def test_huge_float_triangle_index(self, tmp_path, index):
+        # rejected by the range check before the cast to int could warn
+        from helimag.continuum import build_example
+
+        doc = json.loads(build_example("vertical_wall").to_json())
+        doc["triangles"][0][1] = index
+        mesh = tmp_path / "m.json"
+        mesh.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            status, result = run("classify", {"mesh": str(mesh), "out": str(tmp_path)})
+        assert caught == []
+        assert status == 1
+        assert result["error"] == "cannot load mesh: triangle vertex indices must lie in [0, 6)"
+
+    @pytest.mark.parametrize("domain", ["missing y0", "a string"])
+    def test_mesh_domain_that_is_not_a_rectangle(self, tmp_path, domain):
+        from helimag.continuum import build_example
+
+        doc = json.loads(build_example("vertical_wall").to_json())
+        if domain == "missing y0":
+            del doc["domain"]["y0"]
+        else:
+            doc["domain"] = "unit square"
+        mesh = tmp_path / "m.json"
+        mesh.write_text(json.dumps(doc))
+        status, result = run("classify", {"mesh": str(mesh), "out": str(tmp_path)})
+        assert status == 1
+        assert result["error"] == ("cannot load mesh: domain must be an object with numeric "
+                                   "x0, y0, width and height")
 
 
 class TestRecoverSweepMinimize:
@@ -245,6 +270,15 @@ class TestRecoverSweepMinimize:
         assert rep["total"] > 0.0
         assert (tmp_path / "recovery_spin.json").exists()
         assert (tmp_path / "recovery_chirality.json").exists()
+
+    @pytest.mark.parametrize("command", ["recover", "sweep"])
+    def test_one_jump_set_per_mesh(self, tmp_path, jump_set_calls, command):
+        status, result = run(command, {"kind": "diagonal_wall", "lambda": 1.0 / 16,
+                                       "delta": 0.2, "finest_n": 16, "levels": 2,
+                                       "out": str(tmp_path)})
+        assert status == 0
+        assert result["segments"] == 1
+        assert len(jump_set_calls) == 1
 
     def test_sweep_ratio(self, tmp_path):
         rc = main(["sweep", "--kind", "vertical_wall", "--finest-n", "32",
@@ -410,7 +444,9 @@ class TestErrorContract:
         from helimag.continuum import build_example
 
         m = build_example("vertical_wall")
-        m.heights[0] += 0.25  # one gradient off the {+-1}^2 lattice
+        heights = m.heights.copy()
+        heights[0] += 0.25  # one gradient off the {+-1}^2 lattice
+        m = dataclasses.replace(m, heights=heights)
         mesh = tmp_path / "m.json"
         mesh.write_text(m.to_json())
         status, result = run(command, {"mesh": str(mesh), "lambda": 1.0 / 16, "delta": 0.2,
@@ -655,9 +691,11 @@ class TestErrorContract:
     ])
     def test_output_directory_checked_before_the_work(self, tmp_path, monkeypatch,
                                                       command, work, config):
-        from helimag import cli
+        from helimag import cli, continuum
 
-        monkeypatch.setattr(cli, work, lambda *a, **k: pytest.fail(f"{work} ran"))
+        # a mesh computes its jump set in continuum, on first use
+        owner = continuum if work == "jump_set" else cli
+        monkeypatch.setattr(owner, work, lambda *a, **k: pytest.fail(f"{work} ran"))
         taken = tmp_path / "taken"
         taken.write_text("")
         status, result = run(command, {**config, "out": str(taken)})

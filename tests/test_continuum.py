@@ -1,7 +1,9 @@
 """Piecewise-affine mesh potentials, jump sets, wall classification and the
 limit interfacial energy."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +96,16 @@ class TestMeshPotential:
                 domain=Domain(),
             )
 
+    @pytest.mark.parametrize("index", [1e30, -1e30, 2.0 ** 63])
+    def test_huge_float_triangle_index(self, index):
+        # out of range before the cast to int, which would warn on them
+        verts = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"indices must lie in \[0, 4\)"):
+                MeshPotential(verts, np.array([(0.0, 1.0, 2.0), (1.0, 3.0, index)]),
+                              np.zeros(4), Domain())
+
     @pytest.mark.parametrize("index", [0.7, np.nan])
     def test_non_integral_triangle_index(self, index):
         verts = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
@@ -108,9 +120,10 @@ class TestMeshPotential:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_mesh(self, field, value):
         m = two_triangle_mesh()
-        getattr(m, field)[1] = value
+        changed = getattr(m, field).copy()
+        changed[1] = value
         with pytest.raises(ValueError, match="finite"):
-            MeshPotential(m.vertices, m.triangles, m.heights, m.domain)
+            dataclasses.replace(m, **{field: changed})
 
     def test_json_roundtrip(self):
         m = build_example("four_quadrant")
@@ -151,6 +164,61 @@ def assert_locates_vertices_and_edges(m):
         want = first_match(m, gx[None, :], gy[:, None])[0]
         assert np.all(want >= 0)
         np.testing.assert_array_equal(m.locate(gx[None, :], gy[:, None]), want)
+
+
+class TestImmutableMesh:
+    """A mesh's arrays and its derived geometry are read-only, computed once
+    and rebuilt only for a new mesh."""
+
+    def derived(self, m):
+        grads = m.gradients()
+        return [grads, m.labels, m.affine_coefficients, m.locate_pad, *m._edges,
+                *(getattr(m.jumps, f.name) for f in dataclasses.fields(m.jumps))]
+
+    def test_arrays_are_read_only_copies(self):
+        verts = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+        tris = np.array([(0, 1, 2), (1, 3, 2)])
+        heights = np.array([0.0, 1.0, 1.0, 0.0])
+        m = MeshPotential(verts, tris, heights, Domain())
+        verts[0, 0] = tris[0, 0] = heights[0] = 5
+        assert m.vertices[0, 0] == m.triangles[0, 0] == m.heights[0] == 0
+        for a in (m.vertices, m.triangles, m.heights):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.heights = heights
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_derived_arrays_are_computed_once_and_read_only(self, kind):
+        m = build_example(kind)
+        first = self.derived(m)
+        validate_mesh(m)
+        kink_edges(m)
+        limit_energy(m)
+        m.locate(0.5, 0.5)
+        for a, b in zip(first, self.derived(m)):
+            assert a is b
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+    def test_validation_error_is_raised_on_every_access(self):
+        m = two_triangle_mesh(h3=0.5)
+        for _ in range(2):
+            with pytest.raises(MeshError, match="gradients off"):
+                m.labels
+            with pytest.raises(MeshError, match="gradients off"):
+                limit_energy(m)
+
+    def test_replace_gives_fresh_geometry(self):
+        m = build_example("vertical_wall")
+        assert len(m.jumps) == 1
+        flat = dataclasses.replace(m, heights=m.vertices[:, 0] + m.vertices[:, 1])
+        assert flat.vertices is not m.vertices
+        assert len(flat.jumps) == 0
+        assert validate_mesh(flat) == [(1, 1)] * 4
+        np.testing.assert_array_equal(flat.gradients(), np.ones((4, 2)))
+        assert limit_energy(flat) == 0.0
+        assert len(m.jumps) == 1 and limit_energy(m) == pytest.approx(8.0 / 3.0)
 
 
 class TestLocate:
@@ -400,7 +468,7 @@ class TestJumpSetReference:
         got = jump_set(m)
         assert len(got) == 5000
         assert repr(columns(got)) == repr(columns(dict_jump_set(m)))
-        assert limit_energy(m, segments=got) == pytest.approx(5000 * 8.0 / 3.0, rel=1e-12, abs=0.0)
+        assert limit_energy(m) == pytest.approx(5000 * 8.0 / 3.0, rel=1e-12, abs=0.0)
 
     def test_three_owner_edge_is_skipped(self):
         # the edge (1, 0)-(0, 1) belongs to A = (0, 1, 2) with label (1, 1),
@@ -444,15 +512,16 @@ class TestJumpSetReference:
         kinks = {tuple(sorted((tuple(a), tuple(b)))) for a, b in zip(p.tolist(), q.tolist())}
         assert len(three) >= 2 and three <= kinks
 
-    def test_segments_keyword(self):
+    def test_functions_read_the_mesh_jump_set(self, with_jump_set):
         m = build_example("four_quadrant")
         segs = jump_set(m)
-        assert total_variations(m, segments=segs) == total_variations(m)
-        assert limit_energy(m, segments=segs) == limit_energy(m)
+        same = with_jump_set(m, segs)
+        assert total_variations(same) == total_variations(m)
+        assert limit_energy(same) == limit_energy(m)
         one = rows(segs, slice(None, 1))
-        assert limit_energy(m, segments=one) == pytest.approx(SIGMA_AXIS * segs.length[0])
-        assert mesh_to_svg(m, segments=segs) == mesh_to_svg(m)
-        assert mesh_to_svg(m, segments=rows(segs, slice(0, 0))).count("<line") == 0
+        assert limit_energy(with_jump_set(m, one)) == pytest.approx(SIGMA_AXIS * segs.length[0])
+        assert mesh_to_svg(same) == mesh_to_svg(m)
+        assert mesh_to_svg(with_jump_set(m, rows(segs, slice(0, 0)))).count("<line") == 0
 
 
 class TestLimitEnergy:
@@ -481,13 +550,13 @@ class TestLimitEnergy:
         got = limit_energy(build_example("vertical_wall", d))
         assert got == pytest.approx(3.0 * 8.0 / 3.0)
 
-    def test_long_jump_set_passes_the_cross_check(self):
+    def test_long_jump_set_passes_the_cross_check(self, with_jump_set):
         # a running sum of 100,000 rounded 8/3 drifts by about 1.3e-12
         # relative, past the 1e-12 agreement the two sums must show
         m = build_example("vertical_wall")
         segs = jump_set(m)
         assert len(segs) == 1
-        got = limit_energy(m, segments=rows(segs, np.repeat(0, 100_000)))
+        got = limit_energy(with_jump_set(m, rows(segs, np.repeat(0, 100_000))))
         assert got == pytest.approx(8.0 / 3.0 * 100_000, rel=1e-12, abs=0.0)
 
     def test_bootstrap_inequalities(self):
@@ -522,4 +591,4 @@ class TestSvg:
         m = build_example("laminate", n=1000)
         segs = jump_set(m)
         assert len(segs) == 1000
-        assert mesh_to_svg(m, segments=segs) == mesh_svg(m, segs)
+        assert mesh_to_svg(m) == mesh_svg(m, segs)

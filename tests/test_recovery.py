@@ -1,5 +1,6 @@
 """Extension, mollification and the recovery construction."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -218,7 +219,9 @@ class TestMollify:
 
     def test_invalid_mesh_raises(self):
         m = build_example("vertical_wall")
-        m.heights[0] += 0.25
+        heights = m.heights.copy()
+        heights[0] += 0.25
+        m = dataclasses.replace(m, heights=heights)
         with pytest.raises(MeshError):
             mollify(m, Kernel(), 0.1, np.array([0.3]), np.array([0.2]), np.zeros((1, 1), bool))
 
@@ -556,7 +559,9 @@ class TestQuadratureBand:
 
     def test_invalid_mesh_raises(self):
         m = build_example("vertical_wall")
-        m.heights[0] += 0.25  # one gradient off the {+-1}^2 lattice
+        heights = m.heights.copy()
+        heights[0] += 0.25  # one gradient off the {+-1}^2 lattice
+        m = dataclasses.replace(m, heights=heights)
         with pytest.raises(MeshError):
             build_recovery(m, ModelParams(lam=1.0 / 16, delta=0.2))
 
@@ -612,11 +617,11 @@ class TestPickWidth:
         assert pick_width(build_example("vertical_wall")) == WALL_WIDTH
         assert pick_width(build_example("four_quadrant")) == WALL_WIDTH
 
-    def test_segments_keyword(self):
+    def test_reads_the_mesh_jump_set(self, with_jump_set):
         m = build_example("diagonal_wall")
-        assert pick_width(m, segments=jump_set(m)) == DIAG_WALL_WIDTH
+        assert pick_width(with_jump_set(m, jump_set(m))) == DIAG_WALL_WIDTH
         # no walls: the straight-wall multiplier
-        assert pick_width(m, segments=rows(jump_set(m), slice(0, 0))) == WALL_WIDTH
+        assert pick_width(with_jump_set(m, rows(jump_set(m), slice(0, 0)))) == WALL_WIDTH
 
 
 class TestGammaSweep:
@@ -627,21 +632,21 @@ class TestGammaSweep:
         assert table.rows[-1].ratio == pytest.approx(1.0, abs=0.08)
         assert table.rows[-1].h_limit == pytest.approx(8.0 / 3.0)
 
-    def test_one_jump_set_per_sweep(self, monkeypatch):
-        from helimag import continuum, recovery
-
-        calls = []
-
-        def counted(m):
-            calls.append(m)
-            return jump_set(m)
-
-        for mod in (continuum, recovery):
-            monkeypatch.setattr(mod, "jump_set", counted)
+    def test_one_jump_set_per_sweep(self, jump_set_calls):
         m = build_example("diagonal_wall")
         table = gamma_sweep(m, SweepSchedule.default(finest_n=16, levels=1))
-        assert len(calls) == 1
+        assert len(jump_set_calls) == 1
         assert table.rows[0].h_limit == pytest.approx(16.0 / 3.0)
+
+    def test_one_jump_set_per_mesh(self, jump_set_calls):
+        # a benchmark recover row: the limit, pick_width's width and the
+        # recovery field, then the recovery at its default width
+        m = build_example("laminate", n=2)
+        params = ModelParams(lam=1.0 / 16, delta=0.2)
+        assert limit_energy(m) == pytest.approx(16.0 / 3.0)
+        build_recovery(m, params, kernel=Kernel(), width=pick_width(m))
+        build_recovery(m, params)
+        assert jump_set_calls == [m]
 
     def test_csv_output(self):
         m = build_example("vertical_wall")
