@@ -17,10 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import orjson
 
 from .lattice import ModelParams, ScalarGrid, SpinField, dump, dumps, json_int, json_number, \
-    json_numbers
+    json_numbers, json_object
 
 TWO_PI = 2.0 * math.pi
 
@@ -65,7 +64,7 @@ class ChiralityPair:
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "ChiralityPair":
-        doc = orjson.loads(text)
+        doc = json_object(text)
         nx, ny = json_int(doc, "nx"), json_int(doc, "ny")
         lam = json_number(doc, "lambda")
         w = json_numbers(doc, "w").reshape(ny, nx - 1)

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import orjson
 
-from .lattice import Domain, json_number, json_numbers
+from .lattice import Domain, json_number, json_numbers, json_object, json_value
 
 GRAD_TOL = 1e-9  # per-component slack for the {+-1}^2 gradient labels
 MERGE_TOL = 1e-9  # collinearity/endpoint tolerance for segment merging
@@ -88,15 +87,23 @@ class MeshPotential:
         return self._gradients_and_dets[0]
 
     @cached_property
+    def _edge_vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The edge vectors e1 = v[b] - v[a] and e2 = v[c] - v[a] (M, 2) of
+        every triangle (a, b, c) and their (M,) determinants, twice the
+        signed areas; degenerate triangles included."""
+        a, b, c = (self.vertices[self.triangles[:, k]] for k in range(3))
+        e1 = b - a
+        e2 = c - a
+        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        return _frozen(e1), _frozen(e2), _frozen(det)
+
+    @cached_property
     def _gradients_and_dets(self) -> tuple[np.ndarray, np.ndarray]:
-        """gradients() and the (M,) determinants of the edge vectors
-        (v[b] - v[a], v[c] - v[a]) it divides by, twice the signed areas."""
-        v = self.vertices
+        """gradients() and the determinants of _edge_vectors it divides by;
+        raises MeshError on a degenerate triangle."""
         h = self.heights
         a, b, c = (self.triangles[:, k] for k in range(3))
-        e1 = v[b] - v[a]
-        e2 = v[c] - v[a]
-        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        e1, e2, det = self._edge_vectors
         if np.any(np.abs(det) < 1e-15):
             raise MeshError("degenerate triangle(s)")
         d1 = h[b] - h[a]
@@ -181,9 +188,7 @@ class MeshPotential:
         lo = corners.min(axis=1) - pad
         hi = corners.max(axis=1) + pad
         a = corners[:, 0]
-        e1 = corners[:, 1] - a
-        e2 = corners[:, 2] - a
-        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        e1, e2, det = self._edge_vectors
         coef = np.stack([e2[:, 1], -e2[:, 0], -e1[:, 1], e1[:, 0]], axis=1) / det[:, None]
         return (*map(_frozen, (pad, lo, hi, a, coef)), tol)
 
@@ -248,8 +253,8 @@ class MeshPotential:
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "MeshPotential":
-        doc = orjson.loads(text)
-        dd = doc["domain"]
+        doc = json_object(text)
+        dd = json_value(doc, "domain")
         keys = ("x0", "y0", "width", "height")
         if not (isinstance(dd, dict) and all(k in dd for k in keys)):
             raise ValueError("domain must be an object with numeric x0, y0, width and height")

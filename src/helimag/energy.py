@@ -78,16 +78,6 @@ def prefactor(params: ModelParams, lam: float, one_d: bool = False) -> float:
     return scale / (math.sqrt(2.0) * lam * params.delta ** 1.5)
 
 
-def three_point(a: np.ndarray, half_alpha: float) -> np.ndarray:
-    """Three-point stencil a[k+2] - (alpha/2) a[k+1] + a[k] along the last
-    axis, rounded in that order into one new array; the vertical stencil of
-    a grid is the stencil of its transpose."""
-    h = half_alpha * a[..., 1:-1]
-    np.subtract(a[..., 2:], h, out=h)
-    h += a[..., :-2]
-    return h
-
-
 def _terms(a: np.ndarray, axis: int, width: int = 3) -> tuple[np.ndarray, ...]:
     """Views a[k], ..., a[k + width - 1] of the terms of the width-point
     stencils along ``axis`` (-1 for rows, -2 for columns), one per stencil
@@ -275,9 +265,10 @@ class StencilEnergy:
         half_alpha, pf = self.half_alpha, self.prefactor
         parts = []
         for mask, kept, lo, mid, hi, out, full, h, h2, h2x, h2y, flat in state.runs:
-            # every row and both spin components at once, rounded as
-            # three_point rounds; each row is summed pairwise as det_sum
-            # sums it, the kept terms of a cut chain gathered first
+            # every row and both spin components at once, rounded in this
+            # order: mid * alpha/2, then hi - that, then + lo; each row is
+            # summed pairwise as det_sum sums it, the kept terms of a cut
+            # chain gathered first
             np.multiply(mid, half_alpha, out=out)
             np.subtract(hi, out, out=out)
             np.add(out, lo, out=out)

@@ -194,9 +194,24 @@ def dump(doc: dict, path) -> None:
         f.writelines(_document_parts(doc))
 
 
+def json_object(text: str | bytes) -> dict:
+    """The JSON document ``text`` if it is an object; else ValueError."""
+    doc = orjson.loads(text)
+    if type(doc) is not dict:
+        raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def json_value(doc: dict, key: str):
+    """``doc[key]``; ValueError naming the key if it is missing."""
+    if key not in doc:
+        raise ValueError(f"missing key {key!r}")
+    return doc[key]
+
+
 def json_int(doc: dict, key: str) -> int:
     """``doc[key]`` if it is a JSON integer (not a boolean); else ValueError."""
-    value = doc[key]
+    value = json_value(doc, key)
     if type(value) is not int:
         raise ValueError(f"{key} must be a JSON integer, got {value!r}")
     return value
@@ -205,7 +220,7 @@ def json_int(doc: dict, key: str) -> int:
 def json_number(doc: dict, key: str) -> float:
     """``doc[key]`` as a float if it is a JSON number (not a boolean); else
     ValueError."""
-    value = doc[key]
+    value = json_value(doc, key)
     if type(value) not in (int, float):
         raise ValueError(f"{key} must be a JSON number, got {value!r}")
     return float(value)
@@ -218,7 +233,7 @@ def json_numbers(doc: dict, key: str) -> np.ndarray:
     numpy reads a list of numbers with an integer or float dtype, but reads
     a boolean among numbers as 0 or 1, so only the entries that read exactly
     0 or 1 are looked up in the list to tell them from booleans."""
-    items = doc[key]
+    items = json_value(doc, key)
     values = np.array(items)
     if values.dtype.kind not in "iuf":
         raise ValueError(f"{key} must hold JSON numbers only")
@@ -268,7 +283,7 @@ class ScalarGrid:
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "ScalarGrid":
-        doc = orjson.loads(text)
+        doc = json_object(text)
         nx, ny = json_int(doc, "nx"), json_int(doc, "ny")
         values = json_numbers(doc, "values").reshape(ny, nx)
         return cls(nx=nx, ny=ny, spacing=json_number(doc, "lambda"), values=values)
@@ -315,7 +330,7 @@ class SpinField:
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "SpinField":
-        doc = orjson.loads(text)
+        doc = json_object(text)
         nx, ny = json_int(doc, "nx"), json_int(doc, "ny")
         angles = json_numbers(doc, "angles").reshape(ny, nx)
         return cls(nx=nx, ny=ny, spacing=json_number(doc, "lambda"), angles=angles)

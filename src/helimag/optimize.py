@@ -4,21 +4,19 @@ chirality boundary conditions.
 The optimization variable is the angle lifting psi, which makes the energy
 smooth and unconstrained.  Boundary data freezes border layers two sites
 deep (the three-point stencil needs two determined neighbors), encoding a
-chirality pair per side through helical angle sequences.  A brute-force
-enumeration over small chains serves as an oracle.
+chirality pair per side through helical angle sequences.
 """
 
 from __future__ import annotations
 
 import io
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .energy import EnergyReport, StencilEnergy, energy_H_1d, prefactor, three_point
+from .energy import EnergyReport, StencilEnergy
 from .lattice import Domain, ModelParams, SpinField, det_sum
 
 LOG_CSV_HEADER = "iter,energy,grad_norm,step"
@@ -326,63 +324,3 @@ def profile_init(
     err = target - psi[n - 2]
     psi += err * np.arange(n) / (n - 2)
     return psi[None, :]
-
-
-def brute_force_1d(
-    n_sites: int,
-    m: int,
-    params: ModelParams,
-    bc: BoundaryCondition,
-) -> tuple[float, np.ndarray, float]:
-    """Exhaustive minimum of the 1D energy over an m-point angle grid per
-    free site.
-
-    Returns (minimum, argmin angle row, slack) where slack is the energy
-    variation over the surrounding grid cell at the argmin.  Budget-limited
-    to m**n_free <= 1e8 enumerations.
-    """
-    if bc.mask.shape != (1, n_sites):
-        raise ValueError("boundary condition must cover a single chain row")
-    free_idx = np.nonzero(~bc.mask[0])[0]
-    n_free = len(free_idx)
-    if n_free > 7:
-        raise ValueError("brute force supports at most 7 free sites")
-    if m ** max(n_free, 1) > 1e8:
-        raise ValueError("enumeration budget exceeded")
-    lam = params.lam
-    base = bc.values[0].copy()
-    if n_free == 0:
-        u = SpinField.from_angles(base[None, :], lam)
-        e = energy_H_1d(u, (0.0, n_sites * lam), params)
-        return e, base, 0.0
-    grid = -math.pi + 2.0 * math.pi * np.arange(m) / m
-    combos = np.stack(
-        np.meshgrid(*([grid] * n_free), indexing="ij"), axis=-1
-    ).reshape(-1, n_free)
-    psis = np.broadcast_to(base, (combos.shape[0], n_sites)).copy()
-    psis[:, free_idx] = combos
-    energies = _chain_energies(psis, params, lam, n_sites)
-    k = int(np.argmin(energies))
-    best = psis[k].copy()
-    e_min = float(energies[k])
-    # slack: variation over the surrounding grid cell
-    h = 2.0 * math.pi / m
-    neigh = []
-    for offs in itertools.product((-h, 0.0, h), repeat=n_free):
-        if all(o == 0.0 for o in offs):
-            continue
-        p = best.copy()
-        p[free_idx] += np.array(offs)
-        neigh.append(p)
-    e_neigh = _chain_energies(np.array(neigh), params, lam, n_sites)
-    slack = float(e_neigh.max() - e_min)
-    return e_min, best, slack
-
-
-def _chain_energies(
-    psis: np.ndarray, params: ModelParams, lam: float, n_sites: int
-) -> np.ndarray:
-    """Vectorized 1D energies of many chains at once (all interior stencils)."""
-    h = three_point(np.stack([np.cos(psis), np.sin(psis)]), params.alpha / 2.0)
-    terms = h[0] * h[0] + h[1] * h[1]
-    return prefactor(params, lam, one_d=True) * terms.sum(axis=1)

@@ -44,7 +44,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .chirality import ChiralityPair
 from .continuum import CLASSES, MeshPotential, classify, kink_edges, limit_energy
 from .energy import EnergyReport, W, energy_H
 from .lattice import ModelParams, SpinField
@@ -581,61 +580,3 @@ def profile_transition_energy() -> tuple[float, float, float]:
     ds = 1.0 / np.cosh(t) ** 2
     grad = scale * float((wts * ds * ds).sum())
     return pot + grad, pot, grad
-
-
-@dataclass
-class CurlProbe:
-    """Smooth compactly supported test function with analytic derivatives,
-    xi(x) = exp(-1/(1 - r^2/R^2)) inside the ball of radius R."""
-
-    cx: float
-    cy: float
-    radius: float
-
-    def _core(self, x, y):
-        rx = (np.asarray(x, dtype=float) - self.cx) / self.radius
-        ry = (np.asarray(y, dtype=float) - self.cy) / self.radius
-        r2 = rx * rx + ry * ry
-        inside = r2 < _BUMP_CLIP
-        r2c = np.clip(r2, 0.0, _BUMP_CLIP)
-        val = np.where(inside, np.exp(-1.0 / (1.0 - r2c)), 0.0)
-        d = np.where(inside, -2.0 / (1.0 - r2c) ** 2 * val, 0.0)
-        return val, d * rx / self.radius, d * ry / self.radius
-
-    def __call__(self, x, y):
-        return self._core(x, y)[0]
-
-    def dx(self, x, y):
-        return self._core(x, y)[1]
-
-    def dy(self, x, y):
-        return self._core(x, y)[2]
-
-
-def curl_residual(pair: ChiralityPair, probe: CurlProbe) -> float:
-    """Distributional curl of (w, z) against the probe by the midpoint rule:
-
-        <curl(w, z), xi> = -int w d2(xi) + int z d1(xi),
-
-    with each chirality treated as piecewise constant on its bond's cell.
-    The probe support must lie inside the rectangle covered by the grids.
-    """
-    lam = pair.w.spacing
-    w = pair.w.values  # (ny, nx-1), cell (i, j)
-    z = pair.z.values  # (ny-1, nx)
-    nx = z.shape[1]
-    ny = w.shape[0]
-    if (
-        probe.cx - probe.radius < -1e-12
-        or probe.cy - probe.radius < -1e-12
-        or probe.cx + probe.radius > nx * lam + 1e-12
-        or probe.cy + probe.radius > ny * lam + 1e-12
-    ):
-        raise ValueError("probe support exceeds the grid's covered rectangle")
-    xw = lam * (np.arange(w.shape[1]) + 0.5)
-    yw = lam * (np.arange(w.shape[0]) + 0.5)
-    xz = lam * (np.arange(z.shape[1]) + 0.5)
-    yz = lam * (np.arange(z.shape[0]) + 0.5)
-    term_w = float((w * probe.dy(xw[None, :], yw[:, None])).sum())
-    term_z = float((z * probe.dx(xz[None, :], yz[:, None])).sum())
-    return lam * lam * (-term_w + term_z)

@@ -14,10 +14,10 @@ from helimag.energy import (
     energy_H,
     energy_H_1d,
     prefactor,
-    three_point,
 )
 from helimag.lattice import SpinField, chain_keep, det_sum, index_mask
 from helimag.optimize import ARMIJO, BACKTRACK, STOP_GRAD_NORM
+from oracles import three_point
 
 
 def squared_stencil(ux, uy, half_alpha):

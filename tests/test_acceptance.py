@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import CurlProbe, brute_force_1d, curl_residual
 
 from helimag.chirality import transform, vorticity
 from helimag.continuum import CLASSES, build_example, classify, total_variations
@@ -16,7 +17,6 @@ from helimag.energy import energy_H, mm_decomposition, rho
 from helimag.lattice import Domain, ModelParams, SpinField
 from helimag.optimize import (
     MinimizeOptions,
-    brute_force_1d,
     chain_bc,
     linear_init,
     minimize_H,
@@ -24,10 +24,8 @@ from helimag.optimize import (
 )
 from helimag.optimize import energy_gradient
 from helimag.recovery import (
-    CurlProbe,
     SweepSchedule,
     build_recovery,
-    curl_residual,
     gamma_sweep,
     pick_width,
 )

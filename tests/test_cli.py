@@ -474,7 +474,35 @@ class TestErrorContract:
         f.write_text("[1, 2, 3]")
         status, result = run(command, {"in": str(f), "delta": 0.3, "out": str(tmp_path)})
         assert status == 1
-        assert "cannot load spin field" in result["error"]
+        assert result["error"] == "cannot load spin field: expected a JSON object, got list"
+
+    @pytest.mark.parametrize("key", ["nx", "ny", "lambda", "angles"])
+    @pytest.mark.parametrize("command", ["energy", "transform"])
+    def test_spin_file_missing_a_key(self, tmp_path, command, key):
+        doc = {"nx": 2, "ny": 2, "lambda": 0.1, "angles": [0.1, 0.2, 0.3, 0.4]}
+        del doc[key]
+        f = tmp_path / "u.json"
+        f.write_text(json.dumps(doc))
+        status, result = run(command, {"in": str(f), "delta": 0.3, "out": str(tmp_path)})
+        assert (status, result) == (1, {"error": f"cannot load spin field: missing key '{key}'"})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["u.json"]
+
+    @pytest.mark.parametrize("key", ["vertices", "triangles", "heights", "domain"])
+    def test_mesh_file_missing_a_key(self, tmp_path, key):
+        from helimag.continuum import build_example
+
+        doc = json.loads(build_example("vertical_wall").to_json())
+        del doc[key]
+        mesh = tmp_path / "m.json"
+        mesh.write_text(json.dumps(doc))
+        status, result = run("classify", {"mesh": str(mesh), "out": str(tmp_path)})
+        assert (status, result) == (1, {"error": f"cannot load mesh: missing key '{key}'"})
+
+    def test_mesh_file_holding_a_list(self, tmp_path):
+        mesh = tmp_path / "m.json"
+        mesh.write_text('[{"domain": {}}]')
+        status, result = run("classify", {"mesh": str(mesh), "out": str(tmp_path)})
+        assert (status, result) == (1, {"error": "cannot load mesh: expected a JSON object, got list"})
 
     @pytest.mark.parametrize("doc", [
         {"nx": 2, "ny": 2, "lambda": 0.1, "angles": ["0.1", "0.2", "0.3", "0.4"]},

@@ -67,8 +67,11 @@ class TestMeshPotential:
             heights=np.zeros(3),
             domain=Domain(),
         )
-        with pytest.raises(MeshError):
-            m.gradients()
+        # the edge vectors are kept; the check that reads them raises each time
+        for _ in range(2):
+            with pytest.raises(MeshError, match="degenerate"):
+                m.gradients()
+        assert m._edge_vectors[2].tolist() == [0.0]
 
     def test_evaluate_matches_heights(self):
         m = two_triangle_mesh()
@@ -172,7 +175,7 @@ class TestImmutableMesh:
 
     def derived(self, m):
         grads = m.gradients()
-        return [grads, m.labels, m.affine_coefficients, m.locate_pad, *m._edges,
+        return [grads, m.labels, m.affine_coefficients, m.locate_pad, *m._edges, *m._edge_vectors,
                 *(getattr(m.jumps, f.name) for f in dataclasses.fields(m.jumps))]
 
     def test_arrays_are_read_only_copies(self):
@@ -208,6 +211,16 @@ class TestImmutableMesh:
                 m.labels
             with pytest.raises(MeshError, match="gradients off"):
                 limit_energy(m)
+
+    def test_locate_does_not_validate(self):
+        # gradients off the lattice: the labels fail, locate still answers,
+        # and the gradients divide by the determinants locate's tables use
+        m = two_triangle_mesh(h3=0.5)
+        assert m.locate(np.array([0.2, 0.8]), np.array([0.1, 0.9])).tolist() == [0, 1]
+        with pytest.raises(MeshError, match="gradients off"):
+            m.labels
+        assert m._gradients_and_dets[1] is m._edge_vectors[2]
+        assert m.locate(0.2, 0.1) == 0
 
     def test_replace_gives_fresh_geometry(self):
         m = build_example("vertical_wall")

@@ -10,6 +10,7 @@ import orjson
 import pytest
 
 from helimag.chirality import ChiralityPair
+from helimag.continuum import MeshPotential, build_example
 from helimag.lattice import ENCODE_CHUNK, ScalarGrid, SpinField, _float_array_json, dump, \
     dumps, json_numbers
 
@@ -280,3 +281,34 @@ class TestReadersRejectNonNumbers:
         assert g.values.dtype == np.float64 and g.spacing == 1.0
         pair = ChiralityPair.from_json(json.dumps(self.PAIR).encode())
         assert pair.delta == 0.2
+
+
+class TestReadersNameWhatIsMissing:
+    """Every JSON loader names a missing key and rejects a document that is
+    not a JSON object, with ValueError."""
+
+    DOCS = {
+        SpinField: {"nx": 2, "ny": 2, "lambda": 0.1, "angles": [0.1, 0.2, 0.3, 0.4]},
+        ScalarGrid: TestReadersRejectNonNumbers.GRID,
+        ChiralityPair: TestReadersRejectNonNumbers.PAIR,
+        MeshPotential: json.loads(build_example("vertical_wall").to_json()),
+    }
+    CASES = [(cls, key) for cls, doc in DOCS.items() for key in doc]
+
+    def test_documents_load(self):
+        for cls, doc in self.DOCS.items():
+            assert isinstance(cls.from_json(json.dumps(doc)), cls)
+
+    @pytest.mark.parametrize("cls, key", CASES, ids=[f"{c.__name__}-{k}" for c, k in CASES])
+    def test_missing_key(self, cls, key):
+        doc = {k: v for k, v in self.DOCS[cls].items() if k != key}
+        with pytest.raises(ValueError, match=f"^missing key '{key}'$"):
+            cls.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("text, kind", [
+        ("[1, 2]", "list"), ("[]", "list"), ('"nx"', "str"), ("3", "int"), ("null", "NoneType"),
+    ])
+    @pytest.mark.parametrize("cls", list(DOCS), ids=lambda c: c.__name__)
+    def test_document_that_is_not_an_object(self, cls, text, kind):
+        with pytest.raises(ValueError, match=f"^expected a JSON object, got {kind}$"):
+            cls.from_json(text)

@@ -7,14 +7,14 @@ import warnings
 import descent_reference
 import numpy as np
 import pytest
+from oracles import _chain_energies, brute_force_1d
 
 from helimag import optimize
-from helimag.energy import energy_H, energy_H_1d
+from helimag.energy import StencilEnergy, energy_H, energy_H_1d
 from helimag.lattice import Domain, ModelParams, SpinField
 from helimag.optimize import (
     BoundaryCondition,
     MinimizeOptions,
-    brute_force_1d,
     chain_bc,
     energy_gradient,
     linear_init,
@@ -517,3 +517,16 @@ class TestBruteForce:
         bc = BoundaryCondition(mask=np.zeros((1, 12), bool), values=np.zeros((1, 12)))
         with pytest.raises(ValueError):
             brute_force_1d(12, 10, p, bc)
+
+
+class TestChainOracle:
+    @pytest.mark.parametrize("delta", [0.05, 0.3, 0.9])
+    @pytest.mark.parametrize("n", [5, 6, 9, 17, 28, 40])
+    def test_chain_energies_match_the_stencil_kernel(self, n, delta):
+        # the oracle's energies are StencilEnergy's, bit for bit, on random
+        # stacks of chains, though the two share no stencil code
+        p = ModelParams(lam=0.2, delta=delta)
+        psis = np.random.default_rng(n).uniform(-math.pi, math.pi, (300, n))
+        model = StencilEnergy((1, n), p, p.lam, interval=(0.0, n * p.lam))
+        want = model.evaluate(psis[:, None, :]).total
+        assert _chain_energies(psis, p, p.lam, n).tolist() == want

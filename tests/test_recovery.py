@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from mesh_reference import double_sum_mollify, extension, hanging_node_mesh, refined_mesh, \
     rows, three_owner_mesh
+from oracles import CurlProbe, curl_residual
 
 from helimag import recovery
 from helimag.chirality import transform
@@ -19,11 +20,9 @@ from helimag.lattice import Domain, ModelParams
 from helimag.recovery import (
     DIAG_WALL_WIDTH,
     WALL_WIDTH,
-    CurlProbe,
     Kernel,
     SweepSchedule,
     build_recovery,
-    curl_residual,
     extend_potential,
     gamma_sweep,
     gauss_legendre,
