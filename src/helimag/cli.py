@@ -23,7 +23,7 @@ from .chirality import transform, vorticity
 from .continuum import CLASSES, MeshPotential, build_example, classify, limit_energy, \
     mesh_to_svg, total_variations
 from .energy import energy_H, mm_decomposition, prefactor, rho, spin_vectors
-from .lattice import Domain, ModelParams, SpinField
+from .lattice import Domain, ModelParams, SpinField, json_number, json_value
 from .optimize import MinimizeOptions, chain_bc, log_to_csv, minimize_H, profile_init
 from .recovery import SweepSchedule, build_recovery, gamma_sweep, profile_transition_energy
 
@@ -65,7 +65,7 @@ def _finite_prefactor(p: ModelParams) -> ModelParams:
     """p if its plane and chain energy prefactors are finite; otherwise
     raises ValidationError."""
     try:  # lam * delta ** 1.5 can underflow to 0
-        finite = all(math.isfinite(prefactor(p, p.lam, one_d)) for one_d in (False, True))
+        finite = all(math.isfinite(prefactor(p, one_d)) for one_d in (False, True))
     except ZeroDivisionError:
         finite = False
     if not finite:
@@ -84,15 +84,22 @@ def _warnings_if_accepted():
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
 
 
-def _params(config: dict) -> ModelParams:
+def _params(config: dict, spacing: float | None = None) -> ModelParams:
     """Model parameters whose energy prefactors are finite; anything else
-    raises ValidationError.  ModelParams' regime warning is issued only for
+    raises ValidationError.  lambda and delta must be JSON numbers; given a
+    spin field's ``spacing``, lambda is that spacing and a config lambda
+    must equal it.  ModelParams' regime warning is issued only for
     parameters that pass."""
     with _warnings_if_accepted():
         try:
-            p = ModelParams(lam=float(config["lambda"]), delta=float(config["delta"]))
-        except (KeyError, ValueError, TypeError) as exc:
+            doc = config if spacing is None else {"lambda": spacing, **config}
+            p = ModelParams(lam=json_number(doc, "lambda"), delta=json_number(doc, "delta"))
+        except ValueError as exc:
             raise ValidationError(f"bad model parameters: {exc}") from exc
+        if spacing is not None and p.lam != spacing:
+            raise ValidationError(
+                f"lambda {p.lam!r} differs from the spin field's spacing {spacing!r}"
+            )
         return _finite_prefactor(p)
 
 
@@ -145,14 +152,14 @@ def _cmd_groundstate(config: dict) -> dict:
 
 def _read_spin(config: dict) -> SpinField:
     try:
-        return SpinField.from_json(Path(config["in"]).read_bytes())
-    except (KeyError, OSError, TypeError, ValueError) as exc:
+        return SpinField.from_json(Path(json_value(config, "in")).read_bytes())
+    except (OSError, TypeError, ValueError) as exc:
         raise ValidationError(f"cannot load spin field: {exc}") from exc
 
 
 def _cmd_energy(config: dict) -> dict:
     u = _read_spin(config)
-    p = _params({**config, "lambda": u.spacing})
+    p = _params(config, u.spacing)
     out = _outdir(config)
     dom = Domain(width=u.nx * u.spacing, height=u.ny * u.spacing)
     if u.nx < 2 or u.ny < 2:
@@ -174,7 +181,7 @@ def _cmd_energy(config: dict) -> dict:
 
 def _cmd_transform(config: dict) -> dict:
     u = _read_spin(config)
-    p = _params({**config, "lambda": u.spacing})
+    p = _params(config, u.spacing)
     out = _outdir(config)
     theta, pair = transform(u, p)
     try:
@@ -239,9 +246,7 @@ def _schedule(config: dict) -> SweepSchedule:
                 )
             else:
                 steps = json.loads(Path(spec).read_text())
-                sched = SweepSchedule(
-                    steps=[ModelParams(lam=float(a), delta=float(b)) for a, b in steps]
-                )
+                sched = SweepSchedule(steps=[_params({"lambda": a, "delta": b}) for a, b in steps])
         except (OSError, ValueError, TypeError) as exc:
             raise ValidationError(f"bad schedule: {exc}") from exc
         for p in sched.steps:

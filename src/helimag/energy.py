@@ -13,6 +13,12 @@ pair, into a Modica-Mortola form
 
 with W(s) = (1 - s^2)^2 and a correcting factor rho depending on the two
 bond angles; the split is an identity in exact arithmetic.
+
+Two rules hold throughout.  The only lam is ``ModelParams.lam``: it scales
+the prefactor and eps, and a spin field whose spacing differs from it is
+rejected.  A grid of one row is a chain: its energy is the 1D energy with
+prefactor 1/(sqrt(2)*lam*delta^(3/2)) * lam/2, summed over the stencils
+that lie in the domain's x-extent.
 """
 
 from __future__ import annotations
@@ -71,9 +77,10 @@ class EnergyReport:
         )
 
 
-def prefactor(params: ModelParams, lam: float, one_d: bool = False) -> float:
+def prefactor(params: ModelParams, one_d: bool = False) -> float:
     """Prefactor of H: 1/(sqrt(2)*lam*delta^(3/2)) times lam^2/2 on a plane
     or lam/2 on a chain."""
+    lam = params.lam
     scale = 0.5 * lam * (1.0 if one_d else lam)
     return scale / (math.sqrt(2.0) * lam * params.delta ** 1.5)
 
@@ -149,9 +156,10 @@ class StencilEnergy:
     along the axis, which is faster than over strided views; the entries
     whose terms cross the edge of a grid row or of the grid are computed
     too, but never summed or differentiated.  On a plane the stencils are
-    masked by the interior index set of ``domain``; a single row over
-    ``interval`` sums only the kept terms, because zero padding would
-    regroup the pairwise sum.  A mask that keeps every term is skipped.
+    masked by the interior index set of ``domain``.  A single row is a
+    chain on the domain's x-extent (``chain_keep``), with the 1D prefactor;
+    it sums only the kept terms, because zero padding would regroup the
+    pairwise sum.  A mask that keeps every term is skipped.
     Each row is summed as one contiguous array, pairwise in the grid's
     row-major order as ``det_sum`` sums it, so a row's energy does not
     depend on the stack it is in.  The squares of ``evaluate`` (per stack
@@ -159,32 +167,25 @@ class StencilEnergy:
     model, shared by the directions.
     """
 
-    def __init__(
-        self,
-        shape: tuple[int, int],
-        params: ModelParams,
-        lam: float,
-        domain: Optional[Domain] = None,
-        interval: Optional[tuple[float, float]] = None,
-    ) -> None:
+    def __init__(self, shape: tuple[int, int], params: ModelParams, domain: Domain) -> None:
         ny, nx = shape
         self.shape = shape
         self.alpha = params.alpha
-        self.one_d = interval is not None
+        self.one_d = ny == 1
         # the index set over the whole grid; its views of the stencils'
         # shape, in grid orientation, mask each direction
         if self.one_d:
             self.axes = (-1,)
-            keep = chain_keep(nx, interval, lam)
+            keep = chain_keep(nx, (domain.x0, domain.x0 + domain.width), params.lam)
             grid = np.zeros(shape, dtype=bool)
             grid[0, : keep.size] = keep
         else:
             self.axes = (-1, -2)
-            grid = index_mask(domain, lam, nx, ny)
+            grid = index_mask(domain, params.lam, nx, ny)
         masks = [grid[:, : max(nx - 2, 0)] if axis == -1 else grid[: max(ny - 2, 0), :]
                  for axis in self.axes]
         self.half_alpha = params.alpha / 2.0
-        self.prefactor = prefactor(params, lam, one_d=self.one_d)
+        self.prefactor = prefactor(params, one_d=self.one_d)
         self.term_count = sum(int(np.count_nonzero(m)) for m in masks)
         # one row's stencil shape and the flat step along the axis, per
         # direction
@@ -342,13 +343,21 @@ def spin_vectors(angles: np.ndarray) -> np.ndarray:
     return cs
 
 
+def _check_spacing(u: SpinField, params: ModelParams) -> None:
+    """ValueError unless the field lives on the lattice of ``params``."""
+    if u.spacing != params.lam:
+        raise ValueError(f"the field's spacing {u.spacing!r} differs from lambda = {params.lam!r}")
+
+
 def energy_H(
     u: SpinField, domain: Domain, params: ModelParams, cs: Optional[np.ndarray] = None
 ) -> EnergyReport:
     """Renormalized energy over the interior index set; zero exactly on the
-    four helical ground states.  ``cs`` is ``spin_vectors(u.angles)`` when
-    the caller has it."""
-    model = StencilEnergy((u.ny, u.nx), params, u.spacing, domain=domain)
+    four helical ground states.  A single-row field is a chain on the
+    domain's x-extent.  ``cs`` is ``spin_vectors(u.angles)`` when the caller
+    has it."""
+    _check_spacing(u, params)
+    model = StencilEnergy((u.ny, u.nx), params, domain)
     return model.report(model.evaluate(u.angles[None], cs=None if cs is None else cs[:, None]))
 
 
@@ -360,9 +369,10 @@ def energy_H_1d(
     if chain.ny != 1:
         raise ValueError("energy_H_1d expects a single-row spin field")
     a, b = interval
-    if not b > a:
-        raise ValueError("empty interval")
-    model = StencilEnergy((1, chain.nx), params, chain.spacing, interval=interval)
+    if not -math.inf < a < b < math.inf:
+        raise ValueError(f"the interval must be finite and not empty, got {interval}")
+    _check_spacing(chain, params)
+    model = StencilEnergy((1, chain.nx), params, Domain(x0=a, width=b - a))
     return model.evaluate(chain.angles[None]).total[0]
 
 
@@ -423,7 +433,8 @@ def mm_decomposition(
     and stays finite at the corner singularities.  ``cs`` is
     ``spin_vectors(u.angles)`` when the caller has it.
     """
-    lam = u.spacing
+    _check_spacing(u, params)
+    lam = params.lam
     eps = params.epsilon
     delta = params.delta
     th, tv, w, z = _chirality_arrays(*(u.vectors() if cs is None else cs), delta)

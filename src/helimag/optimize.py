@@ -5,6 +5,10 @@ The optimization variable is the angle lifting psi, which makes the energy
 smooth and unconstrained.  Boundary data freezes border layers two sites
 deep (the three-point stencil needs two determined neighbors), encoding a
 chirality pair per side through helical angle sequences.
+
+As in ``energy``, the lattice spacing is ``ModelParams.lam`` and a single
+row of angles is a chain: its energy is the 1D energy on the domain's
+x-extent, and its boundary data is ``two_sided_bc``'s on a grid of one row.
 """
 
 from __future__ import annotations
@@ -55,24 +59,12 @@ class BoundaryCondition:
 
 def chain_bc(n: int, params: ModelParams, left: int, right: int) -> BoundaryCondition:
     """Two frozen sites at each end of an n-site chain, following helices of
-    chirality ``left`` and ``right`` (each +-1)."""
+    chirality ``left`` and ``right`` (each +-1): ``two_sided_bc`` on one row."""
     if n < 5:
         raise ValueError("chain needs at least 5 sites for two free layers")
     if left not in (-1, 1) or right not in (-1, 1):
         raise ValueError("chiralities must be +-1")
-    beta = params.helix_angle
-    mask = np.zeros((1, n), dtype=bool)
-    values = np.zeros((1, n))
-    mask[0, :2] = True
-    mask[0, -2:] = True
-    values[0, 0] = 0.0
-    values[0, 1] = left * beta
-    # anchor the right helix so equal chiralities give one global helix and
-    # opposite chiralities center the transition
-    anchor = 0.5 * (left + right) * beta * (n - 1)
-    values[0, n - 2] = anchor - right * beta
-    values[0, n - 1] = anchor
-    return BoundaryCondition(mask=mask, values=values)
+    return two_sided_bc(n, 1, params, (left, 1), (right, 1))
 
 
 def two_sided_bc(
@@ -100,6 +92,8 @@ def two_sided_bc(
     wl, zl = left_pair
     wr, zr = right_pair
     left_vals = beta * (wl * ii + zl * jj)
+    # anchor the right helix so equal chiralities give one global helix and
+    # opposite ones center the transition
     anchor = 0.5 * (wl + wr) * beta * (nx - 1)
     right_vals = beta * (wr * (ii - (nx - 1)) + zr * jj) + anchor
     mask[:, :2] = True
@@ -124,29 +118,15 @@ class MinimizeOptions:
             raise ValueError(f"init_step must be positive and finite, got {self.init_step}")
 
 
-def _stencil_energy(
-    shape: tuple[int, int], domain: Domain, params: ModelParams, lam: float
-) -> StencilEnergy:
-    """The energy of angle arrays of ``shape``; a single row is a chain
-    measured on the domain's x-extent with the 1D energy."""
-    if shape[0] == 1:
-        return StencilEnergy(shape, params, lam, interval=(domain.x0, domain.x0 + domain.width))
-    return StencilEnergy(shape, params, lam, domain=domain)
-
-
 def energy_gradient(
-    psi: np.ndarray,
-    domain: Domain,
-    params: ModelParams,
-    bc: Optional[BoundaryCondition],
-    lam: float,
+    psi: np.ndarray, domain: Domain, params: ModelParams, bc: Optional[BoundaryCondition]
 ) -> np.ndarray:
     """Analytic gradient of the renormalized energy with respect to the site
     angles; zero at frozen sites.  Single-row grids use the 1D energy."""
-    u = SpinField.from_angles(psi, lam)
+    u = SpinField.from_angles(psi, params.lam)
     if bc is not None and bc.mask.shape != u.angles.shape:
         raise ValueError("boundary condition shape mismatch")
-    model = _stencil_energy(u.angles.shape, domain, params, lam)
+    model = StencilEnergy(u.angles.shape, params, domain)
     g = model.gradient(model.evaluate(u.angles[None]))
     if bc is not None:
         g[bc.mask] = 0.0
@@ -226,7 +206,7 @@ def minimize_H(
     psi = bc.apply(np.asarray(psi0, dtype=float))
     if not np.isfinite(psi).all():
         raise ValueError("spin angles must be finite")
-    model = _stencil_energy(psi.shape, domain, params, params.lam)
+    model = StencilEnergy(psi.shape, params, domain)
     k = min(BATCH_ROWS if psi.size <= BATCH_SITES else 1, opts.max_backtracks)
     # the first stack holds k copies of the start, so that every state has
     # k rows

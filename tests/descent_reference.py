@@ -55,14 +55,14 @@ def gradient(psi, domain, params, bc, lam):
     if ny == 1:
         keep = chain_keep(nx, _interval(domain), lam)
         _add_stencil_gradient(g, cosp, sinp, keep, params.alpha)
-        g *= prefactor(params, lam, one_d=True)
+        g *= prefactor(params, one_d=True)
     else:
         mask = index_mask(domain, lam, nx, ny)
         if nx >= 3:
             _add_stencil_gradient(g, cosp, sinp, mask[:, : nx - 2], params.alpha)
         if ny >= 3:
             _add_stencil_gradient(g.T, cosp.T, sinp.T, mask[: ny - 2, :].T, params.alpha)
-        g *= prefactor(params, lam)
+        g *= prefactor(params)
     if bc is not None:
         g[bc.mask] = 0.0
     return g
@@ -132,7 +132,7 @@ def plane_energy(u, domain, params):
     ha = params.alpha / 2.0
     ux, uy = u.vectors()
     mask = index_mask(domain, u.spacing, u.nx, u.ny)
-    pf = prefactor(params, u.spacing)
+    pf = prefactor(params)
     m_hor = mask[:, : u.nx - 2]
     m_ver = mask[: u.ny - 2, :]
     hor = pf * det_sum(squared_stencil(ux, uy, ha) * m_hor)
@@ -145,4 +145,4 @@ def chain_energy(u, interval, params):
     ux, uy = u.vectors()
     terms = squared_stencil(ux[0], uy[0], params.alpha / 2.0)
     keep = chain_keep(u.nx, interval, u.spacing)
-    return prefactor(params, u.spacing, one_d=True) * det_sum(terms[keep])
+    return prefactor(params, one_d=True) * det_sum(terms[keep])

@@ -38,7 +38,7 @@ def _chain_energies(
     """Vectorized 1D energies of many chains at once (all interior stencils)."""
     h = three_point(np.stack([np.cos(psis), np.sin(psis)]), params.alpha / 2.0)
     terms = h[0] * h[0] + h[1] * h[1]
-    return prefactor(params, lam, one_d=True) * terms.sum(axis=1)
+    return prefactor(params, one_d=True) * terms.sum(axis=1)
 
 
 def brute_force_1d(

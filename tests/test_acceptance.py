@@ -198,7 +198,7 @@ def test_acceptance_09_gradient_correctness(capsys):
         p = ModelParams(lam=1.0 / n, delta=float(rng.uniform(0.1, 0.9)))
         d = Domain(width=1.0, height=1.0)
         psi = rng.uniform(-math.pi, math.pi, (n, n))
-        g = energy_gradient(psi, d, p, None, p.lam)
+        g = energy_gradient(psi, d, p, None)
         fd = np.zeros_like(psi)
         for j in range(n):
             for i in range(n):

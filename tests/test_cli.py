@@ -487,6 +487,73 @@ class TestErrorContract:
         assert (status, result) == (1, {"error": f"cannot load spin field: missing key '{key}'"})
         assert sorted(p.name for p in tmp_path.iterdir()) == ["u.json"]
 
+    @pytest.mark.parametrize("command, config, error", [
+        ("energy", {"delta": 0.3}, "cannot load spin field: missing key 'in'"),
+        ("transform", {"delta": 0.3}, "cannot load spin field: missing key 'in'"),
+        ("recover", {"kind": "vertical_wall"}, "bad model parameters: missing key 'lambda'"),
+        ("recover", {"kind": "vertical_wall", "lambda": 0.0625},
+         "bad model parameters: missing key 'delta'"),
+        ("minimize", {"n": 8, "delta": 0.2}, "bad model parameters: missing key 'lambda'"),
+    ])
+    def test_config_missing_a_key(self, tmp_path, command, config, error):
+        status, result = run(command, {**config, "out": str(tmp_path / "o")})
+        assert (status, result) == (1, {"error": error})
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("lambda", "0.0625"), ("delta", "0.1"), ("lambda", True), ("delta", None),
+        ("delta", [0.1]),
+    ])
+    @pytest.mark.parametrize("command", ["groundstate", "recover", "minimize"])
+    def test_model_parameters_that_are_not_json_numbers(self, tmp_path, command, key, value):
+        config = {"n": 8, "kind": "vertical_wall", "lambda": 0.0625, "delta": 0.1, key: value}
+        status, result = run(command, {**config, "out": str(tmp_path / "o")})
+        assert (status, result) == (
+            1, {"error": f"bad model parameters: {key} must be a JSON number, got {value!r}"}
+        )
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("steps, key, value", [
+        ([["0.25", "0.4"]], "lambda", "0.25"),
+        ([[0.0625, 0.2], [0.25, "0.4"]], "delta", "0.4"),
+        ([[0.25, True]], "delta", True),
+        ([[None, 0.4]], "lambda", None),
+    ])
+    def test_schedule_entries_that_are_not_json_numbers(self, tmp_path, steps, key, value):
+        sched = tmp_path / "schedule.json"
+        sched.write_text(json.dumps(steps))
+        status, result = run("sweep", {"kind": "vertical_wall", "schedule": str(sched),
+                                       "out": str(tmp_path / "o")})
+        assert (status, result) == (
+            1, {"error": f"bad model parameters: {key} must be a JSON number, got {value!r}"}
+        )
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["energy", "transform"])
+    def test_lambda_other_than_the_field_spacing(self, tmp_path, command):
+        f = tmp_path / "u.json"
+        f.write_text(SpinField.from_angles(np.zeros((4, 4)), 0.05).to_json())
+        error = "lambda 0.1 differs from the spin field's spacing 0.05"
+        status, result = run(command, {"in": str(f), "delta": 0.3, "lambda": 0.1,
+                                       "out": str(tmp_path / "o")})
+        assert (status, result) == (1, {"error": error})
+        assert not (tmp_path / "o").exists()
+        assert main([command, "--in", str(f), "--delta", "0.3", "--lambda", "0.1",
+                     "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("command", ["energy", "transform"])
+    def test_lambda_equal_to_the_field_spacing(self, tmp_path, command):
+        psi = np.random.default_rng(49).uniform(-1.0, 1.0, (5, 6))
+        f = tmp_path / "u.json"
+        f.write_text(SpinField.from_angles(psi, 0.05).to_json())
+        for name, extra in (("a", {}), ("b", {"lambda": 0.05})):
+            status, _ = run(command, {"in": str(f), "delta": 0.3, **extra,
+                                      "out": str(tmp_path / name)})
+            assert status == 0
+        for name in ("energy.json",) if command == "energy" else ("chirality.json",
+                                                                   "vorticity.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     @pytest.mark.parametrize("key", ["vertices", "triangles", "heights", "domain"])
     def test_mesh_file_missing_a_key(self, tmp_path, key):
         from helimag.continuum import build_example

@@ -21,7 +21,15 @@ from helimag.energy import (
     spin_vectors,
 )
 from helimag.chirality import _chirality_arrays
-from helimag.lattice import GEOM_TOL, Domain, ModelParams, SpinField, det_sum, index_mask
+from helimag.lattice import (
+    GEOM_TOL,
+    Domain,
+    ModelParams,
+    SpinField,
+    chain_keep,
+    det_sum,
+    index_mask,
+)
 
 
 def oracle_index_set(domain, lam, nx, ny):
@@ -203,21 +211,70 @@ class TestEnergyH:
         # [0.2, 0.7] keeps stencils 2..5 of a 10-site chain: none reads site 0,
         # so the check cannot rely on NaN reaching the sum
         p = ModelParams(lam=0.1, delta=0.3)
-        model = StencilEnergy((1, 10), p, p.lam, interval=(0.2, 0.7))
+        model = StencilEnergy((1, 10), p, Domain(x0=0.2, width=0.5))
         psi = np.zeros((1, 10))
         psi[0, 0] = math.nan
         with pytest.raises(ValueError, match="spin angles must be finite"):
             model.evaluate(psi[None])
 
 
+class TestOneLatticeProblem:
+    @pytest.mark.parametrize("domain", [
+        Domain(width=1.0, height=0.05),
+        Domain(x0=0.12, width=0.71, height=1.0),
+        Domain(x0=-0.3, width=0.95, height=0.5),
+    ])
+    def test_energy_H_on_one_row_is_the_chain_energy(self, domain):
+        rng = np.random.default_rng(47)
+        p = ModelParams(lam=0.05, delta=0.3)
+        u = SpinField.from_angles(rng.uniform(-math.pi, math.pi, (1, 20)), p.lam)
+        interval = (domain.x0, domain.x0 + domain.width)
+        total = energy_H_1d(u, interval, p)
+        terms = int(np.count_nonzero(chain_keep(20, interval, p.lam)))
+        assert terms > 0
+        assert energy_H(u, domain, p) == EnergyReport(
+            total=total, horizontal=total, vertical=0.0, term_count=terms
+        )
+        assert total == descent_reference.chain_energy(u, interval, p)
+
+    @pytest.mark.parametrize("interval", [
+        (0.3, 0.3), (0.5, 0.2), (-math.inf, math.inf), (0.0, math.inf), (math.nan, 1.0),
+    ])
+    def test_chain_interval_must_be_finite_and_not_empty(self, interval):
+        # (-inf, inf) would become a domain whose x-extent ends at nan
+        p = ModelParams(lam=0.05, delta=0.3)
+        u = SpinField.from_angles(np.zeros((1, 20)), p.lam)
+        with pytest.raises(ValueError, match="the interval must be finite and not empty"):
+            energy_H_1d(u, interval, p)
+
+    def test_a_spacing_other_than_lambda_is_rejected(self):
+        # read with lambda = 0.05 the field satisfies the exact identity; with
+        # lambda = 0.1 the energies would mix two lattices
+        rng = np.random.default_rng(48)
+        u = SpinField.from_angles(rng.uniform(-math.pi, math.pi, (12, 12)), 0.05)
+        chain = SpinField.from_angles(u.angles[:1], 0.05)
+        dom = Domain(width=0.6, height=0.6)
+        own = ModelParams(lam=0.05, delta=0.3)
+        assert energy_H(u, dom, own).total == pytest.approx(
+            mm_decomposition(u, dom, own).total, rel=1e-12
+        )
+        other = ModelParams(lam=0.1, delta=0.3)
+        message = "spacing 0.05 differs from lambda = 0.1"
+        for energy in (energy_H, mm_decomposition):
+            with pytest.raises(ValueError, match=message):
+                energy(u, dom, other)
+        with pytest.raises(ValueError, match=message):
+            energy_H_1d(chain, (0.0, 0.6), other)
+
+
 def _plane_model(shape, domain):
     p = ModelParams(lam=1.0 / 17, delta=0.3)
-    return StencilEnergy(shape, p, p.lam, domain=domain)
+    return StencilEnergy(shape, p, domain)
 
 
 def _chain_model(n, interval):
     p = ModelParams(lam=0.1, delta=0.3)
-    return StencilEnergy((1, n), p, p.lam, interval=interval)
+    return StencilEnergy((1, n), p, Domain(x0=interval[0], width=interval[1] - interval[0]))
 
 
 # (model, site): a site inside a plane, a site that the mask of an offset

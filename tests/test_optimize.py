@@ -63,6 +63,28 @@ class TestBoundaryConditions:
         with pytest.raises(ValueError):
             chain_bc(8, p, 2, 1)
 
+    def test_chain_bc_is_two_sided_bc_on_one_row(self):
+        # bit for bit, and both are the helices' closed form: the left helix
+        # from 0, the right one anchored so that equal chiralities give one
+        # helix and opposite ones center the transition
+        rng = np.random.default_rng(46)
+        for n in (5, 6, 17, 64, 400):
+            for _ in range(3):
+                p = ModelParams(lam=float(rng.uniform(0.005, 0.2)),
+                                delta=float(rng.uniform(0.05, 0.95)))
+                beta = p.helix_angle
+                for left, right in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                    bc = chain_bc(n, p, left, right)
+                    row = two_sided_bc(n, 1, p, (left, 1), (right, 1))
+                    assert bc.mask.tobytes() == row.mask.tobytes()
+                    assert bc.values.tobytes() == row.values.tobytes()
+                    anchor = 0.5 * (left + right) * beta * (n - 1)
+                    want = np.zeros((1, n))
+                    want[0, [0, 1, n - 2, n - 1]] = [0.0, left * beta,
+                                                     anchor - right * beta, anchor]
+                    assert bc.values.tobytes() == want.tobytes()
+                    assert bc.mask[0].tolist() == [True] * 2 + [False] * (n - 4) + [True] * 2
+
     def test_two_sided_bc_equal_pairs_ground_state(self):
         # identical chirality pairs on both sides: the helix itself
         # satisfies both layers and has zero energy
@@ -100,7 +122,7 @@ class TestGradient:
         d = Domain()
         for _ in range(5):
             psi = rng.uniform(-math.pi, math.pi, (6, 6))
-            g = energy_gradient(psi, d, p, None, p.lam)
+            g = energy_gradient(psi, d, p, None)
             fd = fd_gradient(psi, d, p, p.lam)
             np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-5)
 
@@ -109,7 +131,7 @@ class TestGradient:
         p = ModelParams(lam=0.1, delta=0.4)
         d = Domain(width=0.8, height=0.1)
         psi = rng.uniform(-math.pi, math.pi, (1, 8))
-        g = energy_gradient(psi, d, p, None, p.lam)
+        g = energy_gradient(psi, d, p, None)
         fd = fd_gradient(psi, d, p, p.lam)
         np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-5)
 
@@ -119,11 +141,33 @@ class TestGradient:
         p = ModelParams(lam=0.1, delta=0.4)
         d = Domain(x0=0.2, width=0.5, height=0.1)
         psi = rng.uniform(-math.pi, math.pi, (1, 10))
-        g = energy_gradient(psi, d, p, None, p.lam)
+        g = energy_gradient(psi, d, p, None)
         fd = fd_gradient(psi, d, p, p.lam)
         np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-5)
         # sites outside every kept stencil do not move the energy
         assert np.all(g[0, [0, 1, 8, 9]] == 0.0)
+
+    @pytest.mark.parametrize("domain", [
+        Domain(width=1.0, height=0.1), Domain(x0=0.2, width=0.5, height=0.1),
+    ], ids=["uncut", "cut"])
+    def test_one_row_matches_fd_of_energy_H(self, domain):
+        # energy_H on a single row is the chain energy whose gradient
+        # energy_gradient takes
+        rng = np.random.default_rng(9)
+        p = ModelParams(lam=0.1, delta=0.4)
+        psi = rng.uniform(-math.pi, math.pi, (1, 10))
+        h = 1e-6
+        fd = np.zeros_like(psi)
+        for i in range(10):
+            for s in (h, -h):
+                q = psi.copy()
+                q[0, i] += s
+                fd[0, i] += math.copysign(1.0, s) * energy_H(SpinField.from_angles(q, p.lam),
+                                                             domain, p).total
+        fd /= 2.0 * h
+        g = energy_gradient(psi, domain, p, None)
+        np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-5)
+        assert np.abs(g).max() > 1e-3
 
     @pytest.mark.parametrize("shape, domain", [
         ((9, 9), Domain(width=9 / 17, height=9 / 17)),
@@ -136,21 +180,21 @@ class TestGradient:
         rng = np.random.default_rng(38)
         p = ModelParams(lam=1.0 / 17, delta=0.3)
         psi = rng.uniform(-math.pi, math.pi, shape)
-        g = energy_gradient(psi, domain, p, None, p.lam)
+        g = energy_gradient(psi, domain, p, None)
         assert g.tobytes() == descent_reference.gradient(psi, domain, p, None, p.lam).tobytes()
 
     def test_zero_at_frozen_sites(self):
         p = ModelParams(lam=0.1, delta=0.3)
         bc = chain_bc(8, p, 1, -1)
         psi = linear_init(bc)
-        g = energy_gradient(psi, Domain(width=0.8, height=0.1), p, bc, p.lam)
+        g = energy_gradient(psi, Domain(width=0.8, height=0.1), p, bc)
         assert np.all(g[bc.mask] == 0.0)
 
     def test_zero_on_ground_state(self):
         p = ModelParams(lam=1.0 / 8, delta=0.2)
         jj, ii = np.mgrid[0:8, 0:8]
         psi = p.helix_angle * (ii - jj).astype(float)
-        g = energy_gradient(psi, Domain(), p, None, p.lam)
+        g = energy_gradient(psi, Domain(), p, None)
         np.testing.assert_allclose(g, 0.0, atol=1e-10)
 
 
@@ -527,6 +571,6 @@ class TestChainOracle:
         # stacks of chains, though the two share no stencil code
         p = ModelParams(lam=0.2, delta=delta)
         psis = np.random.default_rng(n).uniform(-math.pi, math.pi, (300, n))
-        model = StencilEnergy((1, n), p, p.lam, interval=(0.0, n * p.lam))
+        model = StencilEnergy((1, n), p, Domain(width=n * p.lam))
         want = model.evaluate(psis[:, None, :]).total
         assert _chain_energies(psis, p, p.lam, n).tolist() == want
