@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import ModelParams, ScalarGrid, SpinField, dump, dumps, json_int, json_number, \
-    json_numbers, json_object
+from .lattice import ModelParams, ScalarGrid, SpinField, check_spacing, dump, dumps, json_int, \
+    json_number, json_numbers, json_object
 
 TWO_PI = 2.0 * math.pi
 
@@ -104,11 +104,12 @@ def _chirality_arrays(
 def transform(u: SpinField, params: ModelParams) -> tuple[ThetaFields, ChiralityPair]:
     """Order-parameter transform: spin field -> (theta fields, chirality pair).
 
-    w has one fewer column and z one fewer row than the spin grid.
+    w has one fewer column and z one fewer row than the spin grid.  A field
+    whose spacing differs from ``params.lam`` raises ValueError.
     """
-    ux, uy = u.vectors()
-    th, tv, w, z = _chirality_arrays(ux, uy, params.delta)
-    lam = u.spacing
+    check_spacing(u, params)
+    th, tv, w, z = _chirality_arrays(*u.vectors(), params.delta)
+    lam = params.lam
     theta = ThetaFields(
         theta_hor=ScalarGrid.from_values(th, lam),
         theta_ver=ScalarGrid.from_values(tv, lam),

@@ -1,10 +1,11 @@
 """Command-line front end wiring the pipeline.
 
 Exit codes: 0 success, 1 validation failure (usage errors, arguments,
-schemas, invalid meshes, lattices too large to allocate, artefact files
-that cannot be written, and any other ValueError a layer raises on its
-input), 2 numerical failure (bond-angle overflow, line-search stall, failed
-sweep rows).  All structured IO is JSON, tables are CSV, images are SVG.
+schemas, invalid meshes, lattices too large to allocate, integers too large
+for a float, artefact files that cannot be written, and any other
+ValueError a layer raises on its input), 2 numerical failure (bond-angle
+overflow, line-search stall, failed sweep rows).  All structured IO is
+JSON, tables are CSV, images are SVG.
 """
 
 from __future__ import annotations
@@ -22,12 +23,14 @@ import numpy as np
 from .chirality import transform, vorticity
 from .continuum import CLASSES, MeshPotential, build_example, classify, limit_energy, \
     mesh_to_svg, total_variations
-from .energy import energy_H, mm_decomposition, prefactor, rho, spin_vectors
-from .lattice import Domain, ModelParams, SpinField, json_number, json_value
+from .energy import CSV_HEADER, energy_H, mm_decomposition, prefactor, rho
+from .lattice import Domain, ModelParams, SpinField, helix, json_number, json_value, spin_vectors
 from .optimize import MinimizeOptions, chain_bc, log_to_csv, minimize_H, profile_init
 from .recovery import SweepSchedule, build_recovery, gamma_sweep, profile_transition_energy
 
 _PAIRS = {"++": (1, 1), "+-": (1, -1), "-+": (-1, 1), "--": (-1, -1)}
+# the one extra artefact format a command can write
+_FORMATS = {"energy": "csv", "classify": "svg"}
 
 
 class ValidationError(Exception):
@@ -104,15 +107,12 @@ def _params(config: dict, spacing: float | None = None) -> ModelParams:
 
 
 def _int(config: dict, key: str, default: int) -> int:
-    """Integer config value; a bool, a non-integral number or a string that
-    is not an integer raises ValidationError."""
+    """Integer config value, by ``lattice.json_int``'s rule: a bool, a float
+    (integral or not), a string or null raises ValidationError."""
     value = config.get(key, default)
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    if type(value) is not int:
         raise ValidationError(f"{key} must be an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{key} must be an integer, got {value!r}") from exc
+    return value
 
 
 def _pair(config: dict, key: str, default: str) -> str:
@@ -143,10 +143,7 @@ def _cmd_groundstate(config: dict) -> dict:
     if n < 2:
         raise ValidationError("n must be at least 2")
     out = _outdir(config)
-    wsgn, zsgn = _PAIRS[pair]
-    jj, ii = np.mgrid[0:n, 0:n]
-    psi = p.helix_angle * (wsgn * ii + zsgn * jj)
-    u = SpinField.from_angles(psi, p.lam)
+    u = SpinField.from_angles(helix((n, n), p, _PAIRS[pair]), p.lam)
     return {"written": _write(out / "groundstate.json", u), "pair": pair}
 
 
@@ -173,8 +170,6 @@ def _cmd_energy(config: dict) -> dict:
     doc = {"direct": rep.to_dict(), "decomposition": dec.to_dict()}
     written = _write(out / "energy.json", json.dumps(doc))
     if config.get("format") == "csv":
-        from .energy import CSV_HEADER
-
         _write(out / "energy.csv", CSV_HEADER + "\n" + dec.csv_row(p) + "\n")
     return {"written": written, "total": rep.total}
 
@@ -331,9 +326,7 @@ def _cmd_selftest(config: dict) -> dict:
     fails = 0
     for pair in _PAIRS.values():
         p = ModelParams(lam=1.0 / 32, delta=0.1)
-        jj, ii = np.mgrid[0:32, 0:32]
-        psi = p.helix_angle * (pair[0] * ii + pair[1] * jj)
-        u = SpinField.from_angles(psi, p.lam)
+        u = SpinField.from_angles(helix((32, 32), p, pair), p.lam)
         if energy_H(u, Domain(), p).total > 1e-10:
             fails += 1
     counts["ground_states"] = (4, fails)
@@ -369,6 +362,10 @@ def run(command: str, config: dict) -> tuple[int, dict]:
     if command not in _DISPATCH:
         return 1, {"error": f"unknown command {command!r}"}
     try:
+        fmt = config.get("format")
+        if fmt is not None and fmt != _FORMATS.get(command):
+            takes = f"--format {_FORMATS[command]} only" if command in _FORMATS else "no --format"
+            raise ValidationError(f"{command} takes {takes}, got {fmt!r}")
         return 0, _DISPATCH[command](config)
     # every layer rejects a bad input with ValueError; ValidationError is no
     # subclass, so the handlers that prefix a layer's message never catch it
@@ -378,6 +375,8 @@ def run(command: str, config: dict) -> tuple[int, dict]:
         return 2, {"error": str(exc)}
     except MemoryError as exc:  # a lattice too large to allocate
         return 1, {"error": f"out of memory: {exc}"}
+    except OverflowError as exc:  # an integer too large for a float
+        return 1, {"error": f"number too large: {exc}"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -394,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", help="JSON config file; flags override its keys")
     ap.add_argument("--out", help="output directory (default .)")
     ap.add_argument("--format", choices=("csv", "svg"),
-                    help="also write energy.csv (energy) or mesh.svg (classify)")
+                    help="also write energy.csv (energy only) or mesh.svg (classify only)")
     ap.add_argument("--json-errors", action="store_true",
                     help="emit machine-readable error JSON on stderr")
     ap.add_argument("--pair")

@@ -16,9 +16,10 @@ bond angles; the split is an identity in exact arithmetic.
 
 Two rules hold throughout.  The only lam is ``ModelParams.lam``: it scales
 the prefactor and eps, and a spin field whose spacing differs from it is
-rejected.  A grid of one row is a chain: its energy is the 1D energy with
-prefactor 1/(sqrt(2)*lam*delta^(3/2)) * lam/2, summed over the stencils
-that lie in the domain's x-extent.
+rejected (``lattice.check_spacing``).  A grid of one row is a chain: its
+energy is the 1D energy with prefactor 1/(sqrt(2)*lam*delta^(3/2)) * lam/2,
+summed over the column range of ``lattice.index_ranges``, the stencils that
+lie in the domain's x-extent.
 """
 
 from __future__ import annotations
@@ -36,9 +37,11 @@ from .lattice import (
     Domain,
     ModelParams,
     SpinField,
-    chain_keep,
+    check_spacing,
     det_sum,
     index_mask,
+    index_ranges,
+    spin_vectors,
 )
 
 CSV_HEADER = "lambda,delta,epsilon,H_total,H_hor,H_ver,potential,gradient"
@@ -156,10 +159,11 @@ class StencilEnergy:
     along the axis, which is faster than over strided views; the entries
     whose terms cross the edge of a grid row or of the grid are computed
     too, but never summed or differentiated.  On a plane the stencils are
-    masked by the interior index set of ``domain``.  A single row is a
-    chain on the domain's x-extent (``chain_keep``), with the 1D prefactor;
-    it sums only the kept terms, because zero padding would regroup the
-    pairwise sum.  A mask that keeps every term is skipped.
+    masked by the interior index set of ``domain`` (``index_mask``).  A
+    single row is a chain on the domain's x-extent, with the 1D prefactor:
+    its stencils are masked by the column range of ``index_ranges``, and
+    it sums only the terms in that range, because zero padding would
+    regroup the pairwise sum.  A mask that keeps every term is skipped.
     Each row is summed as one contiguous array, pairwise in the grid's
     row-major order as ``det_sum`` sums it, so a row's energy does not
     depend on the stack it is in.  The squares of ``evaluate`` (per stack
@@ -173,15 +177,18 @@ class StencilEnergy:
         self.alpha = params.alpha
         self.one_d = ny == 1
         # the index set over the whole grid; its views of the stencils'
-        # shape, in grid orientation, mask each direction
+        # shape, in grid orientation, mask each direction.  A row sums its
+        # terms i0:i1: on a chain the range of its nx - 2 stencils that the
+        # domain keeps, on a plane all
         if self.one_d:
             self.axes = (-1,)
-            keep = chain_keep(nx, (domain.x0, domain.x0 + domain.width), params.lam)
+            (i0, i1), _ = index_ranges(domain, params.lam, max(nx - 2, 0), 1)
             grid = np.zeros(shape, dtype=bool)
-            grid[0, : keep.size] = keep
+            grid[0, i0:i1] = True
         else:
             self.axes = (-1, -2)
             grid = index_mask(domain, params.lam, nx, ny)
+            i0, i1 = 0, None
         masks = [grid[:, : max(nx - 2, 0)] if axis == -1 else grid[: max(ny - 2, 0), :]
                  for axis in self.axes]
         self.half_alpha = params.alpha / 2.0
@@ -191,26 +198,20 @@ class StencilEnergy:
         # direction
         self._shapes = [m.shape for m in masks]
         self._steps = [1 if axis == -1 else nx for axis in self.axes]
-        # per direction: the grid mask, or None if it keeps every term; and
-        # on a cut chain the flat indices of the kept terms, gathered into
-        # one contiguous array per row before the sum
-        self._rules = [
-            (None, None) if m.all() else (grid, np.flatnonzero(m) if self.one_d else None)
-            for m in masks
-        ]
+        # per direction: the grid mask, or None if it keeps every term
+        self._masks = [None if m.all() else grid for m in masks]
+        self._summed = slice(i0, i1)
         # a non-finite angle turns its stencils' squares, and so the total,
         # into NaN (masked terms too: NaN * 0 is NaN), except on a cut chain,
         # which drops terms, or where there is no stencil
-        self.always_scan = (self.one_d and self._rules[0][0] is not None) or not any(
-            m.size for m in masks
-        )
+        self.always_scan = (self.one_d and not masks[0].all()) or not any(m.size for m in masks)
         self._squares: dict[int, list] = {}
         self._gradient_work = None
 
     def _square_views(self, rows: int) -> list:
         """Per direction: h * h of a stack of ``rows``, its two components
-        and the first's (rows, terms) view; one scratch array per stack
-        size."""
+        and the first's (rows, terms) view of the summed terms; one scratch
+        array per stack size."""
         views = self._squares.get(rows)
         if views is None:
             sizes = [math.prod(s) for s in self._shapes]
@@ -218,7 +219,7 @@ class StencilEnergy:
             views = []
             for s, size in zip(self._shapes, sizes):
                 h2 = squares[: 2 * rows * size].reshape((2, rows) + s)
-                views.append((h2, h2[0], h2[1], h2[0].reshape(rows, size)))
+                views.append((h2, h2[0], h2[1], h2[0].reshape(rows, size)[:, self._summed]))
             self._squares[rows] = views
         return views
 
@@ -228,8 +229,8 @@ class StencilEnergy:
         cs = np.ascontiguousarray(cs)
         flat = cs.reshape(-1)
         stencils, runs = [], []
-        for (mask, kept), step, (my, mx), squares in zip(
-            self._rules, self._steps, self._shapes, self._square_views(cs.shape[1])
+        for mask, step, (my, mx), squares in zip(
+            self._masks, self._steps, self._shapes, self._square_views(cs.shape[1])
         ):
             full = np.empty(cs.shape)
             n = max(flat.size - 2 * step, 0)
@@ -237,7 +238,7 @@ class StencilEnergy:
             h = full[..., :my, :mx]
             terms = (flat[:n], flat[step : step + n], flat[2 * step : 2 * step + n])
             stencils.append(h)
-            runs.append((mask, kept, *terms, full.reshape(-1)[:n], full, h, *squares))
+            runs.append((mask, *terms, full.reshape(-1)[:n], full, h, *squares))
         return StencilState(cs, stencils, runs, self.axes)
 
     def evaluate(
@@ -265,11 +266,10 @@ class StencilEnergy:
             np.sin(psi, out=state.trig[1])
         half_alpha, pf = self.half_alpha, self.prefactor
         parts = []
-        for mask, kept, lo, mid, hi, out, full, h, h2, h2x, h2y, flat in state.runs:
+        for mask, lo, mid, hi, out, full, h, h2, h2x, h2y, flat in state.runs:
             # every row and both spin components at once, rounded in this
-            # order: mid * alpha/2, then hi - that, then + lo; each row is
-            # summed pairwise as det_sum sums it, the kept terms of a cut
-            # chain gathered first
+            # order: mid * alpha/2, then hi - that, then + lo; each row's
+            # summed terms are added pairwise as det_sum adds them
             np.multiply(mid, half_alpha, out=out)
             np.subtract(hi, out, out=out)
             np.add(out, lo, out=out)
@@ -277,8 +277,6 @@ class StencilEnergy:
                 np.multiply(full, mask, out=full)
             np.square(h, out=h2)  # h * h, faster on the strided stencils
             np.add(h2x, h2y, out=h2x)
-            if kept is not None:
-                flat = flat.take(kept, axis=1)
             parts.append([pf * t for t in np.add.reduce(flat, 1).tolist()])
         state.parts = parts
         state.total = total = parts[0] if len(parts) == 1 else [a + b for a, b in zip(*parts)]
@@ -334,21 +332,6 @@ class StencilEnergy:
         return g * self.prefactor
 
 
-def spin_vectors(angles: np.ndarray) -> np.ndarray:
-    """The stacked unit vectors (cos, sin) of an angle array, or of a stack
-    of them, shape (2,) + angles.shape."""
-    cs = np.empty((2,) + angles.shape)
-    np.cos(angles, out=cs[0])
-    np.sin(angles, out=cs[1])
-    return cs
-
-
-def _check_spacing(u: SpinField, params: ModelParams) -> None:
-    """ValueError unless the field lives on the lattice of ``params``."""
-    if u.spacing != params.lam:
-        raise ValueError(f"the field's spacing {u.spacing!r} differs from lambda = {params.lam!r}")
-
-
 def energy_H(
     u: SpinField, domain: Domain, params: ModelParams, cs: Optional[np.ndarray] = None
 ) -> EnergyReport:
@@ -356,7 +339,7 @@ def energy_H(
     four helical ground states.  A single-row field is a chain on the
     domain's x-extent.  ``cs`` is ``spin_vectors(u.angles)`` when the caller
     has it."""
-    _check_spacing(u, params)
+    check_spacing(u, params)
     model = StencilEnergy((u.ny, u.nx), params, domain)
     return model.report(model.evaluate(u.angles[None], cs=None if cs is None else cs[:, None]))
 
@@ -371,7 +354,7 @@ def energy_H_1d(
     a, b = interval
     if not -math.inf < a < b < math.inf:
         raise ValueError(f"the interval must be finite and not empty, got {interval}")
-    _check_spacing(chain, params)
+    check_spacing(chain, params)
     model = StencilEnergy((1, chain.nx), params, Domain(x0=a, width=b - a))
     return model.evaluate(chain.angles[None]).total[0]
 
@@ -433,7 +416,7 @@ def mm_decomposition(
     and stays finite at the corner singularities.  ``cs`` is
     ``spin_vectors(u.angles)`` when the caller has it.
     """
-    _check_spacing(u, params)
+    check_spacing(u, params)
     lam = params.lam
     eps = params.epsilon
     delta = params.delta

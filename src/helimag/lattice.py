@@ -1,4 +1,7 @@
-"""Scaled square-lattice grids, domains and index masks.
+"""Scaled square-lattice grids, domains and the lattice definitions that the
+other modules read: the index set (``index_ranges``, ``index_mask``), the
+spacing rule (``check_spacing``), the unit spin vectors (``spin_vectors``)
+and the ground-state helices (``helix``).
 
 Grid functions are piecewise constant on the closed cells
 Q(i, j) = [lam*i, lam*(i+1)] x [lam*j, lam*(j+1)].  Values are stored
@@ -27,16 +30,6 @@ def det_sum(a: np.ndarray) -> float:
     return float(np.add.reduce(np.asarray(a, dtype=float).ravel()))
 
 
-def span_inside(k, lo: float, hi: float, lam: float, tol: float) -> np.ndarray:
-    """True where [lam*k, lam*(k+1)] lies in [lo - tol, hi + tol].
-
-    The one cell-inclusion predicate: a cell of a rectangle is inside when
-    its column and its row both pass it.  Accepts integer scalars or arrays.
-    """
-    k = np.asarray(k, dtype=float)
-    return (lam * k >= lo - tol) & (lam * (k + 1.0) <= hi + tol)
-
-
 @dataclass(frozen=True)
 class Domain:
     """Axis-aligned rectangle [x0, x0+width] x [y0, y0+height].
@@ -54,15 +47,6 @@ class Domain:
     def __post_init__(self) -> None:
         if not (self.width > 0.0 and self.height > 0.0):
             raise ValueError("domain width and height must be positive")
-
-    def axes_inside(self, i, j, lam: float) -> tuple[np.ndarray, np.ndarray]:
-        """Column and row factors of the cell test for column indices ``i``
-        and row indices ``j``; Q(i, j) is inside exactly when both hold."""
-        tol = GEOM_TOL * max(1.0, abs(self.x0) + self.width, abs(self.y0) + self.height)
-        return (
-            span_inside(i, self.x0, self.x0 + self.width, lam, tol),
-            span_inside(j, self.y0, self.y0 + self.height, lam, tol),
-        )
 
     def corners(self) -> tuple[float, float, float, float]:
         return (self.x0, self.y0, self.x0 + self.width, self.y0 + self.height)
@@ -105,26 +89,60 @@ class ModelParams:
         return math.acos(1.0 - self.delta)
 
 
-def index_mask(domain: Domain, lam: float, nx: int, ny: int) -> np.ndarray:
-    """Boolean (ny, nx) mask of the index set: the (i, j) in [0, nx) x [0, ny)
-    whose closed cells Q(i,j), Q(i+1,j), Q(i,j+1) all lie inside the domain.
-    The test factors into a column predicate X(i) & X(i+1) times a row
-    predicate Y(j) & Y(j+1)."""
+def index_ranges(
+    domain: Domain, lam: float, nx: int, ny: int
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The index set as two ranges ((i0, i1), (j0, j1)): the columns i in
+    [0, nx) whose closed cells Q(i), Q(i+1) lie in [x0, x0+width] and the
+    rows j in [0, ny) whose Q(j), Q(j+1) lie in [y0, y0+height], each side
+    widened by GEOM_TOL times the largest coordinate magnitude (at least 1).
+    For lo <= lam*k and lam*(k+2) <= hi, which hold on a suffix and on a
+    prefix of the indices k, each is one range."""
     if not lam > 0.0:
         raise ValueError("lam must be positive")
-    i, j = np.arange(nx), np.arange(ny)
-    cols, rows = domain.axes_inside(i, j, lam)
-    cols_next, rows_next = domain.axes_inside(i + 1, j + 1, lam)
-    return np.outer(rows & rows_next, cols & cols_next)
+    x0, y0, x1, y1 = domain.corners()
+    tol = GEOM_TOL * max(1.0, abs(x0) + domain.width, abs(y0) + domain.height)
+
+    def span(lo: float, hi: float, n: int) -> tuple[int, int]:
+        k = np.arange(n, dtype=float)
+        k0 = n - int(np.count_nonzero(lam * k >= lo - tol))
+        return k0, max(k0, int(np.count_nonzero(lam * (k + 2.0) <= hi + tol)))
+
+    return span(x0, x1, nx), span(y0, y1, ny)
 
 
-def chain_keep(n: int, interval: tuple[float, float], lam: float) -> np.ndarray:
-    """1-D index set: mask of the stencils i of an n-site chain whose cells
-    [lam i, lam(i+1)] and [lam(i+1), lam(i+2)] both lie inside the interval."""
-    a, b = interval
-    tol = GEOM_TOL * max(1.0, abs(a), abs(b))
-    i = np.arange(max(n - 2, 0))
-    return span_inside(i, a, b, lam, tol) & span_inside(i + 1, a, b, lam, tol)
+def index_mask(domain: Domain, lam: float, nx: int, ny: int) -> np.ndarray:
+    """Boolean (ny, nx) mask of the index set: the (i, j) in [0, nx) x [0, ny)
+    whose closed cells Q(i,j), Q(i+1,j), Q(i,j+1) all lie inside the domain,
+    the rectangle of ``index_ranges``."""
+    (i0, i1), (j0, j1) = index_ranges(domain, lam, nx, ny)
+    mask = np.zeros((ny, nx), dtype=bool)
+    mask[j0:j1, i0:i1] = True
+    return mask
+
+
+def check_spacing(u: SpinField, params: ModelParams) -> None:
+    """ValueError unless the field lives on the lattice of ``params``."""
+    if u.spacing != params.lam:
+        raise ValueError(f"the field's spacing {u.spacing!r} differs from lambda = {params.lam!r}")
+
+
+def spin_vectors(angles: np.ndarray) -> np.ndarray:
+    """The stacked unit vectors (cos, sin) of an angle array, or of a stack
+    of them, shape (2,) + angles.shape; it unpacks as (ux, uy)."""
+    cs = np.empty((2,) + angles.shape)
+    np.cos(angles, out=cs[0])
+    np.sin(angles, out=cs[1])
+    return cs
+
+
+def helix(shape: tuple[int, int], params: ModelParams, pair: tuple[int, int]) -> np.ndarray:
+    """Angles psi[j, i] = beta (w i + z j) on a (ny, nx) grid of the helix of
+    chirality pair (w, z), beta = ``params.helix_angle``: one of the four
+    ground states, whose energy is zero."""
+    w, z = pair
+    jj, ii = np.indices(shape)
+    return params.helix_angle * (w * ii + z * jj)
 
 
 # values per orjson call when a float array is written; bounds the encoder's
@@ -313,9 +331,10 @@ class SpinField:
         ny, nx = angles.shape
         return cls(nx=nx, ny=ny, spacing=spacing, angles=angles)
 
-    def vectors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Unit vectors (ux, uy); |u| = 1 is forced by the representation."""
-        return np.cos(self.angles), np.sin(self.angles)
+    def vectors(self) -> np.ndarray:
+        """Unit vectors ``spin_vectors(angles)``, which unpack as (ux, uy);
+        |u| = 1 is forced by the representation."""
+        return spin_vectors(self.angles)
 
     def _document(self) -> dict:
         return {"nx": self.nx, "ny": self.ny, "lambda": self.spacing,

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .energy import EnergyReport, StencilEnergy
-from .lattice import Domain, ModelParams, SpinField, det_sum
+from .lattice import Domain, ModelParams, SpinField, det_sum, helix
 
 LOG_CSV_HEADER = "iter,energy,grad_norm,step"
 
@@ -87,19 +87,15 @@ def two_sided_bc(
     beta = params.helix_angle
     mask = np.zeros((ny, nx), dtype=bool)
     values = np.zeros((ny, nx))
-    jj = np.arange(ny)[:, None]
-    ii = np.arange(nx)[None, :]
-    wl, zl = left_pair
-    wr, zr = right_pair
-    left_vals = beta * (wl * ii + zl * jj)
+    wl, wr, z = left_pair[0], right_pair[0], right_pair[1]
     # anchor the right helix so equal chiralities give one global helix and
     # opposite ones center the transition
     anchor = 0.5 * (wl + wr) * beta * (nx - 1)
-    right_vals = beta * (wr * (ii - (nx - 1)) + zr * jj) + anchor
+    offsets = np.arange(nx)[-2:] - (nx - 1)  # of the right columns from the last
     mask[:, :2] = True
     mask[:, -2:] = True
-    values[:, :2] = left_vals[:, :2]
-    values[:, -2:] = right_vals[:, -2:]
+    values[:, :2] = helix((ny, min(nx, 2)), params, left_pair)
+    values[:, -2:] = beta * (wr * offsets + z * np.arange(ny)[:, None]) + anchor
     return BoundaryCondition(mask=mask, values=values)
 
 

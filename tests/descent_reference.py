@@ -15,9 +15,9 @@ from helimag.energy import (
     energy_H_1d,
     prefactor,
 )
-from helimag.lattice import SpinField, chain_keep, det_sum, index_mask
+from helimag.lattice import SpinField, det_sum, index_mask
 from helimag.optimize import ARMIJO, BACKTRACK, STOP_GRAD_NORM
-from oracles import three_point
+from oracles import chain_keep, three_point
 
 
 def squared_stencil(ux, uy, half_alpha):
@@ -31,8 +31,8 @@ def _interval(domain):
     return (domain.x0, domain.x0 + domain.width)
 
 
-def objective(psi, domain, params, lam):
-    u = SpinField.from_angles(psi, lam)
+def objective(psi, domain, params):
+    u = SpinField.from_angles(psi, params.lam)
     if psi.shape[0] == 1:
         return energy_H_1d(u, _interval(domain), params)
     return energy_H(u, domain, params).total
@@ -47,17 +47,17 @@ def _add_stencil_gradient(g, cosp, sinp, mask, alpha):
     g[..., 2:] += 2.0 * (-hx * sinp[..., 2:] + hy * cosp[..., 2:])
 
 
-def gradient(psi, domain, params, bc, lam):
+def gradient(psi, domain, params, bc):
     ny, nx = psi.shape
     cosp = np.cos(psi)
     sinp = np.sin(psi)
     g = np.zeros_like(psi)
     if ny == 1:
-        keep = chain_keep(nx, _interval(domain), lam)
+        keep = chain_keep(nx, _interval(domain), params.lam)
         _add_stencil_gradient(g, cosp, sinp, keep, params.alpha)
         g *= prefactor(params, one_d=True)
     else:
-        mask = index_mask(domain, lam, nx, ny)
+        mask = index_mask(domain, params.lam, nx, ny)
         if nx >= 3:
             _add_stencil_gradient(g, cosp, sinp, mask[:, : nx - 2], params.alpha)
         if ny >= 3:
@@ -71,13 +71,12 @@ def gradient(psi, domain, params, bc, lam):
 def minimize(psi0, domain, params, bc, opts):
     """(psi, report, log, converged, stalled) of the reference descent."""
     psi = bc.apply(np.asarray(psi0, dtype=float))
-    lam = params.lam
-    e = objective(psi, domain, params, lam)
+    e = objective(psi, domain, params)
     step = opts.init_step
     log = []
     converged = stalled = False
     for it in range(opts.max_iter):
-        g = gradient(psi, domain, params, bc, lam)
+        g = gradient(psi, domain, params, bc)
         gnorm = float(np.abs(g).max())
         log.append((it, e, gnorm, step))
         if gnorm <= STOP_GRAD_NORM:
@@ -88,7 +87,7 @@ def minimize(psi0, domain, params, bc, opts):
         accepted = False
         for _ in range(opts.max_backtracks):
             trial = psi - step * g
-            e_trial = objective(trial, domain, params, lam)
+            e_trial = objective(trial, domain, params)
             if e_trial <= e - ARMIJO * step * gsq:
                 psi, e = trial, e_trial
                 accepted = True
@@ -97,11 +96,11 @@ def minimize(psi0, domain, params, bc, opts):
         if not accepted:
             stalled = True
             break
-    u = SpinField.from_angles(psi, lam)
+    u = SpinField.from_angles(psi, params.lam)
     if psi.shape[0] == 1:
         interval = _interval(domain)
         total = energy_H_1d(u, interval, params)
-        terms = int(np.count_nonzero(chain_keep(psi.shape[1], interval, lam)))
+        terms = int(np.count_nonzero(chain_keep(psi.shape[1], interval, params.lam)))
         report = EnergyReport(total=total, horizontal=total, vertical=0.0, term_count=terms)
     else:
         report = energy_H(u, domain, params)

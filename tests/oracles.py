@@ -1,5 +1,6 @@
 """Oracles that only tests use: the three-point stencil as one array
-expression and the energies of many chains at once built on it, the
+expression and the energies of many chains at once built on it, a chain's
+index set as a per-stencil mask on the interval's own tolerance, the
 exhaustive minimum of a short chain over an angle grid, and the
 distributional curl of a chirality pair against a smooth bump with analytic
 derivatives.  They are kept apart from the code they are checked against:
@@ -17,7 +18,7 @@ import numpy as np
 
 from helimag.chirality import ChiralityPair
 from helimag.energy import energy_H_1d, prefactor
-from helimag.lattice import ModelParams, SpinField
+from helimag.lattice import GEOM_TOL, ModelParams, SpinField
 from helimag.optimize import BoundaryCondition
 from helimag.recovery import _BUMP_CLIP
 
@@ -32,9 +33,21 @@ def three_point(a: np.ndarray, half_alpha: float) -> np.ndarray:
     return h
 
 
-def _chain_energies(
-    psis: np.ndarray, params: ModelParams, lam: float, n_sites: int
-) -> np.ndarray:
+def chain_keep(n: int, interval: tuple[float, float], lam: float) -> np.ndarray:
+    """Mask of the stencils i of an n-site chain whose cells [lam i, lam(i+1)]
+    and [lam(i+1), lam(i+2)] both lie in the interval, widened by GEOM_TOL
+    times the larger of 1 and its endpoints' magnitudes."""
+    a, b = interval
+    tol = GEOM_TOL * max(1.0, abs(a), abs(b))
+    k = np.arange(max(n - 2, 0), dtype=float)
+
+    def inside(k):
+        return (lam * k >= a - tol) & (lam * (k + 1.0) <= b + tol)
+
+    return inside(k) & inside(k + 1.0)
+
+
+def _chain_energies(psis: np.ndarray, params: ModelParams) -> np.ndarray:
     """Vectorized 1D energies of many chains at once (all interior stencils)."""
     h = three_point(np.stack([np.cos(psis), np.sin(psis)]), params.alpha / 2.0)
     terms = h[0] * h[0] + h[1] * h[1]
@@ -74,7 +87,7 @@ def brute_force_1d(
     ).reshape(-1, n_free)
     psis = np.broadcast_to(base, (combos.shape[0], n_sites)).copy()
     psis[:, free_idx] = combos
-    energies = _chain_energies(psis, params, lam, n_sites)
+    energies = _chain_energies(psis, params)
     k = int(np.argmin(energies))
     best = psis[k].copy()
     e_min = float(energies[k])
@@ -87,7 +100,7 @@ def brute_force_1d(
         p = best.copy()
         p[free_idx] += np.array(offs)
         neigh.append(p)
-    e_neigh = _chain_energies(np.array(neigh), params, lam, n_sites)
+    e_neigh = _chain_energies(np.array(neigh), params)
     slack = float(e_neigh.max() - e_min)
     return e_min, best, slack
 

@@ -32,6 +32,14 @@ def bond_angle(a, b):
     return float(theta.theta_hor.values[0, 0])
 
 
+def test_transform_rejects_a_spacing_other_than_lambda():
+    # the energy layer rejects this field too; lambda comes from params only
+    p = ModelParams(lam=0.1, delta=0.3)
+    u = SpinField.from_angles(np.zeros((6, 6)), 0.05)
+    with pytest.raises(ValueError, match="differs from lambda"):
+        transform(u, p)
+
+
 class TestOrientedAngle:
     def test_quarter_turn(self):
         assert bond_angle(0.0, math.pi / 2) == pytest.approx(math.pi / 2)

@@ -407,25 +407,22 @@ class TestErrorContract:
         assert status == 1
         assert "at least 5 sites" in result["error"]
 
-    @pytest.mark.parametrize("value", ["x", 2.5, True, None])
+    # integers are read as lattice.json_int reads nx and ny: "8" and 4.0 too
+    # are rejected
+    @pytest.mark.parametrize("value", ["x", 2.5, True, None, "8", 4.0, 1e300])
     @pytest.mark.parametrize("command, key, config", [
         ("groundstate", "n", {"lambda": 0.05, "delta": 0.2}),
         ("minimize", "max_iter", {"n": 8, "lambda": 0.04, "delta": 0.2}),
         # read inside _schedule's handler, which must not prefix the message
         ("sweep", "finest_n", {"kind": "vertical_wall"}),
         ("sweep", "levels", {"kind": "vertical_wall"}),
+        ("minimize", "n", {"lambda": 0.04, "delta": 0.2}),
+        ("classify", "n_walls", {"kind": "laminate"}),
     ])
     def test_non_integer_config_value(self, tmp_path, command, key, config, value):
         status, result = run(command, {**config, key: value, "out": str(tmp_path)})
         assert status == 1
         assert result["error"] == f"{key} must be an integer, got {value!r}"
-
-    def test_integral_float_config_value(self, tmp_path):
-        status, _ = run("groundstate", {"n": 4.0, "lambda": 0.05, "delta": 0.2,
-                                        "out": str(tmp_path)})
-        assert status == 0
-        u = SpinField.from_json((tmp_path / "groundstate.json").read_text())
-        assert u.angles.shape == (4, 4)
 
     @pytest.mark.parametrize("command", ["energy", "transform"])
     @pytest.mark.parametrize("delta", [None, 1.5, -1.0])
@@ -865,7 +862,7 @@ class TestErrorContract:
         status, result = run("energy", {"in": str(f), "delta": 0.3, "out": str(tmp_path)})
         assert (status, result) == (1, {"error": "boom"})
 
-    @pytest.mark.parametrize("n_walls", [1e300, 2**20])
+    @pytest.mark.parametrize("n_walls", [pytest.param(10**300, id="1e+300"), 2**20])
     def test_laminate_strips_narrower_than_the_snap_grid(self, tmp_path, n_walls):
         # 1e300 walls would build a list of 1e300 breakpoints; at 2**20 the
         # snapped breakpoints of the unit domain collide
@@ -873,6 +870,46 @@ class TestErrorContract:
                                           "out": str(tmp_path)})
         assert status == 1
         assert result["error"].startswith("laminate strips must be at least 1/1048576 wide")
+
+    @pytest.mark.parametrize("command, config, argv", [
+        ("sweep", {"kind": "vertical_wall", "finest_n": 10**400},
+         ["--kind", "vertical_wall", "--finest-n", "1" + "0" * 400]),
+        ("groundstate", {"n": 10**400, "lambda": 0.1, "delta": 0.3},
+         ["--n", "1" + "0" * 400, "--lambda", "0.1", "--delta", "0.3"]),
+    ])
+    def test_integer_too_large_for_a_float(self, tmp_path, capsys, command, config, argv):
+        status, result = run(command, {**config, "out": str(tmp_path)})
+        assert status == 1 and result["error"]
+        assert main([command, *argv, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["classify", "recover", "sweep"])
+    def test_neither_mesh_nor_kind(self, tmp_path, command):
+        status, result = run(command, {"lambda": 0.05, "delta": 0.3, "out": str(tmp_path)})
+        assert (status, result) == (1, {"error": "either a mesh file or a built-in kind is required"})
+
+    def test_groundstate_of_one_site(self, tmp_path):
+        status, result = run("groundstate", {"n": 1, "lambda": 0.1, "delta": 0.3,
+                                             "out": str(tmp_path)})
+        assert (status, result) == (1, {"error": "n must be at least 2"})
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (["classify", "--kind", "four_quadrant", "--format", "csv"],
+         "classify takes --format svg only, got 'csv'"),
+        (["energy", "--in", "u.json", "--delta", "0.3", "--format", "svg"],
+         "energy takes --format csv only, got 'svg'"),
+        (["groundstate", "--lambda", "0.1", "--delta", "0.3", "--format", "csv"],
+         "groundstate takes no --format, got 'csv'"),
+        (["profile1d", "--format", "svg"], "profile1d takes no --format, got 'svg'"),
+        (["selftest", "--format", "csv"], "selftest takes no --format, got 'csv'"),
+    ])
+    def test_format_the_command_does_not_write(self, tmp_path, capsys, argv, message):
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("out", ["existing_file", "list"])
     def test_unusable_output_directory(self, tmp_path, out):

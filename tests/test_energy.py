@@ -18,7 +18,6 @@ from helimag.energy import (
     energy_H_1d,
     mm_decomposition,
     rho,
-    spin_vectors,
 )
 from helimag.chirality import _chirality_arrays
 from helimag.lattice import (
@@ -26,10 +25,11 @@ from helimag.lattice import (
     Domain,
     ModelParams,
     SpinField,
-    chain_keep,
     det_sum,
     index_mask,
+    spin_vectors,
 )
+from oracles import chain_keep
 
 
 def oracle_index_set(domain, lam, nx, ny):

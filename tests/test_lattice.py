@@ -14,8 +14,12 @@ from helimag.lattice import (
     SpinField,
     det_sum,
     GEOM_TOL,
+    helix,
     index_mask,
+    index_ranges,
+    spin_vectors,
 )
+from oracles import chain_keep
 
 
 def test_every_exported_name_imports():
@@ -42,8 +46,8 @@ class TestDomain:
         lam = 0.25
 
         def inside(i, j):
-            cols, rows = d.axes_inside(i, j, lam)
-            return bool(cols & rows)
+            cols, rows = index_ranges(d, lam, 8, 8)
+            return i in stencil_cells(cols) and j in stencil_cells(rows)
 
         assert inside(0, 0)
         assert inside(3, 3)
@@ -53,9 +57,16 @@ class TestDomain:
     def test_cell_inside_boundary_tolerance(self):
         # cell touching the boundary exactly counts as inside
         d = Domain(width=0.75, height=0.75)
-        assert all(d.axes_inside(2, 2, 0.25))
-        cols, rows = d.axes_inside(3, 2, 0.25)
-        assert not cols and rows
+        cols, rows = index_ranges(d, 0.25, 8, 8)
+        assert 2 in stencil_cells(cols) and 2 in stencil_cells(rows)
+        assert 3 not in stencil_cells(cols) and 2 in stencil_cells(rows)
+
+
+def stencil_cells(span):
+    """The cells k0, ..., k1 that the stencils k0, ..., k1 - 1 of an index
+    range read: stencil k reads cells k and k + 1."""
+    k0, k1 = span
+    return range(k0, k1 + 1) if k1 > k0 else range(0)
 
 
 class TestModelParams:
@@ -159,6 +170,60 @@ class TestIndexSetReference:
             index_mask(d, 0.1, 4, 3),
             [[True, True, False, False], [True, True, False, False], [False] * 4],
         )
+
+
+class TestIndexRanges:
+    def test_rectangle_matches_per_cell_loop(self):
+        rng = np.random.default_rng(20240418)
+        for domain, lam in random_rectangles(rng, 300):
+            nx, ny = (int(v) for v in rng.integers(0, 16, 2))
+            (i0, i1), (j0, j1) = index_ranges(domain, lam, nx, ny)
+            assert 0 <= i0 <= i1 <= nx and 0 <= j0 <= j1 <= ny
+            got = np.zeros((ny, nx), dtype=bool)
+            got[j0:j1, i0:i1] = True
+            np.testing.assert_array_equal(got, per_cell_interior(domain, lam, range(nx), range(ny)))
+
+    def test_chain_range_matches_the_per_stencil_mask(self):
+        # a chain's stencils, read on the plane's tolerance, are those the
+        # interval's own tolerance keeps
+        rng = np.random.default_rng(20240419)
+        for domain, lam in random_rectangles(rng, 600):
+            n = int(rng.integers(0, 40))
+            (i0, i1), _ = index_ranges(domain, lam, max(n - 2, 0), 1)
+            got = np.zeros(max(n - 2, 0), dtype=bool)
+            got[i0:i1] = True
+            interval = (domain.x0, domain.x0 + domain.width)
+            np.testing.assert_array_equal(got, chain_keep(n, interval, lam))
+
+    @pytest.mark.parametrize("domain", [
+        Domain(x0=math.inf), Domain(x0=math.nan), Domain(width=math.inf),
+        Domain(y0=-math.inf), Domain(height=math.inf),
+    ])
+    def test_non_finite_domain_matches_per_cell_loop(self, domain):
+        (i0, i1), (j0, j1) = index_ranges(domain, 0.25, 6, 5)
+        got = np.zeros((5, 6), dtype=bool)
+        got[j0:j1, i0:i1] = True
+        np.testing.assert_array_equal(got, per_cell_interior(domain, 0.25, range(6), range(5)))
+
+    def test_rejects_nonpositive_spacing(self):
+        with pytest.raises(ValueError, match="positive"):
+            index_ranges(Domain(), 0.0, 4, 4)
+
+
+class TestHelix:
+    @pytest.mark.parametrize("pair", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    def test_helix_is_beta_times_the_index_combination(self, pair):
+        p = ModelParams(lam=0.1, delta=0.3)
+        psi = helix((3, 5), p, pair)
+        jj, ii = np.mgrid[0:3, 0:5]
+        assert psi.tobytes() == (p.helix_angle * (pair[0] * ii + pair[1] * jj)).tobytes()
+
+    def test_spin_vectors_are_the_field_vectors(self):
+        u = SpinField.from_angles(np.linspace(-3, 3, 12).reshape(3, 4), 0.1)
+        ux, uy = u.vectors()
+        assert ux.tobytes() == np.cos(u.angles).tobytes()
+        assert uy.tobytes() == np.sin(u.angles).tobytes()
+        assert u.vectors().tobytes() == spin_vectors(u.angles).tobytes()
 
 
 class TestGrids:

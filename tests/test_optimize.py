@@ -181,7 +181,7 @@ class TestGradient:
         p = ModelParams(lam=1.0 / 17, delta=0.3)
         psi = rng.uniform(-math.pi, math.pi, shape)
         g = energy_gradient(psi, domain, p, None)
-        assert g.tobytes() == descent_reference.gradient(psi, domain, p, None, p.lam).tobytes()
+        assert g.tobytes() == descent_reference.gradient(psi, domain, p, None).tobytes()
 
     def test_zero_at_frozen_sites(self):
         p = ModelParams(lam=0.1, delta=0.3)
@@ -573,4 +573,4 @@ class TestChainOracle:
         psis = np.random.default_rng(n).uniform(-math.pi, math.pi, (300, n))
         model = StencilEnergy((1, n), p, Domain(width=n * p.lam))
         want = model.evaluate(psis[:, None, :]).total
-        assert _chain_energies(psis, p, p.lam, n).tolist() == want
+        assert _chain_energies(psis, p).tolist() == want
